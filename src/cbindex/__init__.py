@@ -4,13 +4,14 @@ The package fits a penalized negative-binomial benefit model to
 randomized-trial data, summarizes how unevenly the predicted treatment
 benefit is spread across subjects, quantifies uncertainty by bootstrap,
 and reproduces the estimator behavior study on synthetic populations.
+
+The top level exports what a typical analysis needs; everything else
+is imported from its submodule (``cbindex.errors``, ``cbindex.nbglm``,
+``cbindex.simulation``, ...).
 """
 
 from .benefit import (
-    BenefitCurve,
     BenefitVector,
-    CbEstimate,
-    PartialSumCurve,
     benefit_curve,
     cb_parametric,
     cb_semiparametric,
@@ -18,138 +19,36 @@ from .benefit import (
     gini_b,
     mean_benefit,
     pair_max_parametric,
-    partial_sums_parametric,
-    predicted_benefit,
     semiparametric_partial_sums,
 )
-from .errors import (
-    CbIndexError,
-    ConfigError,
-    ConvergenceError,
-    DataError,
-    DegenerateCovariateError,
-    DegenerateEstimateError,
-    DispersionError,
-    EstimationError,
-    EstimatorUndefinedError,
-    FoldingError,
-    InsufficientDataError,
-    NumericalError,
-    OrientationError,
-    RowParseError,
-    SchemaError,
-)
-from .inference import (
-    BootstrapConfig,
-    IntervalEstimate,
-    OptimismResult,
-    bootstrap_ci,
-    bootstrap_intervals,
-    optimism_adjust,
-    optimism_adjust_all,
-)
-from .nbglm import (
-    CvResult,
-    DesignMatrix,
-    FittedBenefitModel,
-    build_design_matrix,
-    cross_validate_lambda,
-    default_lambda_grid,
-    estimate_dispersion,
-    fit,
-    fit_alternating,
-    predict_rate,
-)
-from .pipeline import BenefitPipeline, PipelineResult
-from .simulation import (
-    ML_COEFFICIENTS,
-    RIDGE_COEFFICIENTS,
-    Population,
-    Scenario,
-    SimSettings,
-    SimulationReport,
-    generate_population,
-    population_cb,
-    run_simulation,
-)
-from .trial_data import (
-    BalanceResult,
-    ScalingParams,
-    SubjectRecord,
-    TrialDataset,
-    balance_check,
-    load_dataset,
-    load_dataset_from_text,
-    make_dataset,
-    standardize,
-)
+from .inference import BootstrapConfig, bootstrap_intervals, optimism_adjust_all
+from .nbglm import build_design_matrix, fit
+from .pipeline import BenefitPipeline
+from .simulation import SimSettings, generate_population, population_cb, run_simulation
+from .trial_data import load_dataset, make_dataset, standardize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceResult",
-    "BenefitCurve",
     "BenefitPipeline",
     "BenefitVector",
     "BootstrapConfig",
-    "CbEstimate",
-    "CbIndexError",
-    "ConfigError",
-    "ConvergenceError",
-    "CvResult",
-    "DataError",
-    "DegenerateCovariateError",
-    "DegenerateEstimateError",
-    "DesignMatrix",
-    "DispersionError",
-    "EstimationError",
-    "EstimatorUndefinedError",
-    "FittedBenefitModel",
-    "FoldingError",
-    "InsufficientDataError",
-    "IntervalEstimate",
-    "ML_COEFFICIENTS",
-    "NumericalError",
-    "OptimismResult",
-    "OrientationError",
-    "PartialSumCurve",
-    "PipelineResult",
-    "Population",
-    "RIDGE_COEFFICIENTS",
-    "RowParseError",
-    "ScalingParams",
-    "Scenario",
-    "SchemaError",
     "SimSettings",
-    "SimulationReport",
-    "SubjectRecord",
-    "TrialDataset",
-    "balance_check",
     "benefit_curve",
-    "bootstrap_ci",
     "bootstrap_intervals",
     "build_design_matrix",
     "cb_parametric",
     "cb_semiparametric",
-    "cross_validate_lambda",
-    "default_lambda_grid",
     "delta_b",
-    "estimate_dispersion",
     "fit",
-    "fit_alternating",
     "generate_population",
     "gini_b",
     "load_dataset",
-    "load_dataset_from_text",
     "make_dataset",
     "mean_benefit",
-    "optimism_adjust",
     "optimism_adjust_all",
     "pair_max_parametric",
-    "partial_sums_parametric",
     "population_cb",
-    "predict_rate",
-    "predicted_benefit",
     "run_simulation",
     "semiparametric_partial_sums",
     "standardize",

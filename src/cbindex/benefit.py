@@ -60,8 +60,7 @@ class BenefitVector:
     """Estimated benefits in subject order plus their descending ranking.
 
     ``order`` is a permutation such that ``values[order]`` is
-    non-increasing; ties keep original subject order unless randomized
-    tie-breaking was requested at construction.
+    non-increasing; ties keep original subject order.
     """
 
     values: np.ndarray
@@ -86,21 +85,10 @@ class BenefitVector:
         cls,
         values: np.ndarray | Sequence[float],
         subject_ids: Sequence[str] | None = None,
-        tie_break: str = "index",
-        rng: np.random.Generator | None = None,
     ) -> "BenefitVector":
-        """Rank benefits descending; ties by original index, or shuffled
-        under a caller-supplied generator when ``tie_break='random'``."""
+        """Rank benefits descending, ties by original index."""
         values = np.asarray(values, dtype=np.float64)
-        if tie_break == "index":
-            order = np.argsort(-values, kind="stable")
-        elif tie_break == "random":
-            if rng is None:
-                raise ValueError("random tie-breaking needs an explicit generator")
-            jitter = rng.permutation(values.size)
-            order = np.lexsort((jitter, -values))
-        else:
-            raise ValueError(f"unknown tie_break {tie_break!r}")
+        order = np.argsort(-values, kind="stable")
         ids = (
             list(subject_ids)
             if subject_ids is not None
@@ -217,15 +205,11 @@ def mean_benefit(bv: BenefitVector) -> float:
     return float(values.mean())
 
 
-def pair_max_parametric(bv: BenefitVector, convention: str = "with-replacement") -> float:
+def pair_max_parametric(bv: BenefitVector) -> float:
     """Mean of max(B_i, B_j) over pairs of subjects, via sorted partial sums.
 
-    The default averages over all n^2 ordered pairs including i=j, the
-    form that agrees exactly with a brute-force pairwise mean.  Two
-    asymptotically equivalent variants are kept behind the flag:
-    ``without-replacement`` averages the n(n-1) distinct ordered pairs,
-    and ``scaled-without-replacement`` divides the distinct-pair sum by
-    n^2.  All coincide as n grows.
+    Averages over all n^2 ordered pairs including i=j, the form that
+    agrees exactly with a brute-force pairwise mean.
     """
     n = bv.n
     if n < 2:
@@ -235,16 +219,9 @@ def pair_max_parametric(bv: BenefitVector, convention: str = "with-replacement")
         # constant vector: the maximum of equals is the value itself,
         # exactly, with no summation rounding
         return float(sorted_values[0])
-    s = np.cumsum(sorted_values)
-    sum_s = float(s.sum())
+    sum_s = float(np.cumsum(sorted_values).sum())
     mean = float(bv.values.mean())
-    if convention == "with-replacement":
-        return 2.0 * sum_s / n**2 - mean / n
-    if convention == "without-replacement":
-        return (2.0 * sum_s - 2.0 * n * mean) / (n * (n - 1))
-    if convention == "scaled-without-replacement":
-        return 2.0 * (sum_s / n**2 - mean / n)
-    raise ValueError(f"unknown pair convention {convention!r}")
+    return 2.0 * sum_s / n**2 - mean / n
 
 
 def delta_b(bv: BenefitVector) -> float:

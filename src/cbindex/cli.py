@@ -24,11 +24,12 @@ Exit codes: 0 success, 1 configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -38,22 +39,39 @@ from . import benefit as bn
 from .errors import CbIndexError, ConfigError, DataError, EstimationError
 from .inference import BootstrapConfig, bootstrap_intervals, optimism_adjust_all
 from .nbglm import FittedBenefitModel
-from .pipeline import BenefitPipeline
-from .simulation import SimSettings, Scenario, SimulationReport, run_simulation
+from .pipeline import ESTIMATOR_KINDS, BenefitPipeline
+from .simulation import SCENARIO_NAMES, SimSettings, Scenario, SimulationReport, run_simulation
 from .trial_data import balance_check, load_dataset
 
 SCHEMA_VERSION = 1
 
-_ESTIMATOR_CHOICES = ("parametric", "semiparametric", "both")
+_ESTIMATOR_CHOICES = ESTIMATOR_KINDS + ("both",)
+
+# Keys of the config file's ``cv`` object -> (BenefitPipeline field, type).
+_CV_KEYS = {
+    "folds": ("cv_folds", int),
+    "grid_size": ("lambda_grid_size", int),
+    "min_ratio": ("lambda_min_ratio", float),
+    "loss": ("cv_loss", str),
+}
+
+# RunConfig fields left out of the digest: where results go and how many
+# processes compute them change no output; the two input files enter by
+# the digest of their contents instead of their paths.
+_UNDIGESTED = ("out_dir", "workers", "input_path", "model_file")
 
 
 @dataclass
 class RunConfig:
-    """Resolved settings for one CLI invocation."""
+    """Resolved settings for one CLI invocation.
+
+    Field defaults are the CLI's defaults; the simulation ones are read
+    from the settings they feed.
+    """
 
     command: str
     seed: int
-    out_dir: Path
+    out_dir: Path = Path(".")
     input_path: Path | None = None
     columns: dict[str, Any] = field(default_factory=dict)
     model: str = "ridge"
@@ -68,39 +86,21 @@ class RunConfig:
     scenarios: list[str] = field(default_factory=list)
     n_values: list[int] = field(default_factory=list)
     replicates: int = 50
-    population_size: int = 200_000
-    theta: float = 10.0
-    followup: str = "fixed"
-    sim_optimism: int = 12
+    population_size: int = SimSettings.population_size
+    theta: float = Scenario.theta
+    followup: str = Scenario.followup
+    sim_optimism: int = SimSettings.optimism_replicates
     # curve
     grid_size: int = 100
     p_values: list[float] | None = None
 
     def digest_payload(self) -> dict:
         payload = {
-            "command": self.command,
-            "seed": self.seed,
-            "model": self.model,
-            "estimator": self.estimator,
-            "bootstrap": self.bootstrap,
-            "optimism": self.optimism,
-            "cv": self.cv,
-            "columns": self.columns,
-            "scenarios": self.scenarios,
-            "n_values": self.n_values,
-            "replicates": self.replicates,
-            "population_size": self.population_size,
-            "theta": self.theta,
-            "followup": self.followup,
-            "sim_optimism": self.sim_optimism,
-            "grid_size": self.grid_size,
-            "p_values": self.p_values,
-            "smd_threshold": self.smd_threshold,
+            f.name: getattr(self, f.name) for f in fields(self) if f.name not in _UNDIGESTED
         }
-        if self.input_path is not None and self.input_path.exists():
-            payload["input_sha256"] = hashlib.sha256(
-                self.input_path.read_bytes()
-            ).hexdigest()
+        for key, path in (("input_sha256", self.input_path), ("model_sha256", self.model_file)):
+            if path is not None and path.exists():
+                payload[key] = hashlib.sha256(path.read_bytes()).hexdigest()
         return payload
 
     @property
@@ -150,6 +150,15 @@ def _load_config_file(path: str | None) -> dict:
     return payload
 
 
+@contextlib.contextmanager
+def _config_errors(context: str = ""):
+    """Report a bad value met while building settings as a config error."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}{exc}") from exc
+
+
 def _require_seed(args, file_cfg) -> int:
     seed = args.seed if args.seed is not None else file_cfg.get("seed")
     if seed is None:
@@ -159,19 +168,32 @@ def _require_seed(args, file_cfg) -> int:
 
 def _estimator_kinds(selection: str) -> list[str]:
     if selection == "both":
-        return ["parametric", "semiparametric"]
+        return list(ESTIMATOR_KINDS)
     return [selection]
 
 
 def _build_pipeline(cfg: RunConfig) -> BenefitPipeline:
-    cv = cfg.cv
-    return BenefitPipeline(
-        model=cfg.model,
-        cv_folds=int(cv.get("folds", 10)),
-        lambda_grid_size=int(cv.get("grid_size", 100)),
-        lambda_min_ratio=float(cv.get("min_ratio", 1e-4)),
-        cv_loss=str(cv.get("loss", "squared")),
-    )
+    """The pipeline of ``--model`` with the config file's ``cv`` keys;
+    keys it leaves out keep the pipeline's defaults."""
+    if not isinstance(cfg.cv, dict):
+        raise ConfigError("cv must be a JSON object")
+    settings = {}
+    for key, value in cfg.cv.items():
+        if key not in _CV_KEYS:
+            raise ConfigError(f"unknown cv key {key!r}; expected one of {', '.join(_CV_KEYS)}")
+        name, convert = _CV_KEYS[key]
+        with _config_errors(f"cv {key}: "):
+            settings[name] = convert(value)
+    with _config_errors():
+        return BenefitPipeline(model=cfg.model, **settings)
+
+
+def _resampling(flag: str, replicates: int, seed: int, workers: int) -> BootstrapConfig | None:
+    """Resampling settings for a replicate-count flag; 0 turns it off."""
+    if replicates == 0:
+        return None
+    with _config_errors(f"{flag}: "):
+        return BootstrapConfig(replicates=replicates, seed=seed, workers=workers)
 
 
 def _cb_block(estimates, failures, kind):
@@ -187,6 +209,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
         raise ConfigError("estimate needs --input")
     if not cfg.columns:
         raise ConfigError("estimate needs a column mapping in the config file")
+    pipeline = _build_pipeline(cfg)
+    boot_cfg = _resampling("--bootstrap", cfg.bootstrap, cfg.seed, cfg.workers)
+    opt_cfg = _resampling("--optimism", cfg.optimism, cfg.seed + 1, cfg.workers)
     data = load_dataset(str(cfg.input_path), cfg.columns)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -207,7 +232,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
             "flagged": bal.flagged,
         }
 
-    pipeline = _build_pipeline(cfg)
     kinds = _estimator_kinds(cfg.estimator)
     try:
         result = pipeline.estimate(data, seed=cfg.seed)
@@ -242,10 +266,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
     degenerate = [k for k in kinds if k not in result.estimates]
 
-    if cfg.bootstrap > 0 and not degenerate:
-        boot_cfg = BootstrapConfig(
-            replicates=cfg.bootstrap, seed=cfg.seed, workers=cfg.workers
-        )
+    if boot_cfg is not None and not degenerate:
         intervals = bootstrap_intervals(data, pipeline, boot_cfg)
         report["intervals"] = {}
         for kind in kinds:
@@ -264,10 +285,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
                 cfg.out_dir / f"bootstrap_{kind}.csv", header_lines=_meta_lines(cfg)
             )
 
-    if cfg.optimism > 0 and not degenerate:
-        opt_cfg = BootstrapConfig(
-            replicates=cfg.optimism, seed=cfg.seed + 1, workers=cfg.workers
-        )
+    if opt_cfg is not None and not degenerate:
         adjusted = optimism_adjust_all(data, pipeline, opt_cfg, original=result)
         report["optimism"] = {
             kind: {
@@ -319,30 +337,26 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise ConfigError("simulate needs --scenario")
     if not cfg.n_values:
         raise ConfigError("simulate needs --n")
-    try:
+    if cfg.replicates < 2:
+        raise ConfigError("simulate needs at least two --replicates")
+    with _config_errors():
         scenarios = [
             Scenario.by_name(name, theta=cfg.theta, followup=cfg.followup)
             for name in cfg.scenarios
         ]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        settings = SimSettings(
+            population_size=cfg.population_size,
+            optimism_replicates=cfg.sim_optimism,
+            workers=cfg.workers,
+        )
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    settings = SimSettings(
-        population_size=cfg.population_size,
-        optimism_replicates=cfg.sim_optimism,
-        workers=cfg.workers,
-    )
     all_rows = []
-    reports: list[SimulationReport] = []
     for scenario in scenarios:
         rep = run_simulation(
             scenario, cfg.n_values, cfg.replicates, cfg.seed, settings=settings
         )
-        reports.append(rep)
         all_rows.extend(rep.rows)
-    merged = SimulationReport(
-        rows=all_rows, replicates=cfg.replicates, seed=cfg.seed, settings=settings
-    )
+    merged = SimulationReport(rows=all_rows, replicates=cfg.replicates, seed=cfg.seed)
     merged.to_csv(str(cfg.out_dir / "table3.csv"), header_lines=_meta_lines(cfg))
     payload = merged.to_dict()
     payload.update(
@@ -365,14 +379,19 @@ def cmd_curve(cfg: RunConfig) -> int:
     if cfg.model_file is not None:
         if cfg.input_path is None:
             raise ConfigError("curve with --model-file still needs --input for covariates")
-        model = FittedBenefitModel.load(str(cfg.model_file))
+        try:
+            model = FittedBenefitModel.load(str(cfg.model_file))
+        except OSError as exc:
+            raise DataError(f"cannot read model file: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed model file {cfg.model_file}: {exc!r}") from exc
         data = load_dataset(str(cfg.input_path), cfg.columns)
         bv = bn.predicted_benefit(model, data)
     else:
         if not cfg.columns:
             raise ConfigError("curve needs a column mapping in the config file")
-        data = load_dataset(str(cfg.input_path), cfg.columns)
         pipeline = _build_pipeline(cfg)
+        data = load_dataset(str(cfg.input_path), cfg.columns)
         try:
             result = pipeline.estimate(data, seed=cfg.seed)
         except EstimationError as exc:
@@ -449,45 +468,45 @@ def _build_parser() -> _Parser:
 
 def _resolve(args) -> RunConfig:
     file_cfg = _load_config_file(args.config)
-    seed = _require_seed(args, file_cfg)
+    cfg = RunConfig(command=args.command, seed=_require_seed(args, file_cfg))
 
-    def pick(flag_value, key, default):
+    def pick(key, flag_value=None, attr=None):
+        """The flag, else the config-file key, else the RunConfig default."""
         if flag_value is not None:
             return flag_value
-        return file_cfg.get(key, default)
+        return file_cfg.get(key, getattr(cfg, attr or key))
 
-    cfg = RunConfig(
-        command=args.command,
-        seed=seed,
-        out_dir=Path(pick(args.out, "out", ".")),
-        workers=int(pick(args.workers, "workers", 1)),
-        columns=file_cfg.get("columns", {}),
-        cv=file_cfg.get("cv", {}),
-        smd_threshold=float(file_cfg.get("smd_threshold", 0.05)),
-    )
+    cfg.out_dir = Path(pick("out", args.out, "out_dir"))
+    cfg.workers = int(pick("workers", args.workers))
+    if cfg.workers < 1:
+        raise ConfigError("--workers must be at least 1")
+    cfg.columns = pick("columns")
+    cfg.cv = pick("cv")
+    cfg.smd_threshold = float(pick("smd_threshold"))
     if args.command in ("estimate", "curve"):
-        input_path = pick(getattr(args, "input", None), "input", None)
+        input_path = pick("input", args.input, "input_path")
         cfg.input_path = Path(input_path) if input_path else None
-        cfg.model = str(pick(getattr(args, "model", None), "model", "ridge"))
+        cfg.model = str(pick("model", args.model))
     if args.command == "estimate":
-        cfg.estimator = str(pick(args.estimator, "estimator", "both"))
-        cfg.bootstrap = int(pick(args.bootstrap, "bootstrap", 0))
-        cfg.optimism = int(pick(args.optimism, "optimism", 0))
+        cfg.estimator = str(pick("estimator", args.estimator))
+        cfg.bootstrap = int(pick("bootstrap", args.bootstrap))
+        cfg.optimism = int(pick("optimism", args.optimism))
     if args.command == "simulate":
-        raw = pick(args.scenario, "scenarios", ["all"])
+        raw = args.scenario if args.scenario is not None else file_cfg.get("scenarios", ["all"])
         names = []
         for item in raw:
-            names.extend(["strong", "weak", "null"] if item == "all" else [item])
+            names.extend(SCENARIO_NAMES if item == "all" else [item])
         cfg.scenarios = names
-        cfg.n_values = [int(v) for v in pick(args.n, "n_values", [400])]
-        cfg.replicates = int(pick(args.replicates, "replicates", 50))
-        cfg.population_size = int(pick(args.population_size, "population_size", 200_000))
-        cfg.theta = float(pick(args.theta, "theta", 10.0))
-        cfg.followup = str(pick(args.followup, "followup", "fixed"))
-        cfg.sim_optimism = int(pick(args.optimism, "sim_optimism", 12))
+        n_values = args.n if args.n is not None else file_cfg.get("n_values", [400])
+        cfg.n_values = [int(v) for v in n_values]
+        cfg.replicates = int(pick("replicates", args.replicates))
+        cfg.population_size = int(pick("population_size", args.population_size))
+        cfg.theta = float(pick("theta", args.theta))
+        cfg.followup = str(pick("followup", args.followup))
+        cfg.sim_optimism = int(pick("sim_optimism", args.optimism))
     if args.command == "curve":
         cfg.model_file = Path(args.model_file) if args.model_file else None
-        cfg.grid_size = int(pick(args.grid_size, "grid_size", 100))
+        cfg.grid_size = int(pick("grid_size", args.grid_size))
         if args.p:
             try:
                 cfg.p_values = [float(v) for v in args.p.split(",") if v.strip()]
@@ -500,7 +519,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _resolve(args)
+        with _config_errors():
+            cfg = _resolve(args)
         handler = {"estimate": cmd_estimate, "simulate": cmd_simulate, "curve": cmd_curve}[
             cfg.command
         ]

@@ -16,51 +16,41 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _parallel
 from .errors import CbIndexError, EstimationError
-from .pipeline import BenefitPipeline, PipelineResult
+from .pipeline import ESTIMATOR_KINDS, BenefitPipeline, PipelineResult
 from .trial_data import TrialDataset
 
 __all__ = [
     "BootstrapConfig",
     "IntervalEstimate",
     "OptimismResult",
-    "bootstrap_ci",
     "bootstrap_intervals",
-    "optimism_adjust",
     "optimism_adjust_all",
 ]
 
-DEFAULT_CI_REPLICATES = 1000
-DEFAULT_OPTIMISM_REPLICATES = 200
+# Coverage of every percentile interval.
+CI_LEVEL = 0.95
 
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Resampling settings.
+    """Resampling settings: subjects are resampled with replacement and
+    penalty selection is repeated inside every replicate."""
 
-    ``refit_shrinkage`` controls whether penalty selection is repeated
-    inside each replicate (the honest default) or the original sample's
-    penalty is reused.  ``stratify_by_arm`` switches to resampling
-    within arms, preserving arm sizes.
-    """
-
-    replicates: int = DEFAULT_CI_REPLICATES
-    seed: int = 0
-    ci_level: float = 0.95
-    refit_shrinkage: bool = True
-    stratify_by_arm: bool = False
+    replicates: int
+    seed: int
     workers: int = 1
 
     def __post_init__(self):
         if self.replicates < 2:
             raise ValueError("need at least two replicates")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError("ci_level must lie in (0, 1)")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
 @dataclass
@@ -121,27 +111,16 @@ class OptimismResult:
     out_values: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
 
 
-def _resample_indices(data: TrialDataset, rng: np.random.Generator, stratify: bool) -> np.ndarray:
-    n = data.n
-    if not stratify:
-        return rng.integers(0, n, size=n)
-    parts = []
-    for arm in (0, 1):
-        idx = np.flatnonzero(data.treatment == arm)
-        parts.append(rng.choice(idx, size=idx.size, replace=True))
-    return np.concatenate(parts)
-
-
-def _replicate_seeds(seed: int, r: int) -> tuple[np.random.Generator, int]:
-    """Per-replicate resampling generator and pipeline fold seed, both
-    pure functions of (master seed, replicate index).  Key 0 is reserved
-    for the original-sample run; replicate r maps to key r + 1."""
+def _replicate_sample(data: TrialDataset, seed: int, r: int) -> tuple[TrialDataset, int]:
+    """Per-replicate bootstrap sample and pipeline fold seed, both pure
+    functions of (master seed, replicate index).  Key 0 is reserved for
+    the original-sample run; replicate r maps to key r + 1."""
     key = r + 1
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key, 0)))
     fold_seed = int(
         np.random.SeedSequence(entropy=seed, spawn_key=(key, 1)).generate_state(1)[0]
     )
-    return rng, fold_seed
+    return data.subset(rng.integers(0, data.n, size=data.n)), fold_seed
 
 
 def _original_seed(seed: int) -> int:
@@ -150,21 +129,13 @@ def _original_seed(seed: int) -> int:
 
 
 def _ci_task(r: int):
-    data, pipeline, cfg, lam_fixed = _parallel.shared_state()
-    rng, fold_seed = _replicate_seeds(cfg.seed, r)
-    idx = _resample_indices(data, rng, cfg.stratify_by_arm)
-    sample = data.subset(idx)
-    run = pipeline
-    if not cfg.refit_shrinkage and getattr(pipeline, "model", None) == "ridge":
-        run = replace(pipeline, fixed_lambda=lam_fixed)
+    data, pipeline, cfg = _parallel.shared_state()
+    sample, fold_seed = _replicate_sample(data, cfg.seed, r)
     try:
-        result = run.estimate(sample, seed=fold_seed)
+        result = pipeline.estimate(sample, seed=fold_seed)
     except CbIndexError as exc:
         return {"error": str(exc)}
-    return {
-        kind: result.cb_value(kind)
-        for kind in ("parametric", "semiparametric")
-    }
+    return {kind: result.cb_value(kind) for kind in ESTIMATOR_KINDS}
 
 
 def _percentile_nearest_rank(sorted_values: np.ndarray, q: float) -> float:
@@ -176,7 +147,7 @@ def _percentile_nearest_rank(sorted_values: np.ndarray, q: float) -> float:
 def bootstrap_intervals(
     data: TrialDataset,
     pipeline: BenefitPipeline,
-    cfg: BootstrapConfig | None = None,
+    cfg: BootstrapConfig,
 ) -> dict[str, IntervalEstimate]:
     """Percentile bootstrap intervals for both estimator kinds at once.
 
@@ -185,18 +156,16 @@ def bootstrap_intervals(
     estimator's interval and counted.  More than 20% drops triggers a
     reliability warning and marks the interval.
     """
-    cfg = cfg if cfg is not None else BootstrapConfig()
     original = pipeline.estimate(data, seed=_original_seed(cfg.seed))
-    lam_fixed = original.model.penalty
     rows = _parallel.run_indexed(
         _ci_task,
         range(cfg.replicates),
         cfg.workers,
-        shared=(data, pipeline, cfg, lam_fixed),
+        shared=(data, pipeline, cfg),
     )
-    alpha = (1.0 - cfg.ci_level) / 2.0
+    alpha = (1.0 - CI_LEVEL) / 2.0
     out: dict[str, IntervalEstimate] = {}
-    for kind in ("parametric", "semiparametric"):
+    for kind in ESTIMATOR_KINDS:
         point = original.cb_value(kind)
         if point is None:
             continue
@@ -221,7 +190,7 @@ def bootstrap_intervals(
             point=point,
             lower=_percentile_nearest_rank(svals, alpha),
             upper=_percentile_nearest_rank(svals, 1.0 - alpha),
-            level=cfg.ci_level,
+            level=CI_LEVEL,
             replicate_values=values,
             n_failed=n_failed,
             unreliable=unreliable,
@@ -229,33 +198,16 @@ def bootstrap_intervals(
     return out
 
 
-def bootstrap_ci(
-    data: TrialDataset,
-    pipeline: BenefitPipeline,
-    cfg: BootstrapConfig | None = None,
-    estimator: str = "parametric",
-) -> IntervalEstimate:
-    """Percentile bootstrap interval for one estimator kind."""
-    intervals = bootstrap_intervals(data, pipeline, cfg)
-    if estimator not in intervals:
-        raise EstimationError(
-            f"{estimator} estimator failed on the original sample"
-        )
-    return intervals[estimator]
-
-
 def _optimism_task(r: int):
     data, pipeline, cfg = _parallel.shared_state()
-    rng, fold_seed = _replicate_seeds(cfg.seed, r)
-    idx = _resample_indices(data, rng, cfg.stratify_by_arm)
-    sample = data.subset(idx)
+    sample, fold_seed = _replicate_sample(data, cfg.seed, r)
     try:
         fitted = pipeline.estimate(sample, seed=fold_seed)
         applied = pipeline.evaluate(fitted, data)
     except CbIndexError as exc:
         return {"error": str(exc)}
     out = {}
-    for kind in ("parametric", "semiparametric"):
+    for kind in ESTIMATOR_KINDS:
         w_est = fitted.estimates.get(kind)
         o_est = applied.estimates.get(kind)
         if w_est is None or o_est is None or w_est.out_of_range or o_est.out_of_range:
@@ -268,7 +220,7 @@ def _optimism_task(r: int):
 def optimism_adjust_all(
     data: TrialDataset,
     pipeline: BenefitPipeline,
-    cfg: BootstrapConfig | None = None,
+    cfg: BootstrapConfig,
     original: PipelineResult | None = None,
 ) -> dict[str, OptimismResult]:
     """Optimism correction for both estimator kinds.
@@ -277,7 +229,6 @@ def optimism_adjust_all(
     the concentration index within that sample and again by applying the
     same fitted model to the original sample, and average the gap.
     """
-    cfg = cfg if cfg is not None else BootstrapConfig(replicates=DEFAULT_OPTIMISM_REPLICATES)
     if original is None:
         original = pipeline.estimate(data, seed=_original_seed(cfg.seed))
     rows = _parallel.run_indexed(
@@ -287,7 +238,7 @@ def optimism_adjust_all(
         shared=(data, pipeline, cfg),
     )
     out: dict[str, OptimismResult] = {}
-    for kind in ("parametric", "semiparametric"):
+    for kind in ESTIMATOR_KINDS:
         point = original.cb_value(kind)
         if point is None:
             continue
@@ -316,17 +267,3 @@ def optimism_adjust_all(
         )
     return out
 
-
-def optimism_adjust(
-    data: TrialDataset,
-    pipeline: BenefitPipeline,
-    cfg: BootstrapConfig | None = None,
-    estimator: str = "semiparametric",
-) -> OptimismResult:
-    """Optimism-corrected estimate for one estimator kind."""
-    results = optimism_adjust_all(data, pipeline, cfg)
-    if estimator not in results:
-        raise EstimationError(
-            f"{estimator} estimator failed on the original sample"
-        )
-    return results[estimator]

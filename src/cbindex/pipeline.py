@@ -1,7 +1,7 @@
 """End-to-end estimation runs: data in, concentration estimates out.
 
 A pipeline bundles every choice a run depends on (penalized or plain
-maximum likelihood, cross-validation settings, tie handling) so that
+maximum likelihood, cross-validation settings, fit precision) so that
 resampling procedures can repeat the *whole* calculation -- including
 penalty selection -- on each replicate, and so a model fitted on one
 sample can be applied unchanged to another.
@@ -11,16 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import benefit as bn
 from . import nbglm
 from .errors import ConvergenceError, EstimationError
 from .trial_data import TrialDataset, standardize
 
-__all__ = ["BenefitPipeline", "PipelineResult", "ESTIMATOR_KINDS"]
+__all__ = ["BenefitPipeline", "PipelineResult", "ESTIMATOR_KINDS", "CV_LOSSES"]
 
 ESTIMATOR_KINDS = ("parametric", "semiparametric")
+# Held-out losses the cross-validation scorer understands; the first is
+# the default.
+CV_LOSSES = ("squared", "deviance")
 
 
 @dataclass
@@ -44,18 +45,16 @@ class BenefitPipeline:
 
     ``model`` selects ridge (cross-validated l2 penalty) or ``ml``
     (unpenalized).  The penalty grid defaults to 100 log-spaced values
-    spanning a 1e-4 ratio under 10-fold cross-validation; simulation
-    callers shrink these for speed.
+    spanning a 1e-4 ratio under 10-fold cross-validation; the simulation
+    study's ``SIM_PIPELINE`` shrinks these for speed.  Every setting is
+    checked on construction (``ValueError``).
     """
 
     model: str = "ridge"
     cv_folds: int = 10
     lambda_grid_size: int = 100
     lambda_min_ratio: float = 1e-4
-    lambda_grid: tuple[float, ...] | None = None
-    fixed_lambda: float | None = None
-    cv_loss: str = "squared"
-    theta_init: float = 1.0
+    cv_loss: str = CV_LOSSES[0]
     # Final-fit precision; Monte Carlo harnesses relax these for speed.
     fit_tol: float = 1e-8
     theta_rtol: float = 1e-4
@@ -64,6 +63,16 @@ class BenefitPipeline:
     def __post_init__(self):
         if self.model not in ("ridge", "ml"):
             raise ValueError("model must be 'ridge' or 'ml'")
+        if self.cv_folds < 2:
+            raise ValueError("cv folds must be at least 2")
+        if self.lambda_grid_size < 1:
+            raise ValueError("penalty grid size must be at least 1")
+        if not 0.0 < self.lambda_min_ratio < 1.0:
+            raise ValueError("penalty grid min ratio must lie in (0, 1)")
+        if self.cv_loss not in CV_LOSSES:
+            raise ValueError(f"cv loss must be one of {', '.join(CV_LOSSES)}")
+        if not min(self.fit_tol, self.theta_rtol, self.profile_xatol) > 0.0:
+            raise ValueError("fit tolerances must be positive")
 
     def estimate(self, data: TrialDataset, seed: int | None = None) -> PipelineResult:
         """Standardize, select the penalty, fit, and compute both
@@ -77,25 +86,14 @@ class BenefitPipeline:
         std, scaling = standardize(data)
         design = nbglm.build_design_matrix(std, scaling=scaling)
         cv = None
-        if self.model == "ridge" and self.fixed_lambda is not None:
-            lam = float(self.fixed_lambda)
-        elif self.model == "ridge":
+        if self.model == "ridge":
             if seed is None:
                 raise ValueError("ridge pipeline needs a seed for fold assignment")
-            grid = (
-                np.asarray(self.lambda_grid, dtype=np.float64)
-                if self.lambda_grid is not None
-                else nbglm.default_lambda_grid(
-                    design, size=self.lambda_grid_size, min_ratio=self.lambda_min_ratio
-                )
+            grid = nbglm.default_lambda_grid(
+                design, size=self.lambda_grid_size, min_ratio=self.lambda_min_ratio
             )
             cv = nbglm.cross_validate_lambda(
-                design,
-                folds=self.cv_folds,
-                grid=grid,
-                seed=int(seed),
-                loss=self.cv_loss,
-                theta_init=self.theta_init,
+                design, folds=self.cv_folds, grid=grid, seed=int(seed), loss=self.cv_loss
             )
             lam = cv.chosen_lambda
         else:
@@ -103,7 +101,6 @@ class BenefitPipeline:
         model = nbglm.fit_alternating(
             design,
             lam,
-            theta_init=self.theta_init,
             tol=self.fit_tol,
             theta_rtol=self.theta_rtol,
             profile_xatol=self.profile_xatol,

@@ -25,7 +25,7 @@ index); reports are identical for any worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,6 +43,8 @@ __all__ = [
     "WEAK_SCENARIO_COEFFICIENTS",
     "STRONG_SCENARIO_COEFFICIENTS",
     "COVARIATE_NAMES",
+    "SCENARIO_NAMES",
+    "SIM_PIPELINE",
     "Scenario",
     "Population",
     "SimSettings",
@@ -101,7 +103,37 @@ ESTIMATOR_LABELS = (
     "semi-ml-adjusted",
 )
 
-_SCENARIO_INDEX = {"strong": 1, "weak": 2, "null": 3}
+# name -> (coefficients, kind); the position in this table, from 1, is
+# the scenario's key in every seed derivation.
+_SCENARIOS = {
+    "strong": (STRONG_SCENARIO_COEFFICIENTS, "interaction"),
+    "weak": (WEAK_SCENARIO_COEFFICIENTS, "interaction"),
+    "null": (WEAK_SCENARIO_COEFFICIENTS, "constant-benefit"),
+}
+SCENARIO_NAMES = tuple(_SCENARIOS)
+_SCENARIO_INDEX = {name: i for i, name in enumerate(SCENARIO_NAMES, start=1)}
+
+MIN_POPULATION_SIZE = 1000
+POPULATION_SIZE = 200_000
+
+# Raw semi-parametric values are kept even outside [0, 1], but a value
+# farther than this from the estimand's range exists only through
+# denominator collapse and would own the moment estimates; such
+# replicates count as failures (excluded and reported).
+SEMI_RAW_BOUND = 2.0
+
+# Desk-scale ridge pipeline of the study: coarser cross-validation
+# (fewer folds, shorter penalty path) and relaxed final-fit precision
+# relative to the single-trial defaults; honest, just cheaper.  The
+# maximum-likelihood variant is the same pipeline with ``model="ml"``.
+SIM_PIPELINE = BenefitPipeline(
+    cv_folds=4,
+    lambda_grid_size=6,
+    lambda_min_ratio=1e-3,
+    fit_tol=1e-6,
+    theta_rtol=1e-2,
+    profile_xatol=5e-4,
+)
 
 
 @dataclass(frozen=True)
@@ -133,27 +165,14 @@ class Scenario:
             raise ValueError("unknown scenario kind")
 
     @classmethod
-    def strong(cls, theta: float = 10.0, followup: str = "fixed") -> "Scenario":
-        return cls("strong", STRONG_SCENARIO_COEFFICIENTS, theta=theta, followup=followup)
-
-    @classmethod
-    def weak(cls, theta: float = 10.0, followup: str = "fixed") -> "Scenario":
-        return cls("weak", WEAK_SCENARIO_COEFFICIENTS, theta=theta, followup=followup)
-
-    @classmethod
-    def null(cls, theta: float = 10.0, followup: str = "fixed") -> "Scenario":
-        return cls(
-            "null", WEAK_SCENARIO_COEFFICIENTS, theta=theta, followup=followup,
-            kind="constant-benefit",
-        )
-
-    @classmethod
-    def by_name(cls, name: str, theta: float = 10.0, followup: str = "fixed") -> "Scenario":
+    def by_name(cls, name: str, **options) -> "Scenario":
+        """The named scenario; ``options`` (``theta``, ``followup``)
+        override the generation defaults."""
         try:
-            factory = {"strong": cls.strong, "weak": cls.weak, "null": cls.null}[name]
+            coefficients, kind = _SCENARIOS[name]
         except KeyError:
             raise ValueError(f"unknown scenario {name!r}") from None
-        return factory(theta=theta, followup=followup)
+        return cls(name, coefficients, kind=kind, **options)
 
 
 @dataclass
@@ -208,8 +227,13 @@ def _split_coefficients(coefs: Sequence[float]):
     return float(c[0]), float(c[1]), c[2:8], c[8:14]
 
 
+def _check_population_size(size: int) -> None:
+    if size < MIN_POPULATION_SIZE:
+        raise ValueError(f"population size below {MIN_POPULATION_SIZE} is too small to be useful")
+
+
 def generate_population(
-    scenario: Scenario | str, size: int = 200_000, seed: int = 0
+    scenario: Scenario | str, size: int = POPULATION_SIZE, seed: int = 0
 ) -> Population:
     """Draw a standardized covariate population and its true benefits.
 
@@ -221,8 +245,7 @@ def generate_population(
     """
     if isinstance(scenario, str):
         scenario = Scenario.by_name(scenario)
-    if size < 1000:
-        raise ValueError("population size below 1000 is too small to be useful")
+    _check_population_size(size)
     rng = np.random.default_rng(seed)
     x = _draw_covariates(size, rng)
     b0, ba, main, inter = _split_coefficients(scenario.coefficients)
@@ -254,29 +277,23 @@ def population_cb(pop: Population) -> float:
 
 @dataclass(frozen=True)
 class SimSettings:
-    """Desk-scale execution knobs for the simulation study.
+    """Execution settings for the simulation study: the ridge pipeline
+    every replicate runs (see ``SIM_PIPELINE``), the super-population
+    size, the reduced optimism bootstrap count, and the worker count."""
 
-    Cross-validation is coarsened relative to the single-trial defaults
-    (fewer folds, shorter penalty path) and the optimism bootstrap count
-    is reduced; all are honest, just cheaper.  ``adjusted=False`` skips
-    the optimism-adjusted variants entirely.
-    """
-
-    population_size: int = 200_000
-    cv_folds: int = 4
-    lambda_grid_size: int = 6
-    lambda_min_ratio: float = 1e-3
+    pipeline: BenefitPipeline = SIM_PIPELINE
+    population_size: int = POPULATION_SIZE
     optimism_replicates: int = 12
-    adjusted: bool = True
     workers: int = 1
-    fit_tol: float = 1e-6
-    theta_rtol: float = 1e-2
-    profile_xatol: float = 5e-4
-    # Raw semi-parametric values are kept even outside [0, 1], but a
-    # value farther than this from the estimand's range exists only
-    # through denominator collapse and would own the moment estimates;
-    # such replicates count as failures (excluded and reported).
-    semi_raw_bound: float = 2.0
+
+    def __post_init__(self):
+        if self.pipeline.model != "ridge":
+            raise ValueError("the simulation pipeline must be the ridge model")
+        _check_population_size(self.population_size)
+        if self.optimism_replicates < 2:
+            raise ValueError("need at least two optimism replicates")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -299,7 +316,6 @@ class SimulationReport:
     rows: list[SimulationRow]
     replicates: int
     seed: int
-    settings: SimSettings = field(default_factory=SimSettings)
 
     def row(self, scenario: str, n: int, estimator: str) -> SimulationRow:
         for r in self.rows:
@@ -377,19 +393,8 @@ def _sim_task(r: int) -> dict[str, float | None]:
     rng = np.random.default_rng(_replicate_rng(seed, scen_idx, n, r, 0))
     data = _simulate_trial(pop, n, rng)
 
-    precision = dict(
-        fit_tol=settings.fit_tol,
-        theta_rtol=settings.theta_rtol,
-        profile_xatol=settings.profile_xatol,
-    )
-    ridge = BenefitPipeline(
-        model="ridge",
-        cv_folds=settings.cv_folds,
-        lambda_grid_size=settings.lambda_grid_size,
-        lambda_min_ratio=settings.lambda_min_ratio,
-        **precision,
-    )
-    ml = BenefitPipeline(model="ml", **precision)
+    ridge = settings.pipeline
+    ml = replace(ridge, model="ml")
     out: dict[str, float | None] = {label: None for label in ESTIMATOR_LABELS}
 
     results = {}
@@ -405,27 +410,24 @@ def _sim_task(r: int) -> dict[str, float | None]:
         # beyond the wide bound are denominator-collapse artifacts and
         # count as failures.
         semi = res.cb_value("semiparametric")
-        if semi is not None and not (
-            -settings.semi_raw_bound <= semi <= 1.0 + settings.semi_raw_bound
-        ):
+        if semi is not None and not -SEMI_RAW_BOUND <= semi <= 1.0 + SEMI_RAW_BOUND:
             semi = None
         out[f"semi-{tag}"] = semi
 
-    if settings.adjusted:
-        for tag, pipe, lane in (("ridge", ridge, 3), ("ml", ml, 4)):
-            res = results.get(tag)
-            if res is None or out[f"semi-{tag}"] is None:
-                continue
-            cfg = BootstrapConfig(
-                replicates=settings.optimism_replicates,
-                seed=_seed_int(_replicate_rng(seed, scen_idx, n, r, lane)),
-            )
-            try:
-                adj = optimism_adjust_all(data, pipe, cfg, original=res)
-            except CbIndexError:
-                continue
-            if "semiparametric" in adj:
-                out[f"semi-{tag}-adjusted"] = adj["semiparametric"].adjusted
+    for tag, pipe, lane in (("ridge", ridge, 3), ("ml", ml, 4)):
+        res = results.get(tag)
+        if res is None or out[f"semi-{tag}"] is None:
+            continue
+        cfg = BootstrapConfig(
+            replicates=settings.optimism_replicates,
+            seed=_seed_int(_replicate_rng(seed, scen_idx, n, r, lane)),
+        )
+        try:
+            adj = optimism_adjust_all(data, pipe, cfg, original=res)
+        except CbIndexError:
+            continue
+        if "semiparametric" in adj:
+            out[f"semi-{tag}-adjusted"] = adj["semiparametric"].adjusted
     return out
 
 
@@ -435,7 +437,6 @@ def run_simulation(
     replicates: int,
     seed: int,
     settings: SimSettings | None = None,
-    population: Population | None = None,
 ) -> SimulationReport:
     """Monte Carlo evaluation of all estimator variants for one scenario.
 
@@ -449,13 +450,8 @@ def run_simulation(
     if replicates < 2:
         raise ValueError("need at least two replicates")
     scen_idx = _SCENARIO_INDEX[scenario.name]
-    if population is None:
-        pop_seed = _seed_int(
-            np.random.SeedSequence(entropy=seed, spawn_key=(scen_idx, 0))
-        )
-        population = generate_population(scenario, settings.population_size, pop_seed)
-    elif population.scenario.name != scenario.name:
-        raise ValueError("population was generated under a different scenario")
+    pop_seed = _seed_int(np.random.SeedSequence(entropy=seed, spawn_key=(scen_idx, 0)))
+    population = generate_population(scenario, settings.population_size, pop_seed)
     oracle = population_cb(population)
 
     n_values = [int(n)] if isinstance(n, (int, np.integer)) else [int(v) for v in n]
@@ -468,8 +464,6 @@ def run_simulation(
             shared=(population, n_i, seed, settings),
         )
         for label in ESTIMATOR_LABELS:
-            if not settings.adjusted and label.endswith("-adjusted"):
-                continue
             values = np.array(
                 [row[label] for row in results if row[label] is not None],
                 dtype=np.float64,
@@ -494,4 +488,4 @@ def run_simulation(
                     oracle_cb=oracle,
                 )
             )
-    return SimulationReport(rows=rows, replicates=replicates, seed=seed, settings=settings)
+    return SimulationReport(rows=rows, replicates=replicates, seed=seed)

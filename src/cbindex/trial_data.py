@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SubjectRecord",
     "TrialDataset",
     "ScalingParams",
     "BalanceResult",
@@ -37,17 +36,6 @@ __all__ = [
 # Cell values treated as missing rather than malformed.  Rows containing
 # any of these are dropped (complete-case analysis) and counted.
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
-
-
-@dataclass(frozen=True)
-class SubjectRecord:
-    """One subject: id, arm, event count, follow-up years, covariates."""
-
-    id: str
-    treatment: int
-    events: int
-    time: float
-    covariates: tuple[float, ...]
 
 
 @dataclass(eq=False)
@@ -117,20 +105,6 @@ class TrialDataset:
     def has_both_arms(self) -> bool:
         return bool(np.any(self.treatment == 0) and np.any(self.treatment == 1))
 
-    @property
-    def subjects(self) -> list[SubjectRecord]:
-        """Row-wise record view (materialized on demand)."""
-        return [
-            SubjectRecord(
-                id=self.ids[i],
-                treatment=int(self.treatment[i]),
-                events=int(self.events[i]),
-                time=float(self.time[i]),
-                covariates=tuple(float(v) for v in self.covariates[i]),
-            )
-            for i in range(self.n)
-        ]
-
     def subset(self, indices: Sequence[int] | np.ndarray) -> "TrialDataset":
         """Row-subset (or resample, when indices repeat) of the dataset."""
         idx = np.asarray(indices, dtype=np.intp)
@@ -142,19 +116,6 @@ class TrialDataset:
             covariate_names=self.covariate_names,
             ids=[self.ids[i] for i in idx],
         )
-
-    def replace(self, **overrides) -> "TrialDataset":
-        fields = dict(
-            treatment=self.treatment,
-            events=self.events,
-            time=self.time,
-            covariates=self.covariates,
-            covariate_names=self.covariate_names,
-            ids=self.ids,
-            n_missing_excluded=self.n_missing_excluded,
-        )
-        fields.update(overrides)
-        return TrialDataset(**fields)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrialDataset):
@@ -356,7 +317,7 @@ def standardize(d: TrialDataset) -> tuple[TrialDataset, ScalingParams]:
             raise DegenerateCovariateError(d.covariate_names[j])
     scaled = (x - means) / sds
     params = ScalingParams(means=means, sds=sds)
-    return d.replace(covariates=scaled), params
+    return replace(d, covariates=scaled), params
 
 
 @dataclass(frozen=True)

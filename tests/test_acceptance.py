@@ -25,7 +25,7 @@ from cbindex import (
     BootstrapConfig,
     SimSettings,
     benefit_curve,
-    bootstrap_ci,
+    bootstrap_intervals,
     build_design_matrix,
     cb_parametric,
     cb_semiparametric,
@@ -335,7 +335,7 @@ class TestCriterion9BootstrapCoverage:
             cfg = BootstrapConfig(replicates=self.BOOT, seed=10_000 + i,
                                   workers=WORKERS)
             try:
-                iv = bootstrap_ci(data, pipeline, cfg, estimator="parametric")
+                iv = bootstrap_intervals(data, pipeline, cfg)["parametric"]
             except Exception:
                 failures += 1
                 continue

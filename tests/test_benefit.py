@@ -6,28 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cbindex import (
-    BenefitPipeline,
+from cbindex.benefit import (
     BenefitVector,
-    DegenerateEstimateError,
-    EstimatorUndefinedError,
-    InsufficientDataError,
-    OrientationError,
-    ScalingParams,
     benefit_curve,
     cb_parametric,
     cb_semiparametric,
     delta_b,
     gini_b,
-    make_dataset,
     mean_benefit,
     pair_max_parametric,
     partial_sums_parametric,
     predicted_benefit,
     semiparametric_partial_sums,
 )
+from cbindex.errors import (
+    DegenerateEstimateError,
+    EstimatorUndefinedError,
+    InsufficientDataError,
+    OrientationError,
+)
 from cbindex.nbglm import FitMeta, FittedBenefitModel
+from cbindex.pipeline import BenefitPipeline
 from cbindex.simulation import WEAK_SCENARIO_COEFFICIENTS
+from cbindex.trial_data import ScalingParams, make_dataset
 
 from conftest import simulate_trial
 
@@ -75,13 +76,6 @@ class TestPairwiseQuantities:
     def test_mean_examples(self):
         assert mean_benefit(bv([0.1, 0.2, 0.3])) == pytest.approx(0.2)
         assert mean_benefit(bv([3.0, 1.0])) == 2.0
-
-    def test_alternate_pair_conventions(self):
-        v = bv([3.0, 1.0])
-        assert pair_max_parametric(v, "without-replacement") == 3.0
-        assert pair_max_parametric(v, "scaled-without-replacement") == 1.5
-        with pytest.raises(ValueError):
-            pair_max_parametric(v, "bogus")
 
     def test_needs_two_subjects(self):
         with pytest.raises(InsufficientDataError):
@@ -326,13 +320,6 @@ class TestOrderingAndCurveShape:
     def test_order_breaks_ties_by_index(self):
         v = BenefitVector.from_values([1.0, 2.0, 1.0, 2.0])
         assert v.order.tolist() == [1, 3, 0, 2]
-
-    def test_random_tie_break_needs_rng(self):
-        with pytest.raises(ValueError):
-            BenefitVector.from_values([1.0, 1.0], tie_break="random")
-        rng = np.random.default_rng(0)
-        v = BenefitVector.from_values([1.0, 1.0, 2.0], tie_break="random", rng=rng)
-        assert v.order[0] == 2
 
     def test_curve_export(self, tmp_path):
         v = bv([3.0, 1.0])

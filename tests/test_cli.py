@@ -2,13 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from cbindex import ScalingParams
-from cbindex.cli import main
+from cbindex.cli import RunConfig, main
 from cbindex.nbglm import FitMeta, FittedBenefitModel
+from cbindex.trial_data import ScalingParams
 
 from conftest import simulate_trial
 
@@ -43,6 +44,55 @@ def workspace(tmp_path):
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def constant_model(b0):
+    """A model whose only treatment term halves the rate: constant
+    benefit exp(b0)/2 for every subject."""
+    return FittedBenefitModel(
+        coefficients=np.array([b0, -math.log(2), 0.0, 0.0, 0.0, 0.0]),
+        coefficient_names=["intercept", "treatment", "x1", "x2",
+                           "treatment:x1", "treatment:x2"],
+        dispersion=1.0,
+        penalty=0.0,
+        scaling=ScalingParams.identity(2),
+        fit_meta=FitMeta(0, True, 0.0, ()),
+    )
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("args, cv", [
+        pytest.param(["estimate"], {"fold": 3}, id="cv-unknown-key"),
+        pytest.param(["estimate"], {"folds": "abc"}, id="cv-folds-not-a-number"),
+        pytest.param(["estimate"], {"folds": 1}, id="cv-one-fold"),
+        pytest.param(["estimate"], {"loss": "abs"}, id="cv-unknown-loss"),
+        pytest.param(["estimate"], {"grid_size": 0}, id="cv-empty-grid"),
+        pytest.param(["estimate", "--bootstrap", "1"], None, id="one-bootstrap-replicate"),
+        pytest.param(["estimate", "--bootstrap", "-3"], None, id="negative-bootstrap"),
+        pytest.param(["estimate", "--workers", "0"], None, id="zero-workers"),
+        pytest.param(["simulate", "--replicates", "1"], None, id="one-simulate-replicate"),
+        pytest.param(["simulate", "--population-size", "500"], None, id="small-population"),
+    ])
+    def test_bad_value_exits_one_with_message(self, workspace, capsys, args, cv):
+        tmp, csv, config = workspace
+        if cv is not None:
+            payload = json.loads(config.read_text())
+            payload["cv"] = cv
+            config.write_text(json.dumps(payload))
+        if args[0] == "estimate":
+            args = args + ["--input", csv, "--config", config]
+        else:
+            args = args + ["--scenario", "null", "--n", "150"]
+        code = run_cli(args + ["--seed", "1", "--out", tmp / "out"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_digest_covers_every_setting_but_paths_and_workers(self, tmp_path):
+        cfg = RunConfig(command="estimate", seed=1)
+        unhashed = {"out_dir", "workers", "input_path", "model_file"}
+        assert set(cfg.digest_payload()) == {f.name for f in fields(RunConfig)} - unhashed
+        moved = RunConfig(command="estimate", seed=1, out_dir=tmp_path, workers=4)
+        assert moved.digest == cfg.digest
 
 
 class TestEstimateCommand:
@@ -156,20 +206,9 @@ class TestSimulateCommand:
 class TestCurveCommand:
     def test_constant_benefit_model_gives_line(self, workspace):
         tmp, csv, config = workspace
-        # a model whose only treatment term halves the rate: constant
-        # benefit exp(b0)/2 for every subject
         b0 = 0.4
-        model = FittedBenefitModel(
-            coefficients=np.array([b0, -math.log(2), 0.0, 0.0, 0.0, 0.0]),
-            coefficient_names=["intercept", "treatment", "x1", "x2",
-                               "treatment:x1", "treatment:x2"],
-            dispersion=1.0,
-            penalty=0.0,
-            scaling=ScalingParams.identity(2),
-            fit_meta=FitMeta(0, True, 0.0, ()),
-        )
         model_file = tmp / "const_model.json"
-        model.save(str(model_file))
+        constant_model(b0).save(str(model_file))
         out = tmp / "curve"
         code = run_cli(["curve", "--input", csv, "--config", config,
                         "--model-file", model_file, "--seed", "2", "--out", out,
@@ -180,6 +219,30 @@ class TestCurveCommand:
         c = math.exp(b0) / 2
         for p_str, v_str in rows:
             assert float(v_str) == pytest.approx(float(p_str) * c, rel=1e-9)
+
+    def test_model_file_contents_enter_the_digest(self, workspace):
+        tmp, csv, config = workspace
+        headers = []
+        for b0 in (0.4, 0.5):
+            model_file = tmp / "model.json"
+            constant_model(b0).save(str(model_file))
+            out = tmp / f"curve_{b0}"
+            assert run_cli(["curve", "--input", csv, "--config", config,
+                            "--model-file", model_file, "--seed", "2", "--out", out]) == 0
+            headers.append((out / "curve.csv").read_text().splitlines()[0])
+        assert headers[0] != headers[1]
+
+    @pytest.mark.parametrize("contents", [None, '{"coefficients": []}', "not json"],
+                             ids=["missing", "missing-keys", "not-json"])
+    def test_unreadable_model_file_is_data_error(self, workspace, capsys, contents):
+        tmp, csv, config = workspace
+        model_file = tmp / "model.json"
+        if contents is not None:
+            model_file.write_text(contents)
+        code = run_cli(["curve", "--input", csv, "--config", config,
+                        "--model-file", model_file, "--seed", "2", "--out", tmp / "c"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
 
     def test_integral_matches_half_pair_max(self, workspace):
         tmp, csv, config = workspace

@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
-from cbindex import (
-    BenefitPipeline,
-    BenefitVector,
+from cbindex.benefit import BenefitVector, CbEstimate
+from cbindex.errors import EstimationError
+from cbindex.inference import (
     BootstrapConfig,
-    CbEstimate,
-    bootstrap_ci,
+    _percentile_nearest_rank,
     bootstrap_intervals,
-    optimism_adjust,
     optimism_adjust_all,
 )
-from cbindex.errors import EstimationError
-from cbindex.inference import _percentile_nearest_rank
-from cbindex.pipeline import PipelineResult
+from cbindex.pipeline import BenefitPipeline, PipelineResult
 
 from conftest import simulate_trial
 
@@ -25,23 +21,6 @@ def quick_pipeline():
         model="ridge", cv_folds=3, lambda_grid_size=4, lambda_min_ratio=1e-2,
         fit_tol=1e-6, theta_rtol=1e-2,
     )
-
-
-class _StubResult:
-    """Duck-typed PipelineResult carrying a fixed index value."""
-
-    def __init__(self, cb, model_penalty=0.0):
-        est = CbEstimate(
-            mean_benefit=1.0, pair_max=1.0 / (1.0 - cb) if cb < 1 else 2.0,
-            delta_b=0.0, gini_b=0.0, cb=cb, estimator_kind="parametric",
-        )
-        self.estimates = {"parametric": est}
-        self.failures = {}
-        self.model = type("M", (), {"penalty": model_penalty})()
-
-    def cb_value(self, kind):
-        est = self.estimates.get(kind)
-        return est.cb if est is not None else None
 
 
 class ConstantPredictionPipeline:
@@ -86,8 +65,8 @@ class TestBootstrapCi:
     def test_same_seed_identical(self, small_trial):
         cfg = BootstrapConfig(replicates=24, seed=7)
         pipeline = quick_pipeline()
-        a = bootstrap_ci(small_trial, pipeline, cfg, estimator="parametric")
-        b = bootstrap_ci(small_trial, pipeline, cfg, estimator="parametric")
+        a = bootstrap_intervals(small_trial, pipeline, cfg)["parametric"]
+        b = bootstrap_intervals(small_trial, pipeline, cfg)["parametric"]
         assert a.point == b.point
         assert a.lower == b.lower and a.upper == b.upper
         np.testing.assert_array_equal(a.replicate_values, b.replicate_values)
@@ -106,10 +85,9 @@ class TestBootstrapCi:
             )
 
     def test_interval_orders_bounds(self, small_trial):
-        iv = bootstrap_ci(
-            small_trial, BenefitPipeline(model="ml"),
-            BootstrapConfig(replicates=30, seed=5), estimator="parametric",
-        )
+        iv = bootstrap_intervals(
+            small_trial, BenefitPipeline(model="ml"), BootstrapConfig(replicates=30, seed=5)
+        )["parametric"]
         assert iv.lower <= iv.upper
         assert iv.n_failed + iv.replicate_values.size == 30
 
@@ -132,42 +110,10 @@ class TestBootstrapCi:
         assert result["parametric"].unreliable
         assert result["parametric"].n_failed > 4
 
-    def test_stratified_resampling_preserves_arm_sizes(self, small_trial):
-        captured = []
-
-        class Spy(ConstantPredictionPipeline):
-            def estimate(self, data, seed=None):
-                captured.append(int((data.treatment == 1).sum()))
-                return super().estimate(data, seed)
-
-        cfg = BootstrapConfig(replicates=6, seed=2, stratify_by_arm=True)
-        bootstrap_intervals(small_trial, Spy(), cfg)
-        n1 = int((small_trial.treatment == 1).sum())
-        assert all(c == n1 for c in captured[1:])  # first call is the original
-
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_refit_shrinkage_off_reuses_original_penalty(self, small_trial, monkeypatch):
-        import cbindex.nbglm as nbglm_mod
-        import cbindex.pipeline as pipeline_mod
-
-        calls = []
-        real_cv = nbglm_mod.cross_validate_lambda
-
-        def counting_cv(*args, **kwargs):
-            calls.append(1)
-            return real_cv(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline_mod.nbglm, "cross_validate_lambda", counting_cv)
-        pipeline = quick_pipeline()
-        cfg = BootstrapConfig(replicates=5, seed=2, refit_shrinkage=False)
-        bootstrap_intervals(small_trial, pipeline, cfg)
-        assert len(calls) == 1  # original sample only; replicates reuse its penalty
-
     def test_replicates_exportable(self, small_trial, tmp_path):
-        iv = bootstrap_ci(
-            small_trial, BenefitPipeline(model="ml"),
-            BootstrapConfig(replicates=12, seed=9), estimator="parametric",
-        )
+        iv = bootstrap_intervals(
+            small_trial, BenefitPipeline(model="ml"), BootstrapConfig(replicates=12, seed=9)
+        )["parametric"]
         path = tmp_path / "reps.csv"
         iv.save_replicates(str(path), header_lines=["seed=9"])
         lines = path.read_text().splitlines()
@@ -177,12 +123,11 @@ class TestBootstrapCi:
 
 class TestOptimism:
     def test_constant_prediction_pipeline_has_zero_optimism(self, small_trial):
-        res = optimism_adjust(
+        res = optimism_adjust_all(
             small_trial,
             ConstantPredictionPipeline(),
             BootstrapConfig(replicates=10, seed=4),
-            estimator="parametric",
-        )
+        )["parametric"]
         assert res.optimism == 0.0
         assert res.adjusted == res.unadjusted
 
@@ -209,13 +154,13 @@ class TestOptimism:
         for seed in range(8):
             d = _simulate_trial(pop, 300, rng)
             try:
-                res = optimism_adjust(
-                    d, pipeline, BootstrapConfig(replicates=10, seed=13 + seed),
-                    estimator="semiparametric",
+                res = optimism_adjust_all(
+                    d, pipeline, BootstrapConfig(replicates=10, seed=13 + seed)
                 )
             except EstimationError:
                 continue
-            values.append(res.optimism)
+            if "semiparametric" in res:
+                values.append(res["semiparametric"].optimism)
         assert len(values) >= 5
         assert np.mean(values) > 0
 
@@ -225,6 +170,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BootstrapConfig(replicates=1, seed=0)
 
-    def test_ci_level_range(self):
+    def test_workers_floor(self):
         with pytest.raises(ValueError):
-            BootstrapConfig(replicates=10, seed=0, ci_level=1.0)
+            BootstrapConfig(replicates=10, seed=0, workers=0)

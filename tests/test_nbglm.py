@@ -5,22 +5,21 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
-from cbindex import (
-    DispersionError,
-    FoldingError,
-    ScalingParams,
+from cbindex.errors import DispersionError, FoldingError
+from cbindex.nbglm import (
+    DesignMatrix,
+    FitMeta,
+    FittedBenefitModel,
     build_design_matrix,
     cross_validate_lambda,
     default_lambda_grid,
     estimate_dispersion,
     fit,
     fit_alternating,
-    make_dataset,
     predict_rate,
-    standardize,
 )
-from cbindex.nbglm import DesignMatrix, FitMeta, FittedBenefitModel
 from cbindex.simulation import ML_COEFFICIENTS
+from cbindex.trial_data import ScalingParams, make_dataset, standardize
 
 from conftest import simulate_trial
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cbindex import BenefitPipeline
+from cbindex.pipeline import BenefitPipeline
 
 from conftest import simulate_trial
 
@@ -17,6 +17,18 @@ class TestBenefitPipeline:
         with pytest.raises(ValueError):
             BenefitPipeline(model="lasso")
 
+    @pytest.mark.parametrize("bad", [
+        {"cv_folds": 1},
+        {"lambda_grid_size": 0},
+        {"lambda_min_ratio": 0.0},
+        {"lambda_min_ratio": 1.0},
+        {"cv_loss": "abs"},
+        {"fit_tol": 0.0},
+    ])
+    def test_bad_settings_rejected(self, bad):
+        with pytest.raises(ValueError):
+            BenefitPipeline(**bad)
+
     def test_estimate_produces_both_kinds(self, small_trial):
         result = BenefitPipeline(model="ml").estimate(small_trial)
         assert set(result.estimates) == {"parametric", "semiparametric"}
@@ -29,12 +41,6 @@ class TestBenefitPipeline:
         result = pipe.estimate(small_trial, seed=5)
         assert result.cv is not None
         assert result.model.penalty == result.cv.chosen_lambda
-
-    def test_fixed_lambda_skips_cv(self, small_trial):
-        pipe = BenefitPipeline(model="ridge", fixed_lambda=0.8)
-        result = pipe.estimate(small_trial)
-        assert result.cv is None
-        assert result.model.penalty == 0.8
 
     def test_evaluate_reuses_model(self):
         train = simulate_trial(MILD, n=400, seed=51, theta=2.0, m=2)

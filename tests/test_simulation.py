@@ -1,25 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cbindex import (
+from cbindex.simulation import (
+    COVARIATE_NAMES,
+    ESTIMATOR_LABELS,
+    SIM_PIPELINE,
+    STRONG_SCENARIO_COEFFICIENTS,
+    WEAK_SCENARIO_COEFFICIENTS,
     Scenario,
     SimSettings,
+    _simulate_trial,
     generate_population,
     population_cb,
     run_simulation,
 )
-from cbindex.simulation import (
-    COVARIATE_NAMES,
-    ESTIMATOR_LABELS,
-    STRONG_SCENARIO_COEFFICIENTS,
-    WEAK_SCENARIO_COEFFICIENTS,
-    _simulate_trial,
-)
 
 FAST = SimSettings(
+    pipeline=replace(SIM_PIPELINE, cv_folds=3, lambda_grid_size=4),
     population_size=20_000,
-    cv_folds=3,
-    lambda_grid_size=4,
     optimism_replicates=4,
     workers=1,
 )
@@ -42,6 +42,18 @@ class TestScenario:
             Scenario("bad", (0.0,) * 14, theta=-1.0)
         with pytest.raises(ValueError):
             Scenario("bad", (0.0,) * 14, followup="monthly")
+
+
+class TestSimSettings:
+    @pytest.mark.parametrize("bad", [
+        {"population_size": 500},
+        {"optimism_replicates": 1},
+        {"workers": 0},
+        {"pipeline": replace(SIM_PIPELINE, model="ml")},
+    ])
+    def test_bad_settings_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SimSettings(**bad)
 
 
 class TestGeneratePopulation:
@@ -96,7 +108,7 @@ class TestSimulateTrial:
         assert np.all(d.time == 1.0)
 
     def test_uniform_followup(self):
-        pop = generate_population(Scenario.weak(followup="uniform"), 20_000, seed=9)
+        pop = generate_population(Scenario.by_name("weak", followup="uniform"), 20_000, seed=9)
         d = _simulate_trial(pop, 200, np.random.default_rng(0))
         assert np.all((d.time >= 0.5) & (d.time <= 1.0))
         assert d.time.std() > 0
@@ -108,10 +120,7 @@ class TestRunSimulation:
         b = run_simulation("weak", 200, replicates=3, seed=5, settings=FAST)
         par = run_simulation(
             "weak", 200, replicates=3, seed=5,
-            settings=SimSettings(
-                population_size=20_000, cv_folds=3, lambda_grid_size=4,
-                optimism_replicates=4, workers=2,
-            ),
+            settings=replace(FAST, workers=2),
         )
         for x, y in zip(a.rows, b.rows):
             assert x == y
@@ -130,18 +139,6 @@ class TestRunSimulation:
         rep = run_simulation("null", [150, 250], replicates=2, seed=7, settings=FAST)
         keys = {(r.n, r.estimator) for r in rep.rows}
         assert keys == {(n, e) for n in (150, 250) for e in ESTIMATOR_LABELS}
-
-    def test_unadjusted_only_mode(self):
-        settings = SimSettings(population_size=20_000, cv_folds=3,
-                               lambda_grid_size=4, adjusted=False)
-        rep = run_simulation("weak", 200, replicates=2, seed=8, settings=settings)
-        assert all(not r.estimator.endswith("-adjusted") for r in rep.rows)
-
-    def test_population_scenario_mismatch_rejected(self):
-        pop = generate_population("weak", 20_000, seed=1)
-        with pytest.raises(ValueError, match="different scenario"):
-            run_simulation("strong", 200, replicates=2, seed=1,
-                           settings=FAST, population=pop)
 
     def test_report_serialization(self, tmp_path):
         rep = run_simulation("weak", 200, replicates=2, seed=9, settings=FAST)

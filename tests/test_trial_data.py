@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbindex import (
-    DegenerateCovariateError,
-    RowParseError,
-    SchemaError,
+from cbindex.errors import DegenerateCovariateError, RowParseError, SchemaError
+from cbindex.trial_data import (
     balance_check,
     load_dataset,
     load_dataset_from_text,
@@ -188,9 +186,3 @@ class TestDatasetInvariants:
         s = d.subset([2, 2, 0])
         assert s.events.tolist() == [3, 3, 1]
         assert s.ids == ["3", "3", "1"]
-
-    def test_subject_records(self):
-        d = load_dataset_from_text(CSV_4ROW, SCHEMA)
-        recs = d.subjects
-        assert recs[0].id == "a" and recs[0].events == 2
-        assert recs[1].covariates == (-0.2,)
