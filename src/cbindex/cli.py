@@ -267,7 +267,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     degenerate = [k for k in kinds if k not in result.estimates]
 
     if boot_cfg is not None and not degenerate:
-        intervals = bootstrap_intervals(data, pipeline, boot_cfg)
+        intervals = bootstrap_intervals(data, pipeline, boot_cfg, original=result)
         report["intervals"] = {}
         for kind in kinds:
             iv = intervals.get(kind)
@@ -337,6 +337,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise ConfigError("simulate needs --scenario")
     if not cfg.n_values:
         raise ConfigError("simulate needs --n")
+    for n in cfg.n_values:
+        if not 1 <= n <= cfg.population_size:
+            raise ConfigError(
+                f"--n {n} must lie between 1 and the population size {cfg.population_size}"
+            )
     if cfg.replicates < 2:
         raise ConfigError("simulate needs at least two --replicates")
     with _config_errors():
@@ -386,6 +391,11 @@ def cmd_curve(cfg: RunConfig) -> int:
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed model file {cfg.model_file}: {exc!r}") from exc
         data = load_dataset(str(cfg.input_path), cfg.columns)
+        if data.m != model.m:
+            raise DataError(
+                f"model file {cfg.model_file} expects {model.m} covariates, "
+                f"the dataset has {data.m}"
+            )
         bv = bn.predicted_benefit(model, data)
     else:
         if not cfg.columns:
@@ -507,11 +517,16 @@ def _resolve(args) -> RunConfig:
     if args.command == "curve":
         cfg.model_file = Path(args.model_file) if args.model_file else None
         cfg.grid_size = int(pick("grid_size", args.grid_size))
+        if cfg.grid_size < 1:
+            raise ConfigError("--grid-size must be at least 1")
         if args.p:
             try:
                 cfg.p_values = [float(v) for v in args.p.split(",") if v.strip()]
             except ValueError as exc:
                 raise ConfigError(f"bad --p list: {args.p!r}") from exc
+            for p in cfg.p_values:
+                if not 0.0 < p <= 1.0:
+                    raise ConfigError(f"--p values must lie in (0, 1], got {p!r}")
     return cfg
 
 

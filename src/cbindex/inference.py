@@ -148,15 +148,18 @@ def bootstrap_intervals(
     data: TrialDataset,
     pipeline: BenefitPipeline,
     cfg: BootstrapConfig,
+    original: PipelineResult | None = None,
 ) -> dict[str, IntervalEstimate]:
     """Percentile bootstrap intervals for both estimator kinds at once.
 
-    The pipeline is first run on the original data (a failure there is a
-    hard error); replicates that fail an estimator are dropped from that
-    estimator's interval and counted.  More than 20% drops triggers a
-    reliability warning and marks the interval.
+    The point estimates come from ``original``, the pipeline's result on
+    ``data``; omitted, the pipeline is first run on the original data (a
+    failure there is a hard error).  Replicates that fail an estimator
+    are dropped from that estimator's interval and counted.  More than
+    20% drops triggers a reliability warning and marks the interval.
     """
-    original = pipeline.estimate(data, seed=_original_seed(cfg.seed))
+    if original is None:
+        original = pipeline.estimate(data, seed=_original_seed(cfg.seed))
     rows = _parallel.run_indexed(
         _ci_task,
         range(cfg.replicates),

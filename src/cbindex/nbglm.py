@@ -496,17 +496,151 @@ def default_lambda_grid(
     return np.geomspace(lam_max, lam_max * min_ratio, size)
 
 
-def _held_out_loss(model, design_ho, kind):
-    mu = np.exp(design_ho.X @ model.coefficients + design_ho.offset)
-    y = design_ho.response
+def _held_out_loss(y, mu, theta, kind):
+    """Per-subject prediction loss of means ``mu`` (dispersion ``theta``,
+    one per subject) against the observed counts ``y``."""
     if kind == "squared":
         return (y - mu) ** 2
     if kind == "deviance":
-        theta = model.dispersion
         with np.errstate(divide="ignore", invalid="ignore"):
             term = np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0) / mu), 0.0)
         return 2.0 * (term - (y + theta) * np.log((y + theta) / (mu + theta)))
     raise ValueError(f"unknown cv loss {kind!r}")
+
+
+# OpenBLAS runs a GEMM on the calling thread only while m*n*k stays below
+# 2**18 (its SMP_THRESHOLD_MIN times GEMM_MULTITHREAD_THRESHOLD).  The
+# fold products are far too small to gain from threads, and when pool
+# workers already hold every core the BLAS threads only wait on each
+# other: with two processes on a 2-core VM, a (10x1000)@(1000x105) Gram
+# product took 1.0 ms whole and 0.13 ms in single-threaded blocks.
+_BLAS_SINGLE_THREAD_WORK = 1 << 18
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in column blocks of ``b`` small enough for OpenBLAS to
+    keep each block on the calling thread."""
+    m, n = a.shape
+    cols = b.shape[1]
+    block = max(1, (_BLAS_SINGLE_THREAD_WORK - 1) // (m * n))
+    if block >= cols:
+        return a @ b
+    return np.concatenate([a @ b[:, s : s + block] for s in range(0, cols, block)], axis=1)
+
+
+class _FoldBatch:
+    """The K training folds of one design, fitted together down a penalty
+    path.
+
+    Fold k's training rows are row k of a (K, n) 0/1 weight matrix over
+    the full design; the fold has its own dispersion and coefficient row.
+    ``fit_path_step`` repeats ``fit``'s warm-started IRLS for every
+    member at once, each to the same rules: convergence on the largest
+    coefficient change, at most 40 step halvings, a stall (no descent)
+    or the iteration cap ends that member only, and a singular or
+    non-finite solve raises ``NumericalError``.  Each member's linear
+    predictor and means are carried from its accepted step, so the
+    held-out loss reads them without a refit.
+    """
+
+    def __init__(
+        self, design: DesignMatrix, fold_id: np.ndarray, theta: np.ndarray, beta: np.ndarray
+    ):
+        self.X = design.X
+        self.XT = np.ascontiguousarray(design.X.T)
+        self.offset = design.offset
+        self.y = design.response
+        self.train = (fold_id != np.arange(theta.size)[:, None]).astype(np.float64)
+        self.theta = theta[:, None]
+        p = design.p
+        self.pen = np.ones(p)
+        self.pen[0] = 0.0  # intercept unpenalized
+        # Products of every column pair (i <= j): one weighted sum over
+        # rows gives the upper triangle of a member's Gram matrix, and
+        # ``square`` spreads that triangle over the full p x p matrix.
+        iu, ju = np.triu_indices(p)
+        self.products = design.X[:, iu] * design.X[:, ju]
+        square = np.empty((p, p), dtype=np.intp)
+        square[iu, ju] = square[ju, iu] = np.arange(iu.size)
+        self.square = square.ravel()
+        self.pen_diag = np.diag(self.pen).ravel()
+        self.beta = np.array(beta, dtype=np.float64)
+        self.nll, self.eta, self.mu = self._nll(self.beta, np.arange(theta.size))
+
+    def _nll(self, beta, members):
+        """Negative log-likelihood (up to beta-free constants) of each
+        coefficient row on its member's training fold, with the linear
+        predictor (offset excluded) and the means; a non-finite value
+        counts as +inf so step halving rejects it."""
+        eta = _product(beta, self.XT)
+        eta_full = eta + self.offset
+        theta = self.theta[members]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = np.exp(eta_full)
+            loglik = self.y * eta_full - (self.y + theta) * np.log(theta + mu)
+            nll = -np.einsum("kn,kn->k", self.train[members], loglik)
+        nll[~np.isfinite(nll)] = np.inf
+        return nll, eta, mu
+
+    def _solve(self, lam, members):
+        """Penalized IRLS update for each member from its current means."""
+        mu, theta, train = self.mu[members], self.theta[members], self.train[members]
+        shrink = theta / (theta + mu)
+        w = mu * shrink
+        score_resid = (self.y - mu) * shrink
+        A = _product(w * train, self.products)[:, self.square]
+        A += 2.0 * lam * self.pen_diag
+        A = A.reshape(members.size, self.pen.size, self.pen.size)
+        rhs = _product(train * (w * self.eta[members] + score_resid), self.X)
+        try:
+            beta_new = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"singular penalized system (cond~{np.max(np.linalg.cond(A)):.3e})"
+            ) from exc
+        if not np.all(np.isfinite(beta_new)):
+            raise NumericalError(
+                f"non-finite update (cond~{np.max(np.linalg.cond(A)):.3e})"
+            )
+        return beta_new
+
+    def fit_path_step(self, lam: float, tol: float) -> None:
+        """Refit every member at penalty ``lam``, warm-started from its
+        current coefficients."""
+        obj = self.nll + lam * ((self.beta * self.beta) @ self.pen)
+        if not np.all(np.isfinite(obj)):
+            raise NumericalError("starting point has non-finite objective")
+        active = np.arange(self.beta.shape[0])
+        for _ in range(_MAX_ITER):
+            beta = self.beta[active]
+            candidate = self._solve(lam, active)
+            direction = candidate - beta
+            cand_nll, cand_eta, cand_mu = self._nll(candidate, active)
+            cand_obj = cand_nll + lam * ((candidate * candidate) @ self.pen)
+            worse = cand_obj > obj[active]
+            step = 1.0
+            for _ in range(40):
+                if not worse.any():
+                    break
+                step *= 0.5
+                h = np.flatnonzero(worse)
+                candidate[h] = beta[h] + step * direction[h]
+                cand_nll[h], cand_eta[h], cand_mu[h] = self._nll(candidate[h], active[h])
+                cand_obj[h] = cand_nll[h] + lam * ((candidate[h] * candidate[h]) @ self.pen)
+                worse[h] = cand_obj[h] > obj[active[h]]
+            # A member still worse after 40 halvings has no descent
+            # direction left at fp resolution and stops where it is.
+            moved = ~worse
+            rows = active[moved]
+            delta = np.max(np.abs(candidate[moved] - beta[moved]), axis=1)
+            self.beta[rows] = candidate[moved]
+            self.nll[rows] = cand_nll[moved]
+            self.eta[rows] = cand_eta[moved]
+            self.mu[rows] = cand_mu[moved]
+            obj[rows] = cand_obj[moved]
+            active = rows[delta >= tol]
+            if active.size == 0:
+                break
 
 
 def _stratified_folds(treatment: np.ndarray, folds: int, seed: int) -> np.ndarray:
@@ -548,7 +682,9 @@ def cross_validate_lambda(
     folds) is fitted on the other K-1 folds and scored on the held-out
     subjects; the per-penalty error is the mean over all held-out
     subjects and its SE comes from the spread of fold means.  Ties break
-    toward the larger penalty.
+    toward the larger penalty.  The folds are fitted together: each is a
+    0/1 weight row over the full design, and one batched IRLS walks all
+    of them down the grid.
 
     Fold fits use relaxed convergence tolerances (``fold_tol`` on
     coefficients, ``fold_theta_rtol`` on the dispersion alternation):
@@ -566,33 +702,34 @@ def cross_validate_lambda(
         raise ValueError("penalties must be positive")
 
     fold_id = _stratified_folds(design.treatment.astype(np.int64), folds, seed)
-    total = np.zeros(grid.size)
-    fold_means = np.zeros((folds, grid.size))
+    # Dispersion is profiled on each training split once, at the top of
+    # the path; coefficient fits are then warm-started down the
+    # descending grid at that fixed dispersion, all folds at once.
+    theta = np.empty(folds)
+    beta = np.empty((folds, design.p))
     for f in range(folds):
-        ho = np.flatnonzero(fold_id == f)
-        tr = np.flatnonzero(fold_id != f)
-        design_tr = design.subset(tr)
-        design_ho = design.subset(ho)
-        # Dispersion is profiled on the training split once, at the top
-        # of the path; coefficient fits are then warm-started down the
-        # descending grid at that fixed dispersion.
         model = fit_alternating(
-            design_tr,
+            design.subset(np.flatnonzero(fold_id != f)),
             float(grid[0]),
             theta_init=theta_init,
             theta_rtol=fold_theta_rtol,
             tol=fold_tol,
             profile_xatol=5e-4,
         )
-        theta_f = model.dispersion
-        beta_warm = model.coefficients
-        for g, lam in enumerate(grid):
-            if g > 0:
-                model = fit(design_tr, float(lam), theta_f, beta_start=beta_warm, tol=fold_tol)
-                beta_warm = model.coefficients
-            losses = _held_out_loss(model, design_ho, loss)
-            total[g] += float(losses.sum())
-            fold_means[f, g] = float(losses.mean())
+        theta[f] = model.dispersion
+        beta[f] = model.coefficients
+    batch = _FoldBatch(design, fold_id, theta, beta)
+    # Every subject is held out by exactly one fold: score it with that
+    # fold's means.
+    rows = np.arange(design.n)
+    fold_sums = np.empty((folds, grid.size))
+    for g, lam in enumerate(grid):
+        if g > 0:
+            batch.fit_path_step(float(lam), fold_tol)
+        losses = _held_out_loss(design.response, batch.mu[fold_id, rows], theta[fold_id], loss)
+        fold_sums[:, g] = np.bincount(fold_id, weights=losses, minlength=folds)
+    total = fold_sums.sum(axis=0)
+    fold_means = fold_sums / np.bincount(fold_id, minlength=folds)[:, None]
     cv_error = total / design.n
     cv_se = fold_means.std(axis=0, ddof=1) / math.sqrt(folds)
     chosen = float(grid[int(np.argmin(cv_error))])

@@ -72,6 +72,9 @@ class TestConfigErrors:
         pytest.param(["estimate", "--workers", "0"], None, id="zero-workers"),
         pytest.param(["simulate", "--replicates", "1"], None, id="one-simulate-replicate"),
         pytest.param(["simulate", "--population-size", "500"], None, id="small-population"),
+        pytest.param(["simulate", "--n", "3000", "--population-size", "2000"], None,
+                     id="trial-larger-than-population"),
+        pytest.param(["simulate", "--n", "0"], None, id="empty-trial"),
     ])
     def test_bad_value_exits_one_with_message(self, workspace, capsys, args, cv):
         tmp, csv, config = workspace
@@ -243,6 +246,32 @@ class TestCurveCommand:
                         "--model-file", model_file, "--seed", "2", "--out", tmp / "c"])
         assert code == 2
         assert capsys.readouterr().err.startswith("data error:")
+
+    def test_model_file_for_other_covariates_is_data_error(self, workspace, capsys):
+        tmp, csv, config = workspace
+        model_file = tmp / "model.json"
+        constant_model(0.4).save(str(model_file))
+        payload = json.loads(config.read_text())
+        payload["columns"]["covariates"] = ["x1"]
+        one_covariate = tmp / "one_covariate.json"
+        one_covariate.write_text(json.dumps(payload))
+        code = run_cli(["curve", "--input", csv, "--config", one_covariate,
+                        "--model-file", model_file, "--seed", "2", "--out", tmp / "c"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "expects 2 covariates" in err
+
+    @pytest.mark.parametrize("flags", [["--grid-size", "0"], ["--p", "1.5"], ["--p", "0.5,0"]],
+                             ids=["empty-grid", "p-above-one", "p-zero"])
+    def test_bad_grid_is_config_error_before_fitting(self, workspace, capsys, flags):
+        tmp, csv, config = workspace
+        out = tmp / "bad_grid"
+        code = run_cli(["curve", "--input", csv, "--config", config, "--model", "ml",
+                        "--seed", "2", "--out", out] + flags)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_integral_matches_half_pair_max(self, workspace):
         tmp, csv, config = workspace

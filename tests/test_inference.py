@@ -84,6 +84,23 @@ class TestBootstrapCi:
                 seq[kind].replicate_values, par[kind].replicate_values
             )
 
+    def test_given_original_supplies_the_point_and_is_not_rerun(self, small_trial):
+        pipeline = BenefitPipeline(model="ml")
+        cfg = BootstrapConfig(replicates=10, seed=5)
+        original = pipeline.estimate(small_trial)
+
+        class NoOriginalRun(BenefitPipeline):
+            def estimate(self, data, seed=None):
+                assert data is not small_trial, "original sample was refitted"
+                return super().estimate(data, seed=seed)
+
+        given = bootstrap_intervals(small_trial, NoOriginalRun(model="ml"), cfg,
+                                    original=original)
+        rerun = bootstrap_intervals(small_trial, pipeline, cfg)
+        for kind, iv in given.items():
+            assert iv.point == original.cb_value(kind)
+            np.testing.assert_array_equal(iv.replicate_values, rerun[kind].replicate_values)
+
     def test_interval_orders_bounds(self, small_trial):
         iv = bootstrap_intervals(
             small_trial, BenefitPipeline(model="ml"), BootstrapConfig(replicates=30, seed=5)

@@ -17,6 +17,7 @@ from cbindex.nbglm import (
     fit,
     fit_alternating,
     predict_rate,
+    _stratified_folds,
 )
 from cbindex.simulation import ML_COEFFICIENTS
 from cbindex.trial_data import ScalingParams, make_dataset, standardize
@@ -181,7 +182,69 @@ class TestDispersion:
             estimate_dispersion(design, np.zeros(4))
 
 
+def reference_cv(design, folds, grid, seed, loss, fold_tol=1e-6):
+    """Cross-validation the slow, plain way: a copied training and held-out
+    design per fold, then one warm-started ``fit`` per (fold, penalty).
+
+    Returns the chosen penalty, ``cv_error``, ``cv_se``, the fold labels
+    and each fold's IRLS iteration counts down the grid.
+    """
+    grid = np.sort(np.asarray(grid, dtype=np.float64))[::-1]
+    fold_id = _stratified_folds(design.treatment.astype(np.int64), folds, seed)
+    total = np.zeros(grid.size)
+    fold_means = np.zeros((folds, grid.size))
+    iterations = np.zeros((folds, grid.size), dtype=int)
+    for f in range(folds):
+        design_tr = design.subset(np.flatnonzero(fold_id != f))
+        design_ho = design.subset(np.flatnonzero(fold_id == f))
+        model = fit_alternating(design_tr, float(grid[0]), theta_rtol=1e-2,
+                                tol=fold_tol, profile_xatol=5e-4)
+        theta, beta = model.dispersion, model.coefficients
+        for g, lam in enumerate(grid):
+            if g > 0:
+                model = fit(design_tr, float(lam), theta, beta_start=beta, tol=fold_tol)
+                beta = model.coefficients
+                iterations[f, g] = model.fit_meta.iterations
+            y = design_ho.response
+            mu = np.exp(design_ho.X @ beta + design_ho.offset)
+            if loss == "squared":
+                losses = (y - mu) ** 2
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    term = np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0) / mu), 0.0)
+                losses = 2.0 * (term - (y + theta) * np.log((y + theta) / (mu + theta)))
+            total[g] += losses.sum()
+            fold_means[f, g] = losses.mean()
+    cv_error = total / design.n
+    cv_se = fold_means.std(axis=0, ddof=1) / math.sqrt(folds)
+    return float(grid[int(np.argmin(cv_error))]), cv_error, cv_se, fold_id, iterations
+
+
 class TestCrossValidation:
+    @pytest.mark.parametrize("loss", ["squared", "deviance"])
+    @pytest.mark.parametrize("folds, n, data_seed", [
+        pytest.param(3, 301, 0, id="3-folds-step-halving"),
+        pytest.param(3, 301, 3, id="3-folds-no-descent-stop"),
+        pytest.param(4, 258, 4, id="4-folds"),
+        pytest.param(10, 403, 10, id="10-folds"),
+    ])
+    def test_batched_folds_match_per_fold_fits(self, folds, n, data_seed, loss):
+        # strong overdispersion makes some IRLS steps overshoot
+        coefs = np.array([0.3, -0.5, 0.4, -0.3, 0.2, 0.25, -0.2, 0.1])
+        d = simulate_trial(coefs, n=n, seed=data_seed, theta=0.3, m=3, fixed_time=False)
+        design = design_from(d)
+        grid = default_lambda_grid(design, size=15, min_ratio=1e-3)
+        chosen, cv_error, cv_se, fold_id, iterations = reference_cv(
+            design, folds, grid, seed=7, loss=loss
+        )
+        # the cases cover unequal folds that converge at different speeds
+        assert np.unique(np.bincount(fold_id)).size > 1
+        assert np.any(iterations.min(axis=0) != iterations.max(axis=0))
+        res = cross_validate_lambda(design, folds=folds, grid=grid, seed=7, loss=loss)
+        assert res.chosen_lambda == chosen
+        np.testing.assert_allclose(res.cv_error, cv_error, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(res.cv_se, cv_se, rtol=1e-10, atol=0)
+
     def test_deterministic_given_seed(self):
         d = simulate_trial(np.array([0.2, -0.3, 0.5, -0.2, 0.2, 0.1]), n=400, seed=14, m=2)
         design = design_from(d)
