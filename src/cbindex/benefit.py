@@ -72,7 +72,12 @@ class BenefitVector:
         self.order = np.asarray(self.order, dtype=np.intp)
         if self.values.ndim != 1:
             raise ValueError("benefit values must be a 1-d vector")
-        if sorted(self.order.tolist()) != list(range(self.values.size)):
+        n = self.values.size
+        order = self.order
+        if order.shape != (n,) or (
+            n > 0
+            and (order.min() < 0 or order.max() >= n or np.bincount(order, minlength=n).max() > 1)
+        ):
             raise ValueError("order must be a permutation of subject indices")
         s = self.values[self.order]
         if np.any(np.diff(s) > 0):

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import gammaln
 
 from .errors import (
     DispersionError,
@@ -375,18 +373,142 @@ def fit(
     )
 
 
-def _profile_loglik(y, eta_full, theta):
-    log_theta = math.log(theta)
-    log_theta_mu = np.logaddexp(log_theta, eta_full)
-    return float(
-        np.sum(
-            gammaln(y + theta)
-            - gammaln(theta)
-            + theta * log_theta
-            - (y + theta) * log_theta_mu
-            + y * eta_full
+# From this dispersion up, lgamma(v+theta) - lgamma(theta) comes from
+# Stirling's series: differencing two lgamma values there cancels (at
+# theta=1e8 a 500-subject profile lost up to 3e-5, above the plateau
+# test's tolerance), while the first term left out of the series is below
+# 2e-15 from theta=20 up.
+_STIRLING_THETA = 20.0
+
+
+def _stirling_tail(x):
+    """lgamma(x) - [(x - 1/2)*log(x) - x + log(2*pi)/2], to four terms."""
+    inv = 1.0 / x
+    inv2 = inv * inv
+    return inv * (1.0 / 12 - inv2 * (1.0 / 360 - inv2 * (1.0 / 1260 - inv2 / 1680)))
+
+
+def _log_gamma_ratio(values, counts, theta):
+    """Sum over distinct counts v (with multiplicities ``counts``) of
+    lgamma(v+theta) - lgamma(theta) - v*log(theta)."""
+    if theta < _STIRLING_THETA:
+        lgamma_theta, log_theta = math.lgamma(theta), math.log(theta)
+        return sum(
+            n * (math.lgamma(v + theta) - lgamma_theta - v * log_theta)
+            for v, n in zip(values.tolist(), counts.tolist())
         )
+    terms = (
+        (values + (theta - 0.5)) * np.log1p(values / theta)
+        - values
+        + (_stirling_tail(values + theta) - _stirling_tail(theta))
     )
+    return float(counts @ terms)
+
+
+def _profile_loglik(y, eta_full):
+    """The log-likelihood at fixed means ``exp(eta_full)``, as a function
+    of the dispersion theta (lgamma(y+1) left out).
+
+    theta*log(theta) - (y+theta)*log(theta+mu) is written as
+    -y*log(theta) - (y+theta)*log1p(mu/theta), and the -y*log(theta) part
+    joins the log-gamma terms, which are summed once per distinct positive
+    count; no term cancels at large theta.
+
+    Raises
+    ------
+    NumericalError
+        If a fitted mean overflows.
+    """
+    with np.errstate(over="ignore"):
+        mu = np.exp(eta_full)
+    if not np.all(np.isfinite(mu)):
+        raise NumericalError(
+            f"fitted means overflow: linear predictor reaches {float(np.max(eta_full)):.4g}"
+        )
+    values, counts = np.unique(y[y > 0], return_counts=True)
+    counts = counts.astype(np.float64)
+    y_eta = float(y @ eta_full)
+
+    def loglik(theta: float) -> float:
+        ratio = mu / theta
+        np.log1p(ratio, out=ratio)
+        return _log_gamma_ratio(values, counts, theta) - float((y + theta) @ ratio) + y_eta
+
+    return loglik
+
+
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_SEARCH_MAX_EVALS = 500
+
+
+def _bounded_minimize(func, lo, hi, xatol, max_evals):
+    """Minimize ``func`` on [lo, hi] by Brent's bounded search: golden
+    sections with parabolic steps (Brent 1973, *Algorithms for
+    Minimization without Derivatives*, ch. 5).
+
+    Step for step the method of scipy's ``minimize_scalar(method=
+    "bounded")``, on plain floats.  Returns the best point, its value
+    and the number of evaluations, which reaches ``max_evals`` only when
+    the search was cut off there.
+    """
+    a, b = lo, hi
+    fulc = nfc = xf = x = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = func(x)
+    evals = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points so far
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        evals += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if evals >= max_evals:
+            break
+    return xf, fx, evals
 
 
 def estimate_dispersion(
@@ -404,6 +526,9 @@ def estimate_dispersion(
     DispersionError
         If every response is zero, in which case no dispersion is
         identifiable.
+    NumericalError
+        If a fitted mean overflows, the profile is not finite at the
+        optimum found, or the search runs out of evaluations.
     """
     y = design.response
     if y.sum() == 0:
@@ -412,16 +537,22 @@ def estimate_dispersion(
     if not np.all(np.isfinite(eta_full)):
         raise NumericalError("coefficients produce non-finite linear predictor")
 
+    loglik = _profile_loglik(y, eta_full)
     lo, hi = math.log(THETA_MIN), math.log(THETA_MAX)
-    res = minimize_scalar(
-        lambda lt: -_profile_loglik(y, eta_full, math.exp(lt)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": xatol},
+    log_theta, neg_ll, evals = _bounded_minimize(
+        lambda lt: -loglik(math.exp(lt)), lo, hi, xatol, _SEARCH_MAX_EVALS
     )
-    theta_hat = math.exp(res.x)
-    ll_hat = -res.fun
-    ll_hi = _profile_loglik(y, eta_full, THETA_MAX)
+    theta_hat = math.exp(log_theta)
+    if not math.isfinite(neg_ll):
+        raise NumericalError(
+            f"dispersion profile is not finite at theta={theta_hat:.6g}"
+        )
+    if evals >= _SEARCH_MAX_EVALS:
+        raise NumericalError(
+            f"dispersion search stopped at its {_SEARCH_MAX_EVALS}-evaluation cap"
+        )
+    ll_hat = -neg_ll
+    ll_hi = loglik(THETA_MAX)
     if ll_hi >= ll_hat - 1e-8 * (1.0 + abs(ll_hat)):
         return THETA_MAX
     return theta_hat

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import benefit as bn
 from . import nbglm
 from .errors import ConvergenceError, EstimationError
@@ -83,6 +85,8 @@ class BenefitPipeline:
         failures (orientation, degenerate denominators) are recorded per
         estimator instead so callers can count them.
         """
+        if self.model == "ml":
+            _reject_separated_arm(data)
         std, scaling = standardize(data)
         design = nbglm.build_design_matrix(std, scaling=scaling)
         cv = None
@@ -134,3 +138,17 @@ class BenefitPipeline:
         except EstimationError as exc:
             failures["semiparametric"] = str(exc)
         return PipelineResult(model=model, benefit=bv, estimates=estimates, failures=failures)
+
+
+def _reject_separated_arm(data: TrialDataset) -> None:
+    """Raise if one arm has subjects but no events while the other has
+    events: the unpenalized treatment-effect estimate is then infinite,
+    and IRLS would only walk toward it until its iteration cap."""
+    subjects = np.bincount(data.treatment, minlength=2)
+    events = np.bincount(data.treatment, weights=data.events, minlength=2)
+    for arm, name in enumerate(("control", "treated")):
+        if subjects[arm] > 0 and events[arm] == 0 and events[1 - arm] > 0:
+            raise EstimationError(
+                f"no events in the {name} arm (treatment={arm}): the maximum-likelihood "
+                "treatment effect is infinite; the ridge model gives a finite estimate"
+            )

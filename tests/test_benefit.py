@@ -321,6 +321,15 @@ class TestOrderingAndCurveShape:
         v = BenefitVector.from_values([1.0, 2.0, 1.0, 2.0])
         assert v.order.tolist() == [1, 3, 0, 2]
 
+    @pytest.mark.parametrize("order", [[0, 0, 1], [-1, 0, 1], [0, 1, 3], [0, 1], [[0, 1, 2]]])
+    def test_order_must_be_a_permutation(self, order):
+        with pytest.raises(ValueError, match="permutation"):
+            BenefitVector(values=np.array([3.0, 2.0, 1.0]), order=np.array(order),
+                          subject_ids=["a", "b", "c"])
+
+    def test_empty_vector_has_empty_order(self):
+        assert BenefitVector.from_values([]).n == 0
+
     def test_curve_export(self, tmp_path):
         v = bv([3.0, 1.0])
         path = tmp_path / "sums.csv"

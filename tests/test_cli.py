@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cbindex
 from cbindex.cli import RunConfig, main
 from cbindex.nbglm import FitMeta, FittedBenefitModel
 from cbindex.trial_data import ScalingParams
@@ -164,6 +167,23 @@ class TestEstimateCommand:
             "error" in block for block in report.get("estimates", {}).values()
         )
 
+    def test_ml_with_an_eventless_arm_exits_three_naming_it(self, workspace, tmp_path, capsys):
+        tmp, csv, config = workspace
+        lines = csv.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows:
+            if row[1] == "1":
+                row[2] = "0"
+        eventless = tmp_path / "eventless.csv"
+        eventless.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+        out = tmp / "sep"
+        code = run_cli(["estimate", "--input", eventless, "--config", config,
+                        "--model", "ml", "--seed", "3", "--out", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "no events in the treated arm" in err and "infinite" in err
+        assert "no events in the treated arm" in json.loads((out / "report.json").read_text())["error"]
+
     def test_optimism_block_present_when_requested(self, workspace):
         tmp, csv, config = workspace
         out = tmp / "opt"
@@ -317,3 +337,24 @@ class TestModuleInvocation:
         )
         assert proc.returncode == 0
         assert (out / "report.json").exists()
+
+    def test_runtime_imports_no_scipy(self, workspace):
+        """numpy is the only runtime dependency: a fresh interpreter that
+        imports the CLI and runs an ML estimate has loaded no scipy module."""
+        tmp, csv, config = workspace
+        argv = ["estimate", "--input", str(csv), "--config", str(config),
+                "--model", "ml", "--seed", "1", "--out", str(tmp / "noscipy")]
+        script = (
+            "import sys\n"
+            "from cbindex.cli import main\n"
+            f"code = main({argv!r})\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(code, loaded)\n"
+            "sys.exit(0 if code == 0 and not loaded else 1)\n"
+        )
+        src = str(Path(cbindex.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gammaln
 
-from cbindex.errors import DispersionError, FoldingError
+from cbindex import nbglm
+from cbindex.errors import DispersionError, FoldingError, NumericalError
 from cbindex.nbglm import (
     DesignMatrix,
     FitMeta,
@@ -17,6 +19,9 @@ from cbindex.nbglm import (
     fit,
     fit_alternating,
     predict_rate,
+    _bounded_minimize,
+    _log_gamma_ratio,
+    _profile_loglik,
     _stratified_folds,
 )
 from cbindex.simulation import ML_COEFFICIENTS
@@ -180,6 +185,103 @@ class TestDispersion:
         design = design_from(d)
         with pytest.raises(DispersionError):
             estimate_dispersion(design, np.zeros(4))
+
+    def test_non_finite_profile_is_named(self):
+        design = design_from(simulate_trial(np.zeros(6), n=200, seed=14, m=2))
+        response = design.response.copy()
+        response[0] = np.nan
+        broken = dataclasses.replace(design, response=response)
+        with pytest.raises(NumericalError, match="profile is not finite"):
+            estimate_dispersion(broken, np.zeros(6))
+
+    def test_search_cap_is_named(self, monkeypatch):
+        design = design_from(simulate_trial(np.zeros(6), n=200, seed=15, m=2))
+        monkeypatch.setattr(nbglm, "_SEARCH_MAX_EVALS", 5)
+        with pytest.raises(NumericalError, match="5-evaluation cap"):
+            estimate_dispersion(design, np.zeros(6))
+
+    def test_overflowing_means_are_named(self):
+        design = design_from(simulate_trial(np.zeros(6), n=200, seed=16, m=2))
+        coefficients = np.zeros(6)
+        coefficients[0] = 800.0  # finite linear predictor, exp() overflows
+        with pytest.raises(NumericalError, match="fitted means overflow"):
+            estimate_dispersion(design, coefficients)
+
+
+def random_profile(rng):
+    """Counts and linear predictors of one random trial: NB draws with
+    dispersion from 0.05 to 8000, or Poisson draws, whose profile climbs
+    to the upper search bound."""
+    while True:
+        n = int(rng.integers(20, 400))
+        eta = rng.normal(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 1.5), n)
+        mu = np.exp(eta)
+        if rng.uniform() < 0.2:
+            y = rng.poisson(mu)
+        else:
+            theta = float(np.exp(rng.uniform(-3.0, 9.0)))
+            y = rng.negative_binomial(theta, theta / (theta + mu))
+        if y.sum() > 0:
+            return y.astype(np.float64), eta
+
+
+def gammaln_profile(y, eta, theta):
+    """The dispersion profile as a per-subject gammaln expression."""
+    return float(
+        np.sum(
+            gammaln(y + theta) - gammaln(theta) + theta * math.log(theta)
+            - (y + theta) * np.logaddexp(math.log(theta), eta) + y * eta
+        )
+    )
+
+
+class TestDispersionProfile:
+    LO, HI = math.log(nbglm.THETA_MIN), math.log(nbglm.THETA_MAX)
+
+    @pytest.mark.parametrize("xatol", [1e-6, 5e-4])
+    def test_search_matches_scipy_bounded(self, xatol):
+        rng = np.random.default_rng(17)
+        for _ in range(120):
+            loglik = _profile_loglik(*random_profile(rng))
+
+            def neg(log_theta):
+                return -loglik(math.exp(log_theta))
+
+            ref = minimize_scalar(neg, bounds=(self.LO, self.HI), method="bounded",
+                                  options={"xatol": xatol})
+            got = _bounded_minimize(neg, self.LO, self.HI, xatol, 500)
+            assert got == (float(ref.x), float(ref.fun), int(ref.nfev))
+
+    def test_profile_matches_gammaln_expression(self):
+        rng = np.random.default_rng(18)
+        for _ in range(30):
+            y, eta = random_profile(rng)
+            loglik = _profile_loglik(y, eta)
+            for theta in np.geomspace(1e-3, 1e5, 41):
+                theta = float(theta)
+                ref = gammaln_profile(y, eta, theta)
+                # The reference differences per-subject terms of size
+                # |lgamma(theta)| + theta*|log(theta)| (1e6 at theta=1e5),
+                # so its own rounding reaches n*eps times that.
+                rounding = y.size * np.finfo(float).eps * (
+                    abs(math.lgamma(theta)) + theta * abs(math.log(theta))
+                )
+                assert abs(loglik(theta) - ref) <= 1e-10 * abs(ref) + rounding
+
+    def test_log_gamma_terms_match_rising_factorial(self):
+        # lgamma(v+theta) - lgamma(theta) - v*log(theta) is exactly
+        # sum_{k<v} log1p(k/theta) for integer v, summed here without
+        # cancellation up to the top of the search range.
+        values = np.arange(1.0, 61.0)
+        counts = np.random.default_rng(19).integers(1, 50, values.size).astype(np.float64)
+        for theta in np.concatenate([np.geomspace(1e-3, 1e8, 67), [19.999999, 20.0]]):
+            theta = float(theta)
+            exact = math.fsum(
+                c * math.fsum(math.log1p(k / theta) for k in range(int(v)))
+                for v, c in zip(values, counts)
+            )
+            got = _log_gamma_ratio(values, counts, theta)
+            assert abs(got - exact) <= 1e-11 * max(1.0, abs(exact))
 
 
 def reference_cv(design, folds, grid, seed, loss, fold_tol=1e-6):

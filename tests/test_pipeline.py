@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from cbindex import nbglm
+from cbindex.errors import EstimationError
 from cbindex.pipeline import BenefitPipeline
+from cbindex.trial_data import make_dataset
 
 from conftest import simulate_trial
 
@@ -52,3 +55,27 @@ class TestBenefitPipeline:
         assert applied.benefit.n == test.n
         # out-of-sample semi estimate uses the new outcomes
         assert "semiparametric" in applied.estimates
+
+    @pytest.mark.parametrize("empty_arm, name", [(1, "treated"), (0, "control")])
+    def test_ml_rejects_an_arm_without_events_before_fitting(self, monkeypatch,
+                                                              empty_arm, name):
+        d = simulate_trial(MILD, n=300, seed=53, theta=2.0, m=2)
+        separated = make_dataset(d.treatment, np.where(d.treatment == empty_arm, 0, d.events),
+                                 d.time, d.covariates)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called")
+
+        monkeypatch.setattr(nbglm, "fit", no_fit)
+        with pytest.raises(EstimationError, match=f"no events in the {name} arm.*infinite"):
+            BenefitPipeline(model="ml").estimate(separated)
+
+    def test_ridge_still_fits_an_arm_without_events(self):
+        d = simulate_trial(MILD, n=300, seed=53, theta=2.0, m=2)
+        separated = make_dataset(d.treatment, np.where(d.treatment == 1, 0, d.events),
+                                 d.time, d.covariates)
+        pipe = BenefitPipeline(model="ridge", cv_folds=3, lambda_grid_size=4,
+                               lambda_min_ratio=1e-2)
+        result = pipe.estimate(separated, seed=5)
+        assert np.all(np.isfinite(result.model.coefficients))
+        assert result.model.treatment_effect < 0
