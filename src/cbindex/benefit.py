@@ -32,6 +32,7 @@ from .errors import (
     DegenerateEstimateError,
     EstimatorUndefinedError,
     InsufficientDataError,
+    NumericalError,
     OrientationError,
 )
 from .nbglm import FittedBenefitModel
@@ -189,13 +190,28 @@ def _write_two_column_csv(path, name_a, col_a, name_b, col_b, header_lines):
 
 def predicted_benefit(model: FittedBenefitModel, d: TrialDataset) -> BenefitVector:
     """Model-estimated benefit per subject: untreated minus treated rate
-    at one year, on the dataset's raw covariate scale."""
+    at one year, on the dataset's raw covariate scale.
+
+    Raises
+    ------
+    NumericalError
+        If a subject's benefit is not finite (a rate overflows), naming
+        the first such subject and its linear predictors.
+    """
     if d.m != model.m:
         raise ValueError(f"model expects {model.m} covariates, dataset has {d.m}")
     z = model.scaling.transform(d.covariates)
     eta0 = model.intercept + z @ model.main_effects
     eta1 = eta0 + model.treatment_effect + z @ model.interactions
-    values = np.exp(eta0) - np.exp(eta1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.exp(eta0) - np.exp(eta1)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericalError(
+            f"benefit of subject {d.ids[i]!r} is not finite: its linear predictors are "
+            f"{eta0[i]:.6g} untreated and {eta1[i]:.6g} treated (exp overflows above 709.78)"
+        )
     return BenefitVector.from_values(values, subject_ids=d.ids)
 
 
@@ -235,6 +251,22 @@ def delta_b(bv: BenefitVector) -> float:
     return pair_max_parametric(bv) - mean_benefit(bv)
 
 
+def _unit_scaled(bv: BenefitVector) -> tuple[BenefitVector, int]:
+    """``bv`` times 2**k, with k bringing benefits far from unit size near it.
+
+    The index and the Gini are scale-free, and a power-of-two rescale is
+    exact; it keeps their means and partial sums from underflowing
+    (subnormal benefits) or overflowing.  k is 0 for benefits of ordinary
+    size, which are returned unchanged.
+    """
+    amax = float(np.max(np.abs(bv.values))) if bv.n else 0.0
+    if amax == 0 or 2.0**-500 < amax < 2.0**500:
+        return bv, 0
+    k = -math.frexp(amax)[1]
+    return BenefitVector(values=np.ldexp(bv.values, k), order=bv.order,
+                         subject_ids=bv.subject_ids), k
+
+
 def gini_b(bv: BenefitVector) -> float:
     """Mean absolute pairwise difference over twice the mean benefit.
 
@@ -242,6 +274,7 @@ def gini_b(bv: BenefitVector) -> float:
     when the mean benefit is exactly zero with any spread; with mixed
     signs it may exceed 1.
     """
+    bv, _ = _unit_scaled(bv)
     d = delta_b(bv)
     if d == 0:
         return 0.0
@@ -266,11 +299,12 @@ def cb_parametric(bv: BenefitVector) -> CbEstimate:
         If both the mean and the pairwise maximum are zero (constant
         zero benefit), where the index is undefined.
     """
+    bv, k = _unit_scaled(bv)
     m = mean_benefit(bv)
     pm = pair_max_parametric(bv)
     if m < 0:
         raise OrientationError(
-            f"mean benefit {m:.6g} is negative; flip the treatment labels"
+            f"mean benefit {math.ldexp(m, -k):.6g} is negative; flip the treatment labels"
         )
     if pm <= 0:
         raise DegenerateEstimateError(
@@ -285,9 +319,9 @@ def cb_parametric(bv: BenefitVector) -> CbEstimate:
                 f"internal identity violated: cb={cb!r} vs gini route {check!r}"
             )
     return CbEstimate(
-        mean_benefit=m,
-        pair_max=pm,
-        delta_b=pm - m,
+        mean_benefit=math.ldexp(m, -k),
+        pair_max=math.ldexp(pm, -k),
+        delta_b=math.ldexp(pm - m, -k),
         gini_b=g,
         cb=cb,
         estimator_kind="parametric",

@@ -52,8 +52,17 @@ THETA_MAX = 1e8
 THETA_PLATEAU = 1e5
 
 _MAX_ITER = 100
+_MAX_HALVINGS = 40
+_MAX_ROUNDS = 50
 _COEF_TOL = 1e-8
 _THETA_RTOL = 1e-4
+_THETA_INIT = 1.0
+# Cross-validation fits use relaxed tolerances on the coefficients and on
+# the dispersion alternation: penalty selection does not need final-fit
+# precision, and the choice stays deterministic.
+_FOLD_TOL = 1e-6
+_FOLD_THETA_RTOL = 1e-2
+_FOLD_PROFILE_XATOL = 5e-4
 
 
 @dataclass
@@ -100,15 +109,6 @@ class DesignMatrix:
     @property
     def treatment(self) -> np.ndarray:
         return self.X[:, 1]
-
-    def subset(self, idx: np.ndarray) -> "DesignMatrix":
-        return DesignMatrix(
-            X=self.X[idx],
-            offset=self.offset[idx],
-            response=self.response[idx],
-            column_names=self.column_names,
-            scaling=self.scaling,
-        )
 
 
 @dataclass
@@ -251,126 +251,19 @@ def build_design_matrix(
     )
 
 
-def _neg_loglik_beta(eta_full, y, theta):
-    """-loglik up to beta-independent constants; eta_full includes offset."""
-    log_theta_mu = np.logaddexp(math.log(theta), eta_full)
-    return -float(np.sum(y * eta_full - (y + theta) * log_theta_mu))
-
-
 def _deviance_constant(y, theta):
+    """Twice the saturated log-likelihood in the terms the IRLS objective
+    keeps, so that the deviance is twice the objective plus this."""
     ypos = y[y > 0]
-    c = 2.0 * float(np.sum(ypos * np.log(ypos) - (ypos + theta) * np.log(ypos + theta)))
-    y0 = int(np.sum(y == 0))
-    c += 2.0 * y0 * float(-theta * math.log(theta))
-    return c
+    return 2.0 * float(np.sum(ypos * np.log(ypos) - (ypos + theta) * np.log1p(ypos / theta)))
 
 
-def _start_coefficients(design: DesignMatrix) -> np.ndarray:
-    beta = np.zeros(design.p)
-    total = design.response.sum()
-    exposure = np.exp(design.offset).sum()
-    beta[0] = math.log((total + 0.5) / exposure) if total > 0 else math.log(0.5 / exposure)
+def _start_coefficients(design: DesignMatrix, weights: np.ndarray) -> np.ndarray:
+    """Intercept-only coefficients, one row per weight row: the log weighted
+    event rate, half an event added so that an eventless member starts finite."""
+    beta = np.zeros((weights.shape[0], design.p))
+    beta[:, 0] = np.log((weights @ design.response + 0.5) / (weights @ np.exp(design.offset)))
     return beta
-
-
-def fit(
-    design: DesignMatrix,
-    lam: float,
-    theta: float,
-    beta_start: np.ndarray | None = None,
-    max_iter: int = _MAX_ITER,
-    tol: float = _COEF_TOL,
-) -> FittedBenefitModel:
-    """Estimate coefficients for a fixed penalty and fixed dispersion.
-
-    Convergence is declared when the largest absolute coefficient change
-    falls below ``tol``; otherwise the model is returned flagged
-    non-converged after ``max_iter`` iterations.
-
-    Raises
-    ------
-    NumericalError
-        If the penalized normal equations are singular or produce
-        non-finite coefficients (e.g. separation or collinearity).
-    """
-    if lam < 0:
-        raise ValueError("penalty must be non-negative")
-    if theta <= 0:
-        raise ValueError("dispersion must be positive")
-    X, y, offset = design.X, design.response, design.offset
-    pen = np.ones(design.p)
-    pen[0] = 0.0  # intercept unpenalized
-    beta = _start_coefficients(design) if beta_start is None else beta_start.astype(np.float64).copy()
-
-    def objective(b):
-        return _neg_loglik_beta(X @ b + offset, y, theta) + lam * float(np.sum(pen * b * b))
-
-    obj = objective(beta)
-    if not math.isfinite(obj):
-        raise NumericalError("starting point has non-finite objective")
-    obj_path = [obj]
-    converged = False
-    iterations = 0
-    diag = np.diag_indices(design.p)
-    ridge_diag = 2.0 * lam * pen
-
-    for iterations in range(1, max_iter + 1):
-        eta_lin = X @ beta
-        eta_full = eta_lin + offset
-        mu = np.exp(eta_full)
-        w = mu * theta / (theta + mu)
-        score_resid = (y - mu) * theta / (theta + mu)
-        A = (X * w[:, None]).T @ X
-        A[diag] += ridge_diag
-        rhs = X.T @ (w * eta_lin + score_resid)
-        try:
-            beta_new = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"singular penalized system (cond~{np.linalg.cond(A):.3e})"
-            ) from exc
-        if not np.all(np.isfinite(beta_new)):
-            raise NumericalError(
-                f"non-finite update (cond~{np.linalg.cond(A):.3e})"
-            )
-
-        direction = beta_new - beta
-        step = 1.0
-        candidate = beta_new
-        cand_obj = objective(candidate)
-        halvings = 0
-        while cand_obj > obj and halvings < 40:
-            step *= 0.5
-            candidate = beta + step * direction
-            cand_obj = objective(candidate)
-            halvings += 1
-        if cand_obj > obj:
-            converged = True  # no descent direction left at fp resolution
-            break
-        delta = float(np.max(np.abs(candidate - beta)))
-        beta = candidate
-        obj = cand_obj
-        obj_path.append(obj)
-        if delta < tol:
-            converged = True
-            break
-
-    dev_const = _deviance_constant(y, theta)
-    deviance_path = tuple(2.0 * v + dev_const for v in obj_path)
-    meta = FitMeta(
-        iterations=iterations,
-        converged=converged,
-        penalized_deviance=deviance_path[-1],
-        deviance_path=deviance_path,
-    )
-    return FittedBenefitModel(
-        coefficients=beta,
-        coefficient_names=list(design.column_names),
-        dispersion=theta,
-        penalty=lam,
-        scaling=design.scaling,
-        fit_meta=meta,
-    )
 
 
 # From this dispersion up, lgamma(v+theta) - lgamma(theta) comes from
@@ -511,29 +404,11 @@ def _bounded_minimize(func, lo, hi, xatol, max_evals):
     return xf, fx, evals
 
 
-def estimate_dispersion(
-    design: DesignMatrix, coefficients: np.ndarray, xatol: float = 1e-6
-) -> float:
-    """Profile the dispersion at fixed fitted means.
-
-    Maximizes the likelihood in theta over [1e-3, 1e8] on the log scale
-    (``xatol`` is the log-scale search tolerance).  A likelihood still
-    climbing at the upper bound (no overdispersion beyond Poisson)
-    returns the bound itself.
-
-    Raises
-    ------
-    DispersionError
-        If every response is zero, in which case no dispersion is
-        identifiable.
-    NumericalError
-        If a fitted mean overflows, the profile is not finite at the
-        optimum found, or the search runs out of evaluations.
-    """
-    y = design.response
+def _profile_dispersion(y: np.ndarray, eta_full: np.ndarray, xatol: float) -> float:
+    """``estimate_dispersion`` for counts ``y`` at the linear predictor
+    ``eta_full`` (offset included)."""
     if y.sum() == 0:
         raise DispersionError("dispersion undefined: all event counts are zero")
-    eta_full = design.X @ np.asarray(coefficients, dtype=np.float64) + design.offset
     if not np.all(np.isfinite(eta_full)):
         raise NumericalError("coefficients produce non-finite linear predictor")
 
@@ -558,51 +433,27 @@ def estimate_dispersion(
     return theta_hat
 
 
-def fit_alternating(
-    design: DesignMatrix,
-    lam: float,
-    theta_init: float = 1.0,
-    beta_start: np.ndarray | None = None,
-    max_rounds: int = 50,
-    theta_rtol: float = _THETA_RTOL,
-    max_iter: int = _MAX_ITER,
-    tol: float = _COEF_TOL,
-    profile_xatol: float = 1e-6,
-) -> FittedBenefitModel:
-    """Alternate coefficient fitting with dispersion profiling.
+def estimate_dispersion(
+    design: DesignMatrix, coefficients: np.ndarray, xatol: float = 1e-6
+) -> float:
+    """Profile the dispersion at fixed fitted means.
 
-    Repeats fit -> profile-theta until theta moves by less than
-    ``theta_rtol`` relative, then returns the model from the final
-    coefficient fit with the settled dispersion attached.  Once theta
-    sits on the Poisson plateau (both consecutive values above
-    ``THETA_PLATEAU``) the alternation stops: up there the profile is
-    flat and its jitter carries no information.
+    Maximizes the likelihood in theta over [1e-3, 1e8] on the log scale
+    (``xatol`` is the log-scale search tolerance).  A likelihood still
+    climbing at the upper bound (no overdispersion beyond Poisson)
+    returns the bound itself.
+
+    Raises
+    ------
+    DispersionError
+        If every response is zero, in which case no dispersion is
+        identifiable.
+    NumericalError
+        If a fitted mean overflows, the profile is not finite at the
+        optimum found, or the search runs out of evaluations.
     """
-    theta = theta_init
-    beta = beta_start
-    model = None
-    rounds = 0
-    settled = False
-    # The profile search must resolve theta finer than the alternation
-    # tolerance, or the loop can oscillate inside optimizer noise.
-    profile_xatol = min(profile_xatol, theta_rtol / 10.0)
-    for rounds in range(1, max_rounds + 1):
-        model = fit(design, lam, theta, beta_start=beta, max_iter=max_iter, tol=tol)
-        beta = model.coefficients
-        theta_new = estimate_dispersion(design, beta, xatol=profile_xatol)
-        if abs(theta_new - theta) <= theta_rtol * theta or (
-            theta >= THETA_PLATEAU and theta_new >= THETA_PLATEAU
-        ):
-            theta = theta_new
-            settled = True
-            break
-        theta = theta_new
-    assert model is not None
-    model.dispersion = theta
-    model.fit_meta.dispersion_rounds = rounds
-    if not settled:
-        model.fit_meta.converged = False
-    return model
+    eta_full = design.X @ np.asarray(coefficients, dtype=np.float64) + design.offset
+    return _profile_dispersion(design.response, eta_full, xatol)
 
 
 def default_lambda_grid(
@@ -615,7 +466,7 @@ def default_lambda_grid(
     penalized coefficients are crushed toward zero; the grid descends by
     ``min_ratio`` over ``size`` log-spaced values.
     """
-    beta0 = _start_coefficients(design)
+    beta0 = _start_coefficients(design, np.ones((1, design.n)))[0]
     mu0 = np.exp(design.X @ beta0 + design.offset)
     try:
         theta0 = estimate_dispersion(design, beta0)
@@ -641,10 +492,10 @@ def _held_out_loss(y, mu, theta, kind):
 
 # OpenBLAS runs a GEMM on the calling thread only while m*n*k stays below
 # 2**18 (its SMP_THRESHOLD_MIN times GEMM_MULTITHREAD_THRESHOLD).  The
-# fold products are far too small to gain from threads, and when pool
-# workers already hold every core the BLAS threads only wait on each
-# other: with two processes on a 2-core VM, a (10x1000)@(1000x105) Gram
-# product took 1.0 ms whole and 0.13 ms in single-threaded blocks.
+# batch's products are too small to gain from threads, and when pool
+# workers hold every core the BLAS threads only wait on each other: with
+# two processes on a 2-core VM, a (10x1000)@(1000x105) Gram product took
+# 1.0 ms whole and 0.13 ms in single-threaded blocks.
 _BLAS_SINGLE_THREAD_WORK = 1 << 18
 
 
@@ -659,70 +510,86 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([a @ b[:, s : s + block] for s in range(0, cols, block)], axis=1)
 
 
-class _FoldBatch:
-    """The K training folds of one design, fitted together down a penalty
-    path.
+class _Batch:
+    """The module's one penalized IRLS, run for K members at once.
 
-    Fold k's training rows are row k of a (K, n) 0/1 weight matrix over
-    the full design; the fold has its own dispersion and coefficient row.
-    ``fit_path_step`` repeats ``fit``'s warm-started IRLS for every
-    member at once, each to the same rules: convergence on the largest
-    coefficient change, at most 40 step halvings, a stall (no descent)
-    or the iteration cap ends that member only, and a singular or
-    non-finite solve raises ``NumericalError``.  Each member's linear
-    predictor and means are carried from its accepted step, so the
-    held-out loss reads them without a refit.
+    Member k fits the design rows marked by row k of a (K, n) 0/1 weight
+    matrix, with its own dispersion and coefficients.  ``irls`` holds each
+    member to the rules ``fit`` documents, and a stall or the iteration
+    cap ends that member only.  Each member's linear predictor and means
+    are carried from its accepted step into the next iteration, the
+    dispersion profile and the held-out loss.
     """
 
     def __init__(
-        self, design: DesignMatrix, fold_id: np.ndarray, theta: np.ndarray, beta: np.ndarray
+        self,
+        design: DesignMatrix,
+        weights: np.ndarray,
+        theta: Sequence[float],
+        beta: np.ndarray | None = None,
     ):
-        self.X = design.X
-        self.XT = np.ascontiguousarray(design.X.T)
-        self.offset = design.offset
-        self.y = design.response
-        self.train = (fold_id != np.arange(theta.size)[:, None]).astype(np.float64)
-        self.theta = theta[:, None]
-        p = design.p
-        self.pen = np.ones(p)
+        size = weights.shape[0]
+        self.design = design
+        self.weights = weights
+        self.theta = np.array(theta, dtype=np.float64)
+        if beta is None:
+            self.beta = _start_coefficients(design, weights)
+        else:
+            self.beta = np.array(beta, dtype=np.float64).reshape(size, design.p)
+        self.pen = np.ones(design.p)
         self.pen[0] = 0.0  # intercept unpenalized
-        # Products of every column pair (i <= j): one weighted sum over
-        # rows gives the upper triangle of a member's Gram matrix, and
-        # ``square`` spreads that triangle over the full p x p matrix.
-        iu, ju = np.triu_indices(p)
-        self.products = design.X[:, iu] * design.X[:, ju]
-        square = np.empty((p, p), dtype=np.intp)
-        square[iu, ju] = square[ju, iu] = np.arange(iu.size)
-        self.square = square.ravel()
-        self.pen_diag = np.diag(self.pen).ravel()
-        self.beta = np.array(beta, dtype=np.float64)
-        self.nll, self.eta, self.mu = self._nll(self.beta, np.arange(theta.size))
+        self.pen_diag = np.diag(self.pen)
+        self.products = None
+        if size > 1:
+            # Products of every column pair (i <= j): one weighted sum over
+            # rows gives the upper triangle of a member's Gram matrix, and
+            # ``square`` spreads it over the p x p matrix.  One member is
+            # faster without building this n x p(p+1)/2 table.
+            iu, ju = np.triu_indices(design.p)
+            self.products = design.X[:, iu] * design.X[:, ju]
+            square = np.empty((design.p, design.p), dtype=np.intp)
+            square[iu, ju] = square[ju, iu] = np.arange(iu.size)
+            self.square = square.ravel()
+        self.rows = weights > 0
+        self.eta, self.mu, _ = self._evaluate(self.beta, slice(None))
+        self.iterations = np.zeros(size, dtype=np.int64)
+        self.rounds = np.zeros(size, dtype=np.int64)
+        self.converged = np.zeros(size, dtype=bool)
+        # each member's objective path in its last ``irls``, and the theta it used
+        self.paths: list[list[float]] = [[] for _ in range(size)]
+        self.path_theta = self.theta.copy()
 
-    def _nll(self, beta, members):
-        """Negative log-likelihood (up to beta-free constants) of each
-        coefficient row on its member's training fold, with the linear
-        predictor (offset excluded) and the means; a non-finite value
-        counts as +inf so step halving rejects it."""
-        eta = _product(beta, self.XT)
-        eta_full = eta + self.offset
-        theta = self.theta[members]
+    def _evaluate(self, beta, members):
+        """Linear predictor (offset excluded), means and ``_nll`` of rows of coefficients."""
+        eta = _product(beta, self.design.X.T)
         with np.errstate(over="ignore", invalid="ignore"):
+            eta_full = eta + self.design.offset
             mu = np.exp(eta_full)
-            loglik = self.y * eta_full - (self.y + theta) * np.log(theta + mu)
-            nll = -np.einsum("kn,kn->k", self.train[members], loglik)
-        nll[~np.isfinite(nll)] = np.inf
-        return nll, eta, mu
+            return eta, mu, self._nll(eta_full, mu, members)
+
+    def _nll(self, eta_full, mu, members):
+        """Each member's negative log-likelihood on its rows, in log1p form:
+        -sum[y*eta - (y+theta)*log1p(mu/theta)], the beta-free
+        -(y+theta)*log(theta) left out.  ``ndarray.sum`` adds pairwise: a
+        sequential sum leaves rounding noise the descent test takes for ascent."""
+        y = self.design.response
+        theta = self.theta[members, None]
+        loglik = y * eta_full - (y + theta) * np.log1p(mu / theta)
+        return -(self.weights[members] * loglik).sum(axis=1)
 
     def _solve(self, lam, members):
-        """Penalized IRLS update for each member from its current means."""
-        mu, theta, train = self.mu[members], self.theta[members], self.train[members]
+        """Penalized IRLS update of each member from its current means."""
+        X, y = self.design.X, self.design.response
+        mu, theta, weights = self.mu[members], self.theta[members, None], self.weights[members]
         shrink = theta / (theta + mu)
-        w = mu * shrink
-        score_resid = (self.y - mu) * shrink
-        A = _product(w * train, self.products)[:, self.square]
-        A += 2.0 * lam * self.pen_diag
-        A = A.reshape(members.size, self.pen.size, self.pen.size)
-        rhs = _product(train * (w * self.eta[members] + score_resid), self.X)
+        w = weights * (mu * shrink)
+        z = w * self.eta[members] + weights * ((y - mu) * shrink)
+        if self.products is None:
+            A = ((X * w[0, :, None]).T @ X)[None]
+        else:
+            A = _product(w, self.products)[:, self.square].reshape(-1, *self.pen_diag.shape)
+        A += (2.0 * lam) * self.pen_diag
+        rhs = _product(z, X)
         try:
             beta_new = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
@@ -735,43 +602,153 @@ class _FoldBatch:
             )
         return beta_new
 
-    def fit_path_step(self, lam: float, tol: float) -> None:
-        """Refit every member at penalty ``lam``, warm-started from its
-        current coefficients."""
-        obj = self.nll + lam * ((self.beta * self.beta) @ self.pen)
-        if not np.all(np.isfinite(obj)):
+    def irls(self, lam: float, tol: float, members: np.ndarray | None = None) -> None:
+        """Refit ``members`` (all by default) at penalty ``lam``, each
+        warm-started from its current coefficients and dispersion."""
+        size = self.theta.size
+        active = np.arange(size) if members is None else members
+        obj = np.empty(size)
+        beta = self.beta[active]
+        with np.errstate(invalid="ignore"):
+            nll = self._nll(self.eta[active] + self.design.offset, self.mu[active], active)
+        obj[active] = nll + lam * ((beta * beta) @ self.pen)
+        if not np.all(np.isfinite(obj[active])):
             raise NumericalError("starting point has non-finite objective")
-        active = np.arange(self.beta.shape[0])
-        for _ in range(_MAX_ITER):
-            beta = self.beta[active]
-            candidate = self._solve(lam, active)
+        self.converged[active] = False
+        self.path_theta[active] = self.theta[active]
+        for k in active.tolist():
+            self.paths[k] = [float(obj[k])]
+        for iteration in range(1, _MAX_ITER + 1):
+            # While every member is active a slice reads them without copies.
+            sel = slice(None) if active.size == size else active
+            self.iterations[sel] = iteration
+            beta = self.beta[sel]
+            candidate = self._solve(lam, sel)
             direction = candidate - beta
-            cand_nll, cand_eta, cand_mu = self._nll(candidate, active)
+            cand_eta, cand_mu, cand_nll = self._evaluate(candidate, sel)
             cand_obj = cand_nll + lam * ((candidate * candidate) @ self.pen)
-            worse = cand_obj > obj[active]
+            # not "cand_obj > obj": a NaN objective must count as worse
+            worse = ~(cand_obj <= obj[sel])
+            any_worse = worse.any()
             step = 1.0
-            for _ in range(40):
-                if not worse.any():
+            for _ in range(_MAX_HALVINGS):
+                if not any_worse:
                     break
                 step *= 0.5
                 h = np.flatnonzero(worse)
                 candidate[h] = beta[h] + step * direction[h]
-                cand_nll[h], cand_eta[h], cand_mu[h] = self._nll(candidate[h], active[h])
-                cand_obj[h] = cand_nll[h] + lam * ((candidate[h] * candidate[h]) @ self.pen)
-                worse[h] = cand_obj[h] > obj[active[h]]
-            # A member still worse after 40 halvings has no descent
-            # direction left at fp resolution and stops where it is.
-            moved = ~worse
-            rows = active[moved]
-            delta = np.max(np.abs(candidate[moved] - beta[moved]), axis=1)
-            self.beta[rows] = candidate[moved]
-            self.nll[rows] = cand_nll[moved]
-            self.eta[rows] = cand_eta[moved]
-            self.mu[rows] = cand_mu[moved]
-            obj[rows] = cand_obj[moved]
-            active = rows[delta >= tol]
+                cand_eta[h], cand_mu[h], cand_nll = self._evaluate(candidate[h], active[h])
+                cand_obj[h] = cand_nll + lam * ((candidate[h] * candidate[h]) @ self.pen)
+                worse[h] = ~(cand_obj[h] <= obj[active[h]])
+                any_worse = worse.any()
+            done = np.abs(candidate - beta).max(axis=1) < tol
+            if any_worse:
+                # Still worse after every halving: no descent direction is
+                # left at fp resolution, and the member stops where it is.
+                candidate[worse], cand_obj[worse] = beta[worse], obj[sel][worse]
+                cand_eta[worse], cand_mu[worse] = self.eta[sel][worse], self.mu[sel][worse]
+                done |= worse
+            self.beta[sel], self.eta[sel], self.mu[sel] = candidate, cand_eta, cand_mu
+            obj[sel] = cand_obj
+            for k, value in zip(active.tolist(), cand_obj.tolist()):
+                self.paths[k].append(value)
+            if done.any():
+                self.converged[active[done]] = True
+                active = active[~done]
             if active.size == 0:
                 break
+
+    def alternate(self, lam: float, tol: float, theta_rtol: float, xatol: float) -> None:
+        """``fit_alternating``'s rounds for every member, each profiled on
+        its own rows and ended when its own dispersion settles; a member
+        still unsettled after ``_MAX_ROUNDS`` rounds is non-converged."""
+        # The profile search must resolve theta finer than the alternation
+        # tolerance, or the loop can oscillate inside optimizer noise.
+        xatol = min(xatol, theta_rtol / 10.0)
+        y, offset = self.design.response, self.design.offset
+        active = np.arange(self.theta.size)
+        for rounds in range(1, _MAX_ROUNDS + 1):
+            self.irls(lam, tol, active)
+            self.rounds[active] = rounds
+            theta = self.theta[active]
+            theta_new = np.array([
+                _profile_dispersion(y[self.rows[k]], (self.eta[k] + offset)[self.rows[k]], xatol)
+                for k in active.tolist()
+            ])
+            done = (np.abs(theta_new - theta) <= theta_rtol * theta) | (
+                (theta >= THETA_PLATEAU) & (theta_new >= THETA_PLATEAU)
+            )
+            self.theta[active] = theta_new
+            active = active[~done]
+            if active.size == 0:
+                break
+        self.converged[active] = False
+
+    def model(self, k: int, lam: float) -> FittedBenefitModel:
+        """Member ``k`` at penalty ``lam``, described by its last ``irls``."""
+        dev_const = _deviance_constant(self.design.response[self.rows[k]], self.path_theta[k])
+        path = tuple(2.0 * v + dev_const for v in self.paths[k])
+        meta = FitMeta(
+            int(self.iterations[k]), bool(self.converged[k]), path[-1], path, int(self.rounds[k])
+        )
+        return FittedBenefitModel(
+            coefficients=self.beta[k].copy(),
+            coefficient_names=list(self.design.column_names),
+            dispersion=float(self.theta[k]),
+            penalty=lam,
+            scaling=self.design.scaling,
+            fit_meta=meta,
+        )
+
+
+def fit(
+    design: DesignMatrix,
+    lam: float,
+    theta: float,
+    beta_start: np.ndarray | None = None,
+    tol: float = _COEF_TOL,
+) -> FittedBenefitModel:
+    """Estimate coefficients for a fixed penalty and fixed dispersion.
+
+    Each IRLS step is halved, at most ``_MAX_HALVINGS`` times, until the
+    penalized objective does not increase.  Convergence is declared when
+    the largest absolute coefficient change falls below ``tol``, or when
+    no descent is left at fp resolution; otherwise the model is returned
+    flagged non-converged after ``_MAX_ITER`` iterations.
+
+    Raises
+    ------
+    NumericalError
+        If the penalized normal equations are singular or produce
+        non-finite coefficients (e.g. separation or collinearity).
+    """
+    if lam < 0:
+        raise ValueError("penalty must be non-negative")
+    if theta <= 0:
+        raise ValueError("dispersion must be positive")
+    batch = _Batch(design, np.ones((1, design.n)), [theta], beta_start)
+    batch.irls(lam, tol)
+    return batch.model(0, lam)
+
+
+def fit_alternating(
+    design: DesignMatrix,
+    lam: float,
+    theta_rtol: float = _THETA_RTOL,
+    tol: float = _COEF_TOL,
+    profile_xatol: float = 1e-6,
+) -> FittedBenefitModel:
+    """Alternate coefficient fitting with dispersion profiling.
+
+    Starts at dispersion ``_THETA_INIT`` and repeats fit -> profile-theta
+    until theta moves by less than ``theta_rtol`` relative, or sits on the
+    Poisson plateau (two consecutive values above ``THETA_PLATEAU``), then
+    returns the model from the final coefficient fit with the settled
+    dispersion attached.
+    """
+    batch = _Batch(design, np.ones((1, design.n)), [_THETA_INIT])
+    batch.alternate(lam, tol, theta_rtol, profile_xatol)
+    return batch.model(0, lam)
 
 
 def _stratified_folds(treatment: np.ndarray, folds: int, seed: int) -> np.ndarray:
@@ -802,9 +779,6 @@ def cross_validate_lambda(
     grid: Sequence[float] | np.ndarray,
     seed: int,
     loss: str = "squared",
-    theta_init: float = 1.0,
-    fold_tol: float = 1e-6,
-    fold_theta_rtol: float = 1e-2,
 ) -> CvResult:
     """Pick the penalty that minimizes off-sample prediction loss.
 
@@ -813,14 +787,9 @@ def cross_validate_lambda(
     folds) is fitted on the other K-1 folds and scored on the held-out
     subjects; the per-penalty error is the mean over all held-out
     subjects and its SE comes from the spread of fold means.  Ties break
-    toward the larger penalty.  The folds are fitted together: each is a
-    0/1 weight row over the full design, and one batched IRLS walks all
-    of them down the grid.
-
-    Fold fits use relaxed convergence tolerances (``fold_tol`` on
-    coefficients, ``fold_theta_rtol`` on the dispersion alternation):
-    penalty selection does not need final-fit precision, and the choice
-    stays deterministic.
+    toward the larger penalty.  The folds are fitted together, to the
+    relaxed ``_FOLD_*`` tolerances: each is a 0/1 weight row over the full
+    design, and one batched IRLS walks all of them down the grid.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
@@ -833,31 +802,22 @@ def cross_validate_lambda(
         raise ValueError("penalties must be positive")
 
     fold_id = _stratified_folds(design.treatment.astype(np.int64), folds, seed)
+    train = (fold_id != np.arange(folds)[:, None]).astype(np.float64)
+    batch = _Batch(design, train, np.full(folds, _THETA_INIT))
     # Dispersion is profiled on each training split once, at the top of
     # the path; coefficient fits are then warm-started down the
     # descending grid at that fixed dispersion, all folds at once.
-    theta = np.empty(folds)
-    beta = np.empty((folds, design.p))
-    for f in range(folds):
-        model = fit_alternating(
-            design.subset(np.flatnonzero(fold_id != f)),
-            float(grid[0]),
-            theta_init=theta_init,
-            theta_rtol=fold_theta_rtol,
-            tol=fold_tol,
-            profile_xatol=5e-4,
-        )
-        theta[f] = model.dispersion
-        beta[f] = model.coefficients
-    batch = _FoldBatch(design, fold_id, theta, beta)
+    batch.alternate(float(grid[0]), _FOLD_TOL, _FOLD_THETA_RTOL, _FOLD_PROFILE_XATOL)
     # Every subject is held out by exactly one fold: score it with that
     # fold's means.
     rows = np.arange(design.n)
     fold_sums = np.empty((folds, grid.size))
     for g, lam in enumerate(grid):
         if g > 0:
-            batch.fit_path_step(float(lam), fold_tol)
-        losses = _held_out_loss(design.response, batch.mu[fold_id, rows], theta[fold_id], loss)
+            batch.irls(float(lam), _FOLD_TOL)
+        losses = _held_out_loss(
+            design.response, batch.mu[fold_id, rows], batch.theta[fold_id], loss
+        )
         fold_sums[:, g] = np.bincount(fold_id, weights=losses, minlength=folds)
     total = fold_sums.sum(axis=0)
     fold_means = fold_sums / np.bincount(fold_id, minlength=folds)[:, None]

@@ -10,7 +10,6 @@ arms.  All operations are pure: they never mutate their inputs.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Mapping, Sequence
@@ -290,11 +289,6 @@ def load_dataset(
         ids=ids,
         n_missing_excluded=n_missing,
     )
-
-
-def load_dataset_from_text(text: str, schema: Mapping[str, object]) -> TrialDataset:
-    """Convenience wrapper over :func:`load_dataset` for in-memory CSV."""
-    return load_dataset(io.StringIO(text), schema)
 
 
 def standardize(d: TrialDataset) -> tuple[TrialDataset, ScalingParams]:

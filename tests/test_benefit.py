@@ -23,6 +23,7 @@ from cbindex.errors import (
     DegenerateEstimateError,
     EstimatorUndefinedError,
     InsufficientDataError,
+    NumericalError,
     OrientationError,
 )
 from cbindex.nbglm import FitMeta, FittedBenefitModel
@@ -125,6 +126,16 @@ class TestBounds:
         est = cb_parametric(bv(values))
         assert -1e-12 <= est.cb <= 0.5 + 1e-12
 
+    @pytest.mark.parametrize("values, cb", [
+        ([5e-324, 0.0], 1 / 3),             # the mean underflows to 0 unscaled
+        ([5e-324, 0.0, 0.0, 0.0], 3 / 7),   # the pairwise maximum underflows to 0
+        ([1.7e308, 1.7e308, 0.0], 1 / 4),   # the sums overflow to inf
+    ])
+    def test_subnormal_and_huge_benefits_keep_their_index(self, values, cb):
+        est = cb_parametric(bv(values))
+        assert est.cb == pytest.approx(cb, abs=1e-12)
+        assert est.mean_benefit == pytest.approx(np.mean(np.asarray(values) / 4) * 4)
+
     def test_antisymmetric_pair_is_exactly_one(self):
         for a in (0.5, 1.0, 3.75, 1e-4):
             assert cb_parametric(bv([a, -a])).cb == 1.0
@@ -165,6 +176,13 @@ class TestPredictedBenefit:
         d = simulate_trial(np.zeros(4), n=10, seed=22, m=1)
         values = predicted_benefit(model, d).values
         np.testing.assert_allclose(values, math.exp(b0) * 0.5, rtol=1e-12)
+
+    def test_overflowing_rate_is_named(self):
+        model = self._model([0.0, 0.0, 0.0, 1.0], m=1)  # treated rate exp(x)
+        d = make_dataset([0, 1, 0], [1, 0, 2], [1.0, 1.0, 1.0], np.array([[0.5], [800.0], [-0.2]]))
+        with pytest.raises(NumericalError,
+                           match=r"subject '2' is not finite.* 0 untreated and 800 treated"):
+            predicted_benefit(model, d)
 
     def test_mean_benefit_tracks_arm_rate_difference(self):
         d = simulate_trial(np.array(WEAK_SCENARIO_COEFFICIENTS), n=20_000,

@@ -184,6 +184,23 @@ class TestEstimateCommand:
         assert "no events in the treated arm" in err and "infinite" in err
         assert "no events in the treated arm" in json.loads((out / "report.json").read_text())["error"]
 
+    def test_overflowing_benefit_exits_three_naming_the_subject(self, workspace, tmp_path,
+                                                                capsys):
+        tmp, _, config = workspace
+        csv = write_trial_csv(tmp_path / "outlier.csv", n=300)
+        lines = csv.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[4] = "1000000.0"  # x1 of subject s0
+        lines[1] = ",".join(cells)
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp / "outlier"
+        code = run_cli(["estimate", "--input", csv, "--config", config,
+                        "--model", "ml", "--seed", "3", "--out", out])
+        assert code == 3
+        assert "benefit of subject 's0' is not finite" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert "benefit of subject 's0' is not finite" in report["error"]
+
     def test_optimism_block_present_when_requested(self, workspace):
         tmp, csv, config = workspace
         out = tmp / "opt"

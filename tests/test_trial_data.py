@@ -10,7 +10,6 @@ from cbindex.errors import DegenerateCovariateError, RowParseError, SchemaError
 from cbindex.trial_data import (
     balance_check,
     load_dataset,
-    load_dataset_from_text,
     make_dataset,
     standardize,
 )
@@ -27,7 +26,7 @@ d,1,3,0.9,0.1
 
 class TestLoadDataset:
     def test_four_row_csv(self):
-        d = load_dataset_from_text(CSV_4ROW, SCHEMA)
+        d = load_dataset(io.StringIO(CSV_4ROW), SCHEMA)
         assert d.n == 4 and d.m == 1
         assert d.ids == ["a", "b", "c", "d"]
         assert d.treatment.tolist() == [0, 1, 0, 1]
@@ -37,38 +36,38 @@ class TestLoadDataset:
     def test_missing_time_column_is_schema_error(self):
         text = CSV_4ROW.replace(",t,", ",followup,")
         with pytest.raises(SchemaError, match="'t'"):
-            load_dataset_from_text(text, SCHEMA)
+            load_dataset(io.StringIO(text), SCHEMA)
 
     def test_zero_time_is_row_error(self):
         text = CSV_4ROW.replace("b,1,0,0.8", "b,1,0,0.0")
         with pytest.raises(RowParseError, match="row 2.*'t'"):
-            load_dataset_from_text(text, SCHEMA)
+            load_dataset(io.StringIO(text), SCHEMA)
 
     def test_non_integer_count_is_row_error(self):
         text = CSV_4ROW.replace("c,0,1,", "c,0,1.5,")
         with pytest.raises(RowParseError, match="row 3.*'y'"):
-            load_dataset_from_text(text, SCHEMA)
+            load_dataset(io.StringIO(text), SCHEMA)
 
     def test_bad_arm_label_is_row_error(self):
         text = CSV_4ROW.replace("d,1,3", "d,2,3")
         with pytest.raises(RowParseError, match="row 4.*'arm'"):
-            load_dataset_from_text(text, SCHEMA)
+            load_dataset(io.StringIO(text), SCHEMA)
 
     def test_missing_values_drop_rows_with_count(self):
         text = CSV_4ROW.replace("b,1,0,0.8,-0.2", "b,1,,0.8,-0.2")
-        d = load_dataset_from_text(text, SCHEMA)
+        d = load_dataset(io.StringIO(text), SCHEMA)
         assert d.n == 3
         assert d.n_missing_excluded == 1
 
     def test_same_bytes_same_dataset(self):
-        d1 = load_dataset_from_text(CSV_4ROW, SCHEMA)
-        d2 = load_dataset_from_text(CSV_4ROW, SCHEMA)
+        d1 = load_dataset(io.StringIO(CSV_4ROW), SCHEMA)
+        d2 = load_dataset(io.StringIO(CSV_4ROW), SCHEMA)
         assert d1 == d2
 
     def test_file_path_roundtrip(self, tmp_path):
         p = tmp_path / "trial.csv"
         p.write_text(CSV_4ROW, encoding="utf-8")
-        assert load_dataset(str(p), SCHEMA) == load_dataset_from_text(CSV_4ROW, SCHEMA)
+        assert load_dataset(str(p), SCHEMA) == load_dataset(io.StringIO(CSV_4ROW), SCHEMA)
 
     def test_stream_input(self):
         d = load_dataset(io.StringIO(CSV_4ROW), SCHEMA)
