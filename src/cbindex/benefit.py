@@ -129,17 +129,6 @@ class CbEstimate:
     estimator_kind: str
     out_of_range: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "mean_benefit": self.mean_benefit,
-            "pair_max": self.pair_max,
-            "delta_b": self.delta_b,
-            "gini_b": self.gini_b,
-            "cb": self.cb,
-            "estimator_kind": self.estimator_kind,
-            "out_of_range": self.out_of_range,
-        }
-
 
 @dataclass(frozen=True)
 class PartialSumCurve:
@@ -151,9 +140,6 @@ class PartialSumCurve:
 
     def sum(self) -> float:
         return float(self.values.sum())
-
-    def to_csv(self, path: str, header_lines: Sequence[str] = ()) -> None:
-        _write_two_column_csv(path, "k", self.k, "partial_sum", self.values, header_lines)
 
 
 @dataclass(frozen=True)
@@ -168,24 +154,6 @@ class BenefitCurve:
         p = np.concatenate([[0.0], self.p])
         v = np.concatenate([[0.0], self.values])
         return float(np.trapezoid(v, p))
-
-    def to_csv(self, path: str, header_lines: Sequence[str] = ()) -> None:
-        _write_two_column_csv(path, "p", self.p, "benefit", self.values, header_lines)
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
-def _write_two_column_csv(path, name_a, col_a, name_b, col_b, header_lines):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(f"{name_a},{name_b}\n")
-        for a, b in zip(col_a, col_b):
-            fh.write(f"{_format_cell(a)},{_format_cell(b)}\n")
 
 
 def predicted_benefit(model: FittedBenefitModel, d: TrialDataset) -> BenefitVector:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -40,7 +41,7 @@ from .errors import CbIndexError, ConfigError, DataError, EstimationError
 from .inference import BootstrapConfig, bootstrap_intervals, optimism_adjust_all
 from .nbglm import FittedBenefitModel
 from .pipeline import ESTIMATOR_KINDS, BenefitPipeline
-from .simulation import SCENARIO_NAMES, SimSettings, Scenario, SimulationReport, run_simulation
+from .simulation import SCENARIO_NAMES, SimSettings, Scenario, run_simulation
 from .trial_data import balance_check, load_dataset
 
 SCHEMA_VERSION = 1
@@ -131,6 +132,19 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: Path, header_lines, columns, rows) -> None:
+    """The one output table format: ``# `` comment lines, a header of
+    ``columns``, then one line per row, LF-terminated.  Cells are written
+    by ``str``, which for Python floats is their shortest round-trip
+    ``repr``; pass numpy values through ``tolist()`` first."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
 def _meta_lines(cfg: RunConfig) -> list[str]:
     return [f"schema={SCHEMA_VERSION} command={cfg.command} config={cfg.digest} seed={cfg.seed}"]
 
@@ -200,7 +214,7 @@ def _cb_block(estimates, failures, kind):
     est = estimates.get(kind)
     if est is None:
         return {"error": failures.get(kind, "not computed")}
-    return est.as_dict()
+    return dataclasses.asdict(est)
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
@@ -281,9 +295,8 @@ def cmd_estimate(cfg: RunConfig) -> int:
                 "failed": iv.n_failed,
                 "unreliable": iv.unreliable,
             }
-            iv.save_replicates(
-                cfg.out_dir / f"bootstrap_{kind}.csv", header_lines=_meta_lines(cfg)
-            )
+            _write_csv(cfg.out_dir / f"bootstrap_{kind}.csv", _meta_lines(cfg), ["value"],
+                       ((v,) for v in iv.replicate_values.tolist()))
 
     if opt_cfg is not None and not degenerate:
         adjusted = optimism_adjust_all(data, pipeline, opt_cfg, original=result)
@@ -305,24 +318,13 @@ def cmd_estimate(cfg: RunConfig) -> int:
     )
     _write_json(cfg.out_dir / "model.json", model_payload)
 
-    with open(cfg.out_dir / "benefit_histogram.csv", "w", encoding="utf-8", newline="\n") as fh:
-        for line in _meta_lines(cfg):
-            fh.write(f"# {line}\n")
-        fh.write("subject_id,benefit\n")
-        for sid, value in zip(data.ids, result.benefit.values):
-            fh.write(f"{sid},{float(value)!r}\n")
-
+    _write_csv(cfg.out_dir / "benefit_histogram.csv", _meta_lines(cfg), ["subject_id", "benefit"],
+               zip(data.ids, result.benefit.values.tolist()))
     par_curve = bn.partial_sums_parametric(result.benefit)
-    semi_curve = None
-    if data.has_both_arms:
-        semi_curve = bn.semiparametric_partial_sums(data, result.benefit)
-    with open(cfg.out_dir / "partial_sums.csv", "w", encoding="utf-8", newline="\n") as fh:
-        for line in _meta_lines(cfg):
-            fh.write(f"# {line}\n")
-        fh.write("k,parametric,semiparametric\n")
-        for i, k in enumerate(par_curve.k):
-            semi = "" if semi_curve is None else repr(float(semi_curve.values[i]))
-            fh.write(f"{int(k)},{float(par_curve.values[i])!r},{semi}\n")
+    semi_curve = bn.semiparametric_partial_sums(data, result.benefit)
+    _write_csv(cfg.out_dir / "partial_sums.csv", _meta_lines(cfg),
+               ["k", "parametric", "semiparametric"],
+               zip(par_curve.k.tolist(), par_curve.values.tolist(), semi_curve.values.tolist()))
 
     if degenerate:
         msgs = "; ".join(f"{k}: {result.failures.get(k, 'unavailable')}" for k in degenerate)
@@ -361,16 +363,19 @@ def cmd_simulate(cfg: RunConfig) -> int:
             scenario, cfg.n_values, cfg.replicates, cfg.seed, settings=settings
         )
         all_rows.extend(rep.rows)
-    merged = SimulationReport(rows=all_rows, replicates=cfg.replicates, seed=cfg.seed)
-    merged.to_csv(str(cfg.out_dir / "table3.csv"), header_lines=_meta_lines(cfg))
-    payload = merged.to_dict()
-    payload.update(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            "config_digest": cfg.digest,
-        }
-    )
+    # SimulationRow's fields, in order, under their table names
+    columns = ["scenario", "n", "estimator", "bias", "sd", "rmse",
+               "replicates", "failed", "oracle_cb"]
+    rows = [dataclasses.astuple(r) for r in all_rows]
+    _write_csv(cfg.out_dir / "table3.csv", _meta_lines(cfg), columns, rows)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "simulate",
+        "config_digest": cfg.digest,
+        "replicates": cfg.replicates,
+        "seed": cfg.seed,
+        "rows": [dict(zip(columns, row)) for row in rows],
+    }
     _write_json(cfg.out_dir / "simulation.json", payload)
     return 0
 
@@ -422,7 +427,8 @@ def cmd_curve(cfg: RunConfig) -> int:
         f"integrated_benefit={integral!r}",
         f"half_pair_max={half_pair_max!r}",
     ]
-    curve.to_csv(str(cfg.out_dir / "curve.csv"), header_lines=lines)
+    _write_csv(cfg.out_dir / "curve.csv", lines, ["p", "benefit"],
+               zip(curve.p.tolist(), curve.values.tolist()))
     return 0
 
 

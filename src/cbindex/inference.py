@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,15 +77,6 @@ class IntervalEstimate:
         if self.lower > self.upper:
             raise ValueError("interval bounds out of order")
 
-    def save_replicates(self, path: str, header_lines=()) -> None:
-        """Single-column CSV of replicate values for external diagnostics."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("value\n")
-            for v in self.replicate_values:
-                fh.write(f"{float(v)!r}\n")
-
 
 @dataclass
 class OptimismResult:
@@ -107,8 +98,6 @@ class OptimismResult:
     adjusted: float
     n_replicates: int
     n_failed: int
-    within_values: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
-    out_values: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
 
 
 def _replicate_sample(data: TrialDataset, seed: int, r: int) -> tuple[TrialDataset, int]:
@@ -265,8 +254,6 @@ def optimism_adjust_all(
             adjusted=point - optimism,
             n_replicates=len(pairs),
             n_failed=n_failed,
-            within_values=within,
-            out_values=outv,
         )
     return out
 

@@ -41,15 +41,10 @@ __all__ = [
     "estimate_dispersion",
     "default_lambda_grid",
     "cross_validate_lambda",
-    "predict_rate",
 ]
 
 THETA_MIN = 1e-3
 THETA_MAX = 1e8
-# Above this the variance term mu^2/theta is numerically irrelevant for
-# unit-scale rates; the profile likelihood is a plateau and chasing its
-# jitter would keep the alternation loop spinning.
-THETA_PLATEAU = 1e5
 
 _MAX_ITER = 100
 _MAX_HALVINGS = 40
@@ -186,11 +181,6 @@ class FittedBenefitModel:
             ),
             fit_meta=FitMeta(0, True, math.nan, ()),
         )
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     @classmethod
     def load(cls, path: str) -> "FittedBenefitModel":
@@ -662,9 +652,6 @@ class _Batch:
         """``fit_alternating``'s rounds for every member, each profiled on
         its own rows and ended when its own dispersion settles; a member
         still unsettled after ``_MAX_ROUNDS`` rounds is non-converged."""
-        # The profile search must resolve theta finer than the alternation
-        # tolerance, or the loop can oscillate inside optimizer noise.
-        xatol = min(xatol, theta_rtol / 10.0)
         y, offset = self.design.response, self.design.offset
         active = np.arange(self.theta.size)
         for rounds in range(1, _MAX_ROUNDS + 1):
@@ -675,9 +662,7 @@ class _Batch:
                 _profile_dispersion(y[self.rows[k]], (self.eta[k] + offset)[self.rows[k]], xatol)
                 for k in active.tolist()
             ])
-            done = (np.abs(theta_new - theta) <= theta_rtol * theta) | (
-                (theta >= THETA_PLATEAU) & (theta_new >= THETA_PLATEAU)
-            )
+            done = np.abs(theta_new - theta) <= theta_rtol * theta
             self.theta[active] = theta_new
             active = active[~done]
             if active.size == 0:
@@ -741,9 +726,8 @@ def fit_alternating(
     """Alternate coefficient fitting with dispersion profiling.
 
     Starts at dispersion ``_THETA_INIT`` and repeats fit -> profile-theta
-    until theta moves by less than ``theta_rtol`` relative, or sits on the
-    Poisson plateau (two consecutive values above ``THETA_PLATEAU``), then
-    returns the model from the final coefficient fit with the settled
+    until theta moves by less than ``theta_rtol`` relative, then returns
+    the model from the final coefficient fit with the settled
     dispersion attached.
     """
     batch = _Batch(design, np.ones((1, design.n)), [_THETA_INIT])
@@ -752,25 +736,30 @@ def fit_alternating(
 
 
 def _stratified_folds(treatment: np.ndarray, folds: int, seed: int) -> np.ndarray:
-    """Arm-stratified fold labels; retries seeds until every training
-    split contains both arms, erroring after 10 attempts."""
-    n = treatment.shape[0]
-    for attempt in range(10):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
-        fold_id = np.empty(n, dtype=np.int64)
-        for arm in (0, 1):
-            idx = np.flatnonzero(treatment == arm)
-            perm = rng.permutation(idx)
-            fold_id[perm] = np.arange(perm.size) % folds
-        ok = all(
-            np.any(treatment[fold_id != f] == 0) and np.any(treatment[fold_id != f] == 1)
-            for f in range(folds)
+    """Arm-stratified fold labels: each arm, in a seeded random order, is
+    dealt round the folds from fold 0.
+
+    Raises
+    ------
+    FoldingError
+        If an arm has fewer than 2 subjects (some training split would lack
+        it) or the larger arm fewer than ``folds`` (some fold would hold
+        out no one).
+    """
+    sizes = np.bincount(treatment, minlength=2)
+    if sizes.min() < 2 or sizes.max() < folds:
+        raise FoldingError(
+            f"cannot build {folds} cross-validation folds from {sizes[0]} control and "
+            f"{sizes[1]} treated subjects: every training split needs both arms (2 or more "
+            f"subjects in each) and every fold a held-out subject ({folds} or more in the "
+            "larger arm)"
         )
-        if ok:
-            return fold_id
-    raise FoldingError(
-        "could not build folds with both arms in every training split"
-    )
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    fold_id = np.empty(treatment.shape[0], dtype=np.int64)
+    for arm in (0, 1):
+        perm = rng.permutation(np.flatnonzero(treatment == arm))
+        fold_id[perm] = np.arange(perm.size) % folds
+    return fold_id
 
 
 def cross_validate_lambda(
@@ -790,11 +779,14 @@ def cross_validate_lambda(
     toward the larger penalty.  The folds are fitted together, to the
     relaxed ``_FOLD_*`` tolerances: each is a 0/1 weight row over the full
     design, and one batched IRLS walks all of them down the grid.
+
+    Raises
+    ------
+    FoldingError
+        Before any fit, if the arms are too small for ``folds`` folds.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
-    if design.n < folds:
-        raise ValueError("need at least one subject per fold")
     grid = np.sort(np.asarray(grid, dtype=np.float64))[::-1]
     if grid.size == 0:
         raise ValueError("empty penalty grid")
@@ -832,31 +824,3 @@ def cross_validate_lambda(
         folds=folds,
         seed=seed,
     )
-
-
-def predict_rate(
-    model: FittedBenefitModel,
-    covariates: np.ndarray,
-    treatment: int,
-    time: float | np.ndarray = 1.0,
-) -> float | np.ndarray:
-    """Expected event count for raw (unstandardized) covariates.
-
-    ``covariates`` may be a single length-m vector or a (k, m) matrix;
-    the model's stored scaling maps them into the training space.
-    """
-    x = np.asarray(covariates, dtype=np.float64)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
-    if x.shape[1] != model.m:
-        raise ValueError(
-            f"expected {model.m} covariates, got {x.shape[1]}"
-        )
-    if treatment not in (0, 1):
-        raise ValueError("treatment must be 0 or 1")
-    z = model.scaling.transform(x)
-    eta = model.intercept + z @ model.main_effects
-    if treatment == 1:
-        eta = eta + model.treatment_effect + z @ model.interactions
-    rate = np.exp(eta) * np.asarray(time, dtype=np.float64)
-    return float(rate[0]) if single and np.ndim(rate) == 1 and rate.shape[0] == 1 else rate

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import benefit as bn
 from . import nbglm
-from .errors import ConvergenceError, EstimationError
+from .errors import ConvergenceError, EstimationError, EstimatorUndefinedError
 from .trial_data import TrialDataset, standardize
 
 __all__ = ["BenefitPipeline", "PipelineResult", "ESTIMATOR_KINDS", "CV_LOSSES"]
@@ -85,8 +85,7 @@ class BenefitPipeline:
         failures (orientation, degenerate denominators) are recorded per
         estimator instead so callers can count them.
         """
-        if self.model == "ml":
-            _reject_separated_arm(data)
+        _reject_unfit_arms(data, self.model)
         std, scaling = standardize(data)
         design = nbglm.build_design_matrix(std, scaling=scaling)
         cv = None
@@ -140,14 +139,21 @@ class BenefitPipeline:
         return PipelineResult(model=model, benefit=bv, estimates=estimates, failures=failures)
 
 
-def _reject_separated_arm(data: TrialDataset) -> None:
-    """Raise if one arm has subjects but no events while the other has
-    events: the unpenalized treatment-effect estimate is then infinite,
-    and IRLS would only walk toward it until its iteration cap."""
+def _reject_unfit_arms(data: TrialDataset, model: str) -> None:
+    """Raise before any fit if an arm has no subjects (no treatment term is
+    identifiable), or, for maximum likelihood, if one arm has no events
+    while the other has events: the unpenalized treatment-effect estimate
+    is then infinite, and IRLS would only walk toward it until its
+    iteration cap."""
     subjects = np.bincount(data.treatment, minlength=2)
     events = np.bincount(data.treatment, weights=data.events, minlength=2)
     for arm, name in enumerate(("control", "treated")):
-        if subjects[arm] > 0 and events[arm] == 0 and events[1 - arm] > 0:
+        if subjects[arm] == 0:
+            raise EstimatorUndefinedError(
+                f"no subjects in the {name} arm (treatment={arm}): the treatment effect "
+                "and its interactions cannot be estimated"
+            )
+        if model == "ml" and events[arm] == 0 and events[1 - arm] > 0:
             raise EstimationError(
                 f"no events in the {name} arm (treatment={arm}): the maximum-likelihood "
                 "treatment effect is infinite; the ridge model gives a finite estimate"

@@ -323,42 +323,6 @@ class SimulationReport:
                 return r
         raise KeyError((scenario, n, estimator))
 
-    def to_csv(self, path: str, header_lines: Sequence[str] = ()) -> None:
-        cols = [
-            "scenario", "n", "estimator", "bias", "sd", "rmse",
-            "replicates", "failed", "oracle_cb",
-        ]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(cols) + "\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.scenario},{r.n},{r.estimator},"
-                    f"{r.bias!r},{r.sd!r},{r.rmse!r},"
-                    f"{r.n_replicates},{r.n_failed},{r.oracle_cb!r}\n"
-                )
-
-    def to_dict(self) -> dict:
-        return {
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "rows": [
-                {
-                    "scenario": r.scenario,
-                    "n": r.n,
-                    "estimator": r.estimator,
-                    "bias": r.bias,
-                    "sd": r.sd,
-                    "rmse": r.rmse,
-                    "replicates": r.n_replicates,
-                    "failed": r.n_failed,
-                    "oracle_cb": r.oracle_cb,
-                }
-                for r in self.rows
-            ],
-        }
-
 
 def _replicate_rng(seed: int, scen_idx: int, n: int, r: int, lane: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(scen_idx, n, r + 1, lane))

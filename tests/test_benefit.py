@@ -19,6 +19,7 @@ from cbindex.benefit import (
     predicted_benefit,
     semiparametric_partial_sums,
 )
+from cbindex.cli import _write_csv
 from cbindex.errors import (
     DegenerateEstimateError,
     EstimatorUndefinedError,
@@ -28,7 +29,7 @@ from cbindex.errors import (
 )
 from cbindex.nbglm import FitMeta, FittedBenefitModel
 from cbindex.pipeline import BenefitPipeline
-from cbindex.simulation import WEAK_SCENARIO_COEFFICIENTS
+from cbindex.simulation import ML_COEFFICIENTS, WEAK_SCENARIO_COEFFICIENTS
 from cbindex.trial_data import ScalingParams, make_dataset
 
 from conftest import simulate_trial
@@ -154,15 +155,35 @@ class TestBounds:
 
 
 class TestPredictedBenefit:
-    def _model(self, coefficients, m):
+    def _model(self, coefficients, m, scaling=None):
         return FittedBenefitModel(
             coefficients=np.asarray(coefficients, dtype=np.float64),
             coefficient_names=[f"c{i}" for i in range(2 * m + 2)],
             dispersion=1.0,
             penalty=0.0,
-            scaling=ScalingParams.identity(m),
+            scaling=scaling if scaling is not None else ScalingParams.identity(m),
             fit_meta=FitMeta(0, True, 0.0, ()),
         )
+
+    def _table1_ml_model(self):
+        means = np.array([0.4, 65.0, 0.3, 0.5, 1.4, 50.0])
+        sds = np.array([0.49, 8.0, 0.46, 0.5, 0.5, 17.0])
+        return self._model(ML_COEFFICIENTS, m=6, scaling=ScalingParams(means=means, sds=sds))
+
+    def test_benefit_at_training_means(self):
+        # raw covariates at the training means standardize to zero: only
+        # the intercept and the treatment main effect remain
+        model = self._table1_ml_model()
+        d = make_dataset([0, 1], [1, 0], [1.0, 2.0], np.tile(model.scaling.means, (2, 1)))
+        values = predicted_benefit(model, d).values
+        expected = math.exp(-1.959) - math.exp(-1.959 + 0.693)
+        np.testing.assert_allclose(values, expected, rtol=1e-12)
+
+    def test_dimension_mismatch(self):
+        model = self._table1_ml_model()
+        d = make_dataset([0, 1], [1, 0], [1.0, 1.0], np.zeros((2, 5)))
+        with pytest.raises(ValueError, match="covariates"):
+            predicted_benefit(model, d)
 
     def test_no_treatment_terms_means_zero_benefit(self):
         model = self._model([0.4, 0.0, 0.3, -0.2, 0.0, 0.0], m=2)
@@ -328,6 +349,15 @@ class TestBenefitCurve:
 
 
 class TestOrderingAndCurveShape:
+    def test_curve_export(self, tmp_path):
+        v = bv([3.0, 1.0])
+        path = tmp_path / "sums.csv"
+        curve = partial_sums_parametric(v)
+        _write_csv(path, ["seed=1"], ["k", "partial_sum"],
+                   zip(curve.k.tolist(), curve.values.tolist()))
+        text = path.read_text()
+        assert text.startswith("# seed=1\nk,partial_sum\n1,3.0\n2,4.0\n")
+
     def test_parametric_partial_sums_concave(self):
         rng = np.random.default_rng(27)
         v = bv(rng.normal(0, 3, 150))
@@ -347,10 +377,3 @@ class TestOrderingAndCurveShape:
 
     def test_empty_vector_has_empty_order(self):
         assert BenefitVector.from_values([]).n == 0
-
-    def test_curve_export(self, tmp_path):
-        v = bv([3.0, 1.0])
-        path = tmp_path / "sums.csv"
-        partial_sums_parametric(v).to_csv(str(path), header_lines=["seed=1"])
-        text = path.read_text()
-        assert text.startswith("# seed=1\nk,partial_sum\n1,3.0\n2,4.0\n")

@@ -17,13 +17,15 @@ from cbindex.trial_data import ScalingParams
 from conftest import simulate_trial
 
 
-def write_trial_csv(path, n=150, seed=42, single_arm=False):
+def write_trial_csv(path, n=150, seed=42, only_arm=None):
+    """A simulated two-covariate trial; ``only_arm`` puts every subject in
+    that arm."""
     d = simulate_trial(np.array([0.3, -0.5, 0.4, -0.3, 0.3, -0.2]), n=n,
                        seed=seed, theta=2.0, m=2)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("id,arm,y,t,x1,x2\n")
         for i in range(d.n):
-            arm = 1 if single_arm else int(d.treatment[i])
+            arm = int(d.treatment[i]) if only_arm is None else only_arm
             fh.write(
                 f"s{i},{arm},{int(d.events[i])},{float(d.time[i])!r},"
                 f"{float(d.covariates[i, 0])!r},{float(d.covariates[i, 1])!r}\n"
@@ -155,17 +157,40 @@ class TestEstimateCommand:
                         "--seed", "1", "--out", tmp / "x"])
         assert code == 2
 
-    def test_single_arm_dataset_exits_three_with_diagnostic(self, workspace, tmp_path):
+    def test_single_arm_dataset_exits_three_with_diagnostic(self, workspace, tmp_path, capsys):
         tmp, _, config = workspace
-        csv = write_trial_csv(tmp_path / "one_arm.csv", single_arm=True)
-        out = tmp / "oa"
-        code = run_cli(["estimate", "--input", csv, "--config", config,
-                        "--model", "ml", "--seed", "3", "--out", out])
+        for arm, missing in ((1, "control arm (treatment=0)"), (0, "treated arm (treatment=1)")):
+            csv = write_trial_csv(tmp_path / f"only_arm_{arm}.csv", only_arm=arm)
+            for model in ("ridge", "ml"):
+                out = tmp / f"oa_{model}_{arm}"
+                code = run_cli(["estimate", "--input", csv, "--config", config,
+                                "--model", model, "--seed", "3", "--out", out])
+                assert code == 3, (model, arm)
+                assert f"no subjects in the {missing}" in capsys.readouterr().err
+                report = json.loads((out / "report.json").read_text())
+                assert f"no subjects in the {missing}" in report["error"]
+
+    @pytest.mark.parametrize("n", [12, 5])
+    def test_too_few_subjects_for_the_folds_exits_three_naming_the_arms(
+        self, workspace, tmp_path, capsys, n
+    ):
+        # under the default 10 folds the larger arm cannot give every fold
+        # a held-out subject
+        tmp, _, config = workspace
+        csv = write_trial_csv(tmp_path / "tiny.csv", n=n, seed=2)
+        arms = [int(line.split(",")[1]) for line in csv.read_text().splitlines()[1:]]
+        control, treated = arms.count(0), arms.count(1)
+        assert min(control, treated) >= 2  # both arms can be dealt: only the folds fail
+        default_folds = tmp_path / "default_folds.json"
+        default_folds.write_text(json.dumps({"columns": json.loads(config.read_text())["columns"]}))
+        out = tmp / "tiny"
+        code = run_cli(["estimate", "--input", csv, "--config", default_folds,
+                        "--model", "ridge", "--seed", "1", "--out", out])
         assert code == 3
-        report = json.loads((out / "report.json").read_text())
-        assert "error" in report or any(
-            "error" in block for block in report.get("estimates", {}).values()
-        )
+        message = (f"cannot build 10 cross-validation folds from {control} control and "
+                   f"{treated} treated subjects")
+        assert message in capsys.readouterr().err
+        assert message in json.loads((out / "report.json").read_text())["error"]
 
     def test_ml_with_an_eventless_arm_exits_three_naming_it(self, workspace, tmp_path, capsys):
         tmp, csv, config = workspace
@@ -201,6 +226,32 @@ class TestEstimateCommand:
         report = json.loads((out / "report.json").read_text())
         assert "benefit of subject 's0' is not finite" in report["error"]
 
+    def test_output_tables_share_one_format(self, workspace):
+        """``# `` metadata, a column header, then LF-terminated rows whose
+        floats are written in their shortest round-trip form."""
+        tmp, csv, config = workspace
+        out = tmp / "tables"
+        assert run_cli(["estimate", "--input", csv, "--config", config, "--model", "ml",
+                        "--seed", "4", "--out", out, "--bootstrap", "12"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        meta = f"# schema=1 command=estimate config={report['config_digest']} seed=4\n"
+        histogram = (out / "benefit_histogram.csv").read_text().splitlines()
+        top = max(float(line.split(",")[1]) for line in histogram[2:])
+        sums = (out / "partial_sums.csv").read_bytes().decode()
+        assert sums.startswith(meta + "k,parametric,semiparametric\n" + f"1,{top!r},")
+        boot = (out / "bootstrap_parametric.csv").read_bytes().decode()
+        assert boot.startswith(meta + "value\n")
+        assert len(boot.splitlines()) == 2 + 12 - report["intervals"]["parametric"]["failed"]
+        assert len(sums.splitlines()) == 2 + report["n_subjects"]
+        for name, width in (("benefit_histogram.csv", 2), ("partial_sums.csv", 3),
+                            ("bootstrap_parametric.csv", 1)):
+            text = (out / name).read_bytes().decode()
+            assert "\r" not in text and text.endswith("\n")
+            rows = [line.split(",") for line in text.splitlines()[2:]]
+            assert rows and {len(r) for r in rows} == {width}
+            for cell in (r[-1] for r in rows):
+                assert repr(float(cell)) == cell
+
     def test_optimism_block_present_when_requested(self, workspace):
         tmp, csv, config = workspace
         out = tmp / "opt"
@@ -220,12 +271,22 @@ class TestSimulateCommand:
                         "--replicates", "2", "--seed", "5", "--out", out,
                         "--population-size", "20000", "--optimism", "2"])
         assert code == 0
-        lines = (out / "table3.csv").read_text().splitlines()
-        assert lines[1].startswith("scenario,n,estimator")
-        assert len(lines) == 2 + 6  # six estimator rows
         payload = json.loads((out / "simulation.json").read_text())
         assert payload["command"] == "simulate"
+        assert (payload["seed"], payload["replicates"]) == (5, 2)
+        columns = ["scenario", "n", "estimator", "bias", "sd", "rmse",
+                   "replicates", "failed", "oracle_cb"]
+        table = (out / "table3.csv").read_bytes().decode()
+        assert table.startswith(
+            f"# schema=1 command=simulate config={payload['config_digest']} seed=5\n"
+            + ",".join(columns) + "\nnull,150,parametric-ridge,"
+        )
+        lines = table.splitlines()
+        assert len(lines) == 2 + 6  # six estimator rows
         assert len(payload["rows"]) == 6
+        for line, row in zip(lines[2:], payload["rows"]):
+            assert set(row) == set(columns)
+            assert line == ",".join(str(row[c]) for c in columns)
 
     def test_unknown_scenario_is_config_error(self, tmp_path):
         code = run_cli(["simulate", "--scenario", "bogus", "--n", "150",
@@ -248,7 +309,7 @@ class TestCurveCommand:
         tmp, csv, config = workspace
         b0 = 0.4
         model_file = tmp / "const_model.json"
-        constant_model(b0).save(str(model_file))
+        model_file.write_text(json.dumps(constant_model(b0).to_dict()))
         out = tmp / "curve"
         code = run_cli(["curve", "--input", csv, "--config", config,
                         "--model-file", model_file, "--seed", "2", "--out", out,
@@ -265,12 +326,27 @@ class TestCurveCommand:
         headers = []
         for b0 in (0.4, 0.5):
             model_file = tmp / "model.json"
-            constant_model(b0).save(str(model_file))
+            model_file.write_text(json.dumps(constant_model(b0).to_dict()))
             out = tmp / f"curve_{b0}"
             assert run_cli(["curve", "--input", csv, "--config", config,
                             "--model-file", model_file, "--seed", "2", "--out", out]) == 0
             headers.append((out / "curve.csv").read_text().splitlines()[0])
         assert headers[0] != headers[1]
+
+    def test_model_file_from_estimate_gives_the_fitted_curve(self, workspace):
+        tmp, csv, config = workspace
+        common = ["--input", csv, "--config", config, "--model", "ridge", "--seed", "6"]
+        assert run_cli(["estimate", *common, "--out", tmp / "est"]) == 0
+        assert run_cli(["curve", *common, "--out", tmp / "fitted"]) == 0
+        assert run_cli(["curve", *common, "--model-file", tmp / "est" / "model.json",
+                        "--out", tmp / "loaded"]) == 0
+        data = [
+            [line for line in (tmp / run / "curve.csv").read_text().splitlines()
+             if not line.startswith("#")]
+            for run in ("fitted", "loaded")
+        ]
+        assert len(data[0]) == 101
+        assert data[0] == data[1]
 
     @pytest.mark.parametrize("contents", [None, '{"coefficients": []}', "not json"],
                              ids=["missing", "missing-keys", "not-json"])
@@ -287,7 +363,7 @@ class TestCurveCommand:
     def test_model_file_for_other_covariates_is_data_error(self, workspace, capsys):
         tmp, csv, config = workspace
         model_file = tmp / "model.json"
-        constant_model(0.4).save(str(model_file))
+        model_file.write_text(json.dumps(constant_model(0.4).to_dict()))
         payload = json.loads(config.read_text())
         payload["columns"]["covariates"] = ["x1"]
         one_covariate = tmp / "one_covariate.json"

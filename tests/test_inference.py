@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cbindex.benefit import BenefitVector, CbEstimate
+from cbindex.cli import _write_csv
 from cbindex.errors import EstimationError
 from cbindex.inference import (
     BootstrapConfig,
@@ -132,7 +133,7 @@ class TestBootstrapCi:
             small_trial, BenefitPipeline(model="ml"), BootstrapConfig(replicates=12, seed=9)
         )["parametric"]
         path = tmp_path / "reps.csv"
-        iv.save_replicates(str(path), header_lines=["seed=9"])
+        _write_csv(path, ["seed=9"], ["value"], ((v,) for v in iv.replicate_values.tolist()))
         lines = path.read_text().splitlines()
         assert lines[0] == "# seed=9" and lines[1] == "value"
         assert len(lines) == 2 + iv.replicate_values.size

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,10 +9,10 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gammaln
 
 from cbindex import nbglm
+from cbindex.benefit import predicted_benefit
 from cbindex.errors import DispersionError, FoldingError, NumericalError
 from cbindex.nbglm import (
     DesignMatrix,
-    FitMeta,
     FittedBenefitModel,
     build_design_matrix,
     cross_validate_lambda,
@@ -19,14 +20,13 @@ from cbindex.nbglm import (
     estimate_dispersion,
     fit,
     fit_alternating,
-    predict_rate,
     _bounded_minimize,
     _log_gamma_ratio,
     _profile_loglik,
     _stratified_folds,
 )
 from cbindex.simulation import ML_COEFFICIENTS
-from cbindex.trial_data import ScalingParams, make_dataset, standardize
+from cbindex.trial_data import make_dataset, standardize
 
 from conftest import simulate_trial
 
@@ -515,57 +515,31 @@ class TestCrossValidation:
 
     def test_unfoldable_arm_errors_after_retries(self):
         # a single treated subject always leaves one training split
-        # without that arm, whatever the seed
+        # without that arm, whatever the seed: rejected before any fit
         rng = np.random.default_rng(18)
         n = 30
         a = np.zeros(n, dtype=int)
         a[0] = 1
         d = make_dataset(a, rng.integers(0, 3, n), np.ones(n), rng.normal(0, 1, (n, 1)))
-        with pytest.raises(FoldingError):
+        with pytest.raises(FoldingError, match="from 29 control and 1 treated subjects"):
             cross_validate_lambda(design_from(d), folds=3, grid=[1.0], seed=4)
 
-
-class TestPredictRate:
-    def _table1_ml_model(self):
-        means = np.array([0.4, 65.0, 0.3, 0.5, 1.4, 50.0])
-        sds = np.array([0.49, 8.0, 0.46, 0.5, 0.5, 17.0])
-        return FittedBenefitModel(
-            coefficients=np.array(ML_COEFFICIENTS),
-            coefficient_names=[f"c{i}" for i in range(14)],
-            dispersion=1.0,
-            penalty=0.0,
-            scaling=ScalingParams(means=means, sds=sds),
-            fit_meta=FitMeta(0, True, 0.0, ()),
-        )
-
-    def test_rate_at_training_means_is_exp_intercept(self):
-        model = self._table1_ml_model()
-        rate = predict_rate(model, model.scaling.means, treatment=0, time=1.0)
-        assert rate == pytest.approx(math.exp(-1.959), rel=1e-12)
-        assert rate == pytest.approx(0.141, abs=2e-4)
-
-    def test_time_is_multiplicative(self):
-        model = self._table1_ml_model()
-        x = model.scaling.means + model.scaling.sds
-        one = predict_rate(model, x, treatment=1, time=1.0)
-        two = predict_rate(model, x, treatment=1, time=2.0)
-        assert two == pytest.approx(2 * one, rel=1e-12)
-
-    def test_zero_coefficients_predict_time(self):
-        model = FittedBenefitModel(
-            coefficients=np.zeros(6),
-            coefficient_names=[f"c{i}" for i in range(6)],
-            dispersion=1.0,
-            penalty=0.0,
-            scaling=ScalingParams.identity(2),
-            fit_meta=FitMeta(0, True, 0.0, ()),
-        )
-        assert predict_rate(model, [0.3, -0.7], 0, time=3.5) == pytest.approx(3.5)
-
-    def test_dimension_mismatch(self):
-        model = self._table1_ml_model()
-        with pytest.raises(ValueError, match="covariates"):
-            predict_rate(model, np.zeros(5), 0, 1.0)
+    @pytest.mark.parametrize("control, treated, folds", [
+        (0, 5, 2), (1, 7, 3), (2, 2, 3), (3, 9, 10), (2, 2, 2), (2, 3, 3), (9, 10, 10),
+    ])
+    def test_folds_need_two_per_arm_and_k_in_the_larger(self, control, treated, folds):
+        """The single deal gives every training split both arms and every
+        fold a held-out subject exactly when the check lets it through."""
+        a = np.repeat([0, 1], [control, treated])
+        dealable = min(control, treated) >= 2 and max(control, treated) >= folds
+        if not dealable:
+            with pytest.raises(FoldingError, match=f"{control} control and {treated} treated"):
+                nbglm._stratified_folds(a, folds, seed=3)
+            return
+        fold_id = nbglm._stratified_folds(a, folds, seed=3)
+        assert np.bincount(fold_id, minlength=folds).min() >= 1
+        for f in range(folds):
+            assert set(a[fold_id != f]) == {0, 1}
 
 
 class TestPipelineLevelInvariants:
@@ -581,10 +555,10 @@ class TestPipelineLevelInvariants:
             std, sc = standardize(data)
             design = build_design_matrix(std, scaling=sc)
             models.append(fit_alternating(design, lam=0.8))
-        raw = d.covariates[:25]
-        p0 = predict_rate(models[0], raw, 1, 1.0)
-        p1 = predict_rate(models[1], raw * np.array([10.0, 1.0]), 1, 1.0)
-        assert np.max(np.abs(p0 - p1)) < 1e-6
+        head = np.arange(25)
+        b0 = predicted_benefit(models[0], d.subset(head)).values
+        b1 = predicted_benefit(models[1], scaled.subset(head)).values
+        assert np.max(np.abs(b0 - b1)) < 1e-6
 
     def test_ridge_shrinks_relative_to_ml(self):
         d = simulate_trial(np.array(ML_COEFFICIENTS), n=1200, seed=19, theta=1.0, m=6)
@@ -598,11 +572,11 @@ class TestPipelineLevelInvariants:
         std, sc = standardize(d)
         model = fit_alternating(build_design_matrix(std, sc), lam=0.5)
         path = tmp_path / "model.json"
-        model.save(str(path))
+        path.write_text(json.dumps(model.to_dict()))
         loaded = FittedBenefitModel.load(str(path))
-        np.testing.assert_allclose(loaded.coefficients, model.coefficients)
+        np.testing.assert_array_equal(loaded.coefficients, model.coefficients)
         assert loaded.dispersion == model.dispersion
-        x = d.covariates[:10]
-        np.testing.assert_allclose(
-            predict_rate(loaded, x, 1, 1.0), predict_rate(model, x, 1, 1.0)
+        assert loaded.coefficient_names == model.coefficient_names
+        np.testing.assert_array_equal(
+            predicted_benefit(loaded, d).values, predicted_benefit(model, d).values
         )

@@ -1,8 +1,9 @@
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 
+from cbindex.cli import _write_csv
 from cbindex.simulation import (
     COVARIATE_NAMES,
     ESTIMATOR_LABELS,
@@ -11,6 +12,7 @@ from cbindex.simulation import (
     WEAK_SCENARIO_COEFFICIENTS,
     Scenario,
     SimSettings,
+    SimulationRow,
     _simulate_trial,
     generate_population,
     population_cb,
@@ -143,11 +145,11 @@ class TestRunSimulation:
     def test_report_serialization(self, tmp_path):
         rep = run_simulation("weak", 200, replicates=2, seed=9, settings=FAST)
         path = tmp_path / "table.csv"
-        rep.to_csv(str(path), header_lines=["seed=9"])
+        columns = [f.name for f in fields(SimulationRow)]
+        _write_csv(path, [f"seed={rep.seed}"], columns, (astuple(r) for r in rep.rows))
         lines = path.read_text().splitlines()
         assert lines[0] == "# seed=9"
         assert lines[1].startswith("scenario,n,estimator,bias,sd,rmse")
         assert len(lines) == 2 + len(rep.rows)
-        payload = rep.to_dict()
-        assert payload["seed"] == 9
-        assert len(payload["rows"]) == len(rep.rows)
+        for line, row in zip(lines[2:], rep.rows):
+            assert line == ",".join(str(getattr(row, c)) for c in columns)
