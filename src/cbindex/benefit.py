@@ -51,6 +51,7 @@ __all__ = [
     "cb_parametric",
     "partial_sums_parametric",
     "semiparametric_partial_sums",
+    "observed_mean_benefit",
     "cb_semiparametric",
     "benefit_curve",
 ]
@@ -271,9 +272,7 @@ def cb_parametric(bv: BenefitVector) -> CbEstimate:
     m = mean_benefit(bv)
     pm = pair_max_parametric(bv)
     if m < 0:
-        raise OrientationError(
-            f"mean benefit {math.ldexp(m, -k):.6g} is negative; flip the treatment labels"
-        )
+        raise OrientationError(math.ldexp(m, -k))
     if pm <= 0:
         raise DegenerateEstimateError(
             "pairwise maximum benefit is non-positive; index undefined"
@@ -339,6 +338,13 @@ def semiparametric_partial_sums(d: TrialDataset, bv: BenefitVector) -> PartialSu
     return PartialSumCurve(k=k.astype(np.intp), values=k * (r0 - r1), kind="semiparametric")
 
 
+def observed_mean_benefit(d: TrialDataset) -> float:
+    """Observed arm-0 minus arm-1 event rate, in events per unit of
+    follow-up time; ``d`` must hold both arms."""
+    r0, r1 = (d.events[d.treatment == a].sum() / d.time[d.treatment == a].sum() for a in (0, 1))
+    return float(r0 - r1)
+
+
 def cb_semiparametric(d: TrialDataset, bv: BenefitVector) -> CbEstimate:
     """Concentration index anchored in observed outcomes.
 
@@ -361,11 +367,7 @@ def cb_semiparametric(d: TrialDataset, bv: BenefitVector) -> CbEstimate:
             "semi-parametric estimator needs subjects in both arms"
         )
     n = d.n
-    mask0 = d.treatment == 0
-    e_b = float(
-        d.events[mask0].sum() / d.time[mask0].sum()
-        - d.events[~mask0].sum() / d.time[~mask0].sum()
-    )
+    e_b = observed_mean_benefit(d)
     curve = semiparametric_partial_sums(d, bv)
     pair_max = 2.0 * curve.sum() / n**2 - e_b / n
     if pair_max <= 0:

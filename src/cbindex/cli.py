@@ -177,6 +177,8 @@ def _require_seed(args, file_cfg) -> int:
     seed = args.seed if args.seed is not None else file_cfg.get("seed")
     if seed is None:
         raise ConfigError("--seed is required (no wall-clock default)")
+    if int(seed) < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
     return int(seed)
 
 

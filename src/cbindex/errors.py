@@ -68,8 +68,13 @@ class OrientationError(EstimationError):
     """Mean estimated benefit is negative; treatment labels look flipped.
 
     The concentration index assumes labels are oriented so the average
-    benefit is positive.  Swap the arm coding and re-run.
+    benefit is positive.  Swap the arm coding and re-run.  Carries the
+    negative ``mean_benefit``.
     """
+
+    def __init__(self, mean_benefit: float):
+        self.mean_benefit = mean_benefit
+        super().__init__(f"mean benefit {mean_benefit:.6g} is negative; flip the treatment labels")
 
 
 class EstimatorUndefinedError(EstimationError):

@@ -100,31 +100,62 @@ class OptimismResult:
     n_failed: int
 
 
-def _replicate_sample(data: TrialDataset, seed: int, r: int) -> tuple[TrialDataset, int]:
-    """Per-replicate bootstrap sample and pipeline fold seed, both pure
-    functions of (master seed, replicate index).  Key 0 is reserved for
-    the original-sample run; replicate r maps to key r + 1."""
-    key = r + 1
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key, 0)))
-    fold_seed = int(
-        np.random.SeedSequence(entropy=seed, spawn_key=(key, 1)).generate_state(1)[0]
-    )
-    return data.subset(rng.integers(0, data.n, size=data.n)), fold_seed
+def _fold_seed(seed: int, key: int) -> int:
+    """Pipeline fold seed of key 0 (the original-sample run) or r + 1
+    (replicate r), a pure function of the master seed."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=(key, 1)).generate_state(1)[0])
 
 
-def _original_seed(seed: int) -> int:
-    """Fold seed for the original-sample run (reserved key 0)."""
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(0, 1)).generate_state(1)[0])
+def _replicate_task(r: int) -> dict[str, tuple[float, float | None, bool] | None]:
+    """Replicate ``r``: the whole pipeline refitted on a bootstrap sample.
 
-
-def _ci_task(r: int):
-    data, pipeline, cfg = _parallel.shared_state()
-    sample, fold_seed = _replicate_sample(data, cfg.seed, r)
+    Per estimator kind: (cb within the sample, cb of the same model
+    applied to the original data, whether either is out of range), or
+    None when the kind failed.  The original data are scored only when
+    the shared state asks for it; otherwise the second value is None.
+    """
+    data, pipeline, seed, score_original = _parallel.shared_state()
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r + 1, 0)))
+    sample = data.subset(rng.integers(0, data.n, size=data.n))
     try:
-        result = pipeline.estimate(sample, seed=fold_seed)
-    except CbIndexError as exc:
-        return {"error": str(exc)}
-    return {kind: result.cb_value(kind) for kind in ESTIMATOR_KINDS}
+        fitted = pipeline.estimate(sample, seed=_fold_seed(seed, r + 1))
+        applied = pipeline.evaluate(fitted, data) if score_original else None
+    except CbIndexError:
+        return dict.fromkeys(ESTIMATOR_KINDS)
+    out = {}
+    for kind in ESTIMATOR_KINDS:
+        scored = [res.estimates.get(kind) for res in (fitted, applied) if res is not None]
+        if any(est is None for est in scored):
+            out[kind] = None
+        else:
+            on_original = scored[1].cb if score_original else None
+            out[kind] = (scored[0].cb, on_original, any(est.out_of_range for est in scored))
+    return out
+
+
+def _run_replicates(
+    data: TrialDataset,
+    pipeline: BenefitPipeline,
+    cfg: BootstrapConfig,
+    original: PipelineResult | None,
+    score_original: bool,
+) -> list[tuple[str, float, list]]:
+    """(kind, point estimate, every replicate's ``_replicate_task`` entry
+    for that kind) for each kind estimated on the original data.
+
+    The point estimates come from ``original``, the pipeline's result on
+    ``data``; omitted, the pipeline is first run on the original data,
+    and a failure there is a hard error.
+    """
+    if original is None:
+        original = pipeline.estimate(data, seed=_fold_seed(cfg.seed, 0))
+    shared = (data, pipeline, cfg.seed, score_original)
+    rows = _parallel.run_indexed(_replicate_task, range(cfg.replicates), cfg.workers, shared)
+    return [
+        (kind, original.cb_value(kind), [row[kind] for row in rows])
+        for kind in ESTIMATOR_KINDS
+        if original.cb_value(kind) is not None
+    ]
 
 
 def _percentile_nearest_rank(sorted_values: np.ndarray, q: float) -> float:
@@ -144,27 +175,14 @@ def bootstrap_intervals(
     The point estimates come from ``original``, the pipeline's result on
     ``data``; omitted, the pipeline is first run on the original data (a
     failure there is a hard error).  Replicates that fail an estimator
-    are dropped from that estimator's interval and counted.  More than
-    20% drops triggers a reliability warning and marks the interval.
+    are dropped from that estimator's interval and counted; raw values
+    out of range are kept.  More than 20% drops triggers a reliability
+    warning and marks the interval.
     """
-    if original is None:
-        original = pipeline.estimate(data, seed=_original_seed(cfg.seed))
-    rows = _parallel.run_indexed(
-        _ci_task,
-        range(cfg.replicates),
-        cfg.workers,
-        shared=(data, pipeline, cfg),
-    )
     alpha = (1.0 - CI_LEVEL) / 2.0
     out: dict[str, IntervalEstimate] = {}
-    for kind in ESTIMATOR_KINDS:
-        point = original.cb_value(kind)
-        if point is None:
-            continue
-        values = np.array(
-            [row[kind] for row in rows if row.get(kind) is not None],
-            dtype=np.float64,
-        )
+    for kind, point, entries in _run_replicates(data, pipeline, cfg, original, False):
+        values = np.array([e[0] for e in entries if e is not None], dtype=np.float64)
         n_failed = cfg.replicates - values.size
         if values.size == 0:
             raise EstimationError(
@@ -190,25 +208,6 @@ def bootstrap_intervals(
     return out
 
 
-def _optimism_task(r: int):
-    data, pipeline, cfg = _parallel.shared_state()
-    sample, fold_seed = _replicate_sample(data, cfg.seed, r)
-    try:
-        fitted = pipeline.estimate(sample, seed=fold_seed)
-        applied = pipeline.evaluate(fitted, data)
-    except CbIndexError as exc:
-        return {"error": str(exc)}
-    out = {}
-    for kind in ESTIMATOR_KINDS:
-        w_est = fitted.estimates.get(kind)
-        o_est = applied.estimates.get(kind)
-        if w_est is None or o_est is None or w_est.out_of_range or o_est.out_of_range:
-            out[kind] = None  # degenerate pair: dropped and counted
-        else:
-            out[kind] = (w_est.cb, o_est.cb)
-    return out
-
-
 def optimism_adjust_all(
     data: TrialDataset,
     pipeline: BenefitPipeline,
@@ -221,39 +220,21 @@ def optimism_adjust_all(
     the concentration index within that sample and again by applying the
     same fitted model to the original sample, and average the gap.
     """
-    if original is None:
-        original = pipeline.estimate(data, seed=_original_seed(cfg.seed))
-    rows = _parallel.run_indexed(
-        _optimism_task,
-        range(cfg.replicates),
-        cfg.workers,
-        shared=(data, pipeline, cfg),
-    )
     out: dict[str, OptimismResult] = {}
-    for kind in ESTIMATOR_KINDS:
-        point = original.cb_value(kind)
-        if point is None:
-            continue
-        pairs = [
-            row[kind]
-            for row in rows
-            if "error" not in row and row.get(kind) is not None
-        ]
-        n_failed = cfg.replicates - len(pairs)
+    for kind, point, entries in _run_replicates(data, pipeline, cfg, original, True):
+        # a failed or out-of-range pair is dropped and counted
+        pairs = [e for e in entries if e is not None and not e[2]]
         if not pairs:
             raise EstimationError(
                 f"every optimism replicate failed for the {kind} estimator"
             )
-        within = np.array([p[0] for p in pairs])
-        outv = np.array([p[1] for p in pairs])
-        optimism = float(np.mean(within - outv))
+        optimism = float(np.mean([within - on_original for within, on_original, _ in pairs]))
         out[kind] = OptimismResult(
             estimator_kind=kind,
             unadjusted=point,
             optimism=optimism,
             adjusted=point - optimism,
             n_replicates=len(pairs),
-            n_failed=n_failed,
+            n_failed=cfg.replicates - len(pairs),
         )
     return out
-

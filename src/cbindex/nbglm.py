@@ -34,6 +34,7 @@ __all__ = [
     "DesignMatrix",
     "FitMeta",
     "FittedBenefitModel",
+    "PRECISIONS",
     "CvResult",
     "build_design_matrix",
     "fit",
@@ -49,15 +50,11 @@ THETA_MAX = 1e8
 _MAX_ITER = 100
 _MAX_HALVINGS = 40
 _MAX_ROUNDS = 50
-_COEF_TOL = 1e-8
-_THETA_RTOL = 1e-4
 _THETA_INIT = 1.0
-# Cross-validation fits use relaxed tolerances on the coefficients and on
-# the dispersion alternation: penalty selection does not need final-fit
-# precision, and the choice stays deterministic.
-_FOLD_TOL = 1e-6
-_FOLD_THETA_RTOL = 1e-2
-_FOLD_PROFILE_XATOL = 5e-4
+# Fit precision -> (coefficient tolerance, relative dispersion change that
+# ends the alternation, log-scale dispersion search tolerance).  Penalty
+# selection and Monte Carlo studies need no final-fit precision.
+PRECISIONS = {"final": (1e-8, 1e-4, 1e-6), "relaxed": (1e-6, 1e-2, 5e-4)}
 
 
 @dataclass
@@ -423,13 +420,11 @@ def _profile_dispersion(y: np.ndarray, eta_full: np.ndarray, xatol: float) -> fl
     return theta_hat
 
 
-def estimate_dispersion(
-    design: DesignMatrix, coefficients: np.ndarray, xatol: float = 1e-6
-) -> float:
+def estimate_dispersion(design: DesignMatrix, coefficients: np.ndarray) -> float:
     """Profile the dispersion at fixed fitted means.
 
-    Maximizes the likelihood in theta over [1e-3, 1e8] on the log scale
-    (``xatol`` is the log-scale search tolerance).  A likelihood still
+    Maximizes the likelihood in theta over [1e-3, 1e8] on the log scale,
+    to the ``"final"`` search tolerance.  A likelihood still
     climbing at the upper bound (no overdispersion beyond Poisson)
     returns the bound itself.
 
@@ -443,7 +438,7 @@ def estimate_dispersion(
         optimum found, or the search runs out of evaluations.
     """
     eta_full = design.X @ np.asarray(coefficients, dtype=np.float64) + design.offset
-    return _profile_dispersion(design.response, eta_full, xatol)
+    return _profile_dispersion(design.response, eta_full, PRECISIONS["final"][2])
 
 
 def default_lambda_grid(
@@ -592,9 +587,10 @@ class _Batch:
             )
         return beta_new
 
-    def irls(self, lam: float, tol: float, members: np.ndarray | None = None) -> None:
+    def irls(self, lam: float, precision: str, members: np.ndarray | None = None) -> None:
         """Refit ``members`` (all by default) at penalty ``lam``, each
         warm-started from its current coefficients and dispersion."""
+        tol = PRECISIONS[precision][0]
         size = self.theta.size
         active = np.arange(size) if members is None else members
         obj = np.empty(size)
@@ -648,14 +644,15 @@ class _Batch:
             if active.size == 0:
                 break
 
-    def alternate(self, lam: float, tol: float, theta_rtol: float, xatol: float) -> None:
+    def alternate(self, lam: float, precision: str) -> None:
         """``fit_alternating``'s rounds for every member, each profiled on
         its own rows and ended when its own dispersion settles; a member
         still unsettled after ``_MAX_ROUNDS`` rounds is non-converged."""
+        _, theta_rtol, xatol = PRECISIONS[precision]
         y, offset = self.design.response, self.design.offset
         active = np.arange(self.theta.size)
         for rounds in range(1, _MAX_ROUNDS + 1):
-            self.irls(lam, tol, active)
+            self.irls(lam, precision, active)
             self.rounds[active] = rounds
             theta = self.theta[active]
             theta_new = np.array([
@@ -691,15 +688,16 @@ def fit(
     lam: float,
     theta: float,
     beta_start: np.ndarray | None = None,
-    tol: float = _COEF_TOL,
+    precision: str = "final",
 ) -> FittedBenefitModel:
     """Estimate coefficients for a fixed penalty and fixed dispersion.
 
     Each IRLS step is halved, at most ``_MAX_HALVINGS`` times, until the
     penalized objective does not increase.  Convergence is declared when
-    the largest absolute coefficient change falls below ``tol``, or when
-    no descent is left at fp resolution; otherwise the model is returned
-    flagged non-converged after ``_MAX_ITER`` iterations.
+    the largest absolute coefficient change falls below the tolerance of
+    ``precision``, or when no descent is left at fp resolution; otherwise
+    the model is returned flagged non-converged after ``_MAX_ITER``
+    iterations.
 
     Raises
     ------
@@ -712,26 +710,22 @@ def fit(
     if theta <= 0:
         raise ValueError("dispersion must be positive")
     batch = _Batch(design, np.ones((1, design.n)), [theta], beta_start)
-    batch.irls(lam, tol)
+    batch.irls(lam, precision)
     return batch.model(0, lam)
 
 
 def fit_alternating(
-    design: DesignMatrix,
-    lam: float,
-    theta_rtol: float = _THETA_RTOL,
-    tol: float = _COEF_TOL,
-    profile_xatol: float = 1e-6,
+    design: DesignMatrix, lam: float, precision: str = "final"
 ) -> FittedBenefitModel:
     """Alternate coefficient fitting with dispersion profiling.
 
     Starts at dispersion ``_THETA_INIT`` and repeats fit -> profile-theta
-    until theta moves by less than ``theta_rtol`` relative, then returns
-    the model from the final coefficient fit with the settled
-    dispersion attached.
+    until theta moves by less than the relative change ``precision``
+    allows, then returns the model from the final coefficient fit with
+    the settled dispersion attached.
     """
     batch = _Batch(design, np.ones((1, design.n)), [_THETA_INIT])
-    batch.alternate(lam, tol, theta_rtol, profile_xatol)
+    batch.alternate(lam, precision)
     return batch.model(0, lam)
 
 
@@ -776,8 +770,8 @@ def cross_validate_lambda(
     folds) is fitted on the other K-1 folds and scored on the held-out
     subjects; the per-penalty error is the mean over all held-out
     subjects and its SE comes from the spread of fold means.  Ties break
-    toward the larger penalty.  The folds are fitted together, to the
-    relaxed ``_FOLD_*`` tolerances: each is a 0/1 weight row over the full
+    toward the larger penalty.  The folds are fitted together, at the
+    ``"relaxed"`` precision: each is a 0/1 weight row over the full
     design, and one batched IRLS walks all of them down the grid.
 
     Raises
@@ -799,14 +793,14 @@ def cross_validate_lambda(
     # Dispersion is profiled on each training split once, at the top of
     # the path; coefficient fits are then warm-started down the
     # descending grid at that fixed dispersion, all folds at once.
-    batch.alternate(float(grid[0]), _FOLD_TOL, _FOLD_THETA_RTOL, _FOLD_PROFILE_XATOL)
+    batch.alternate(float(grid[0]), "relaxed")
     # Every subject is held out by exactly one fold: score it with that
     # fold's means.
     rows = np.arange(design.n)
     fold_sums = np.empty((folds, grid.size))
     for g, lam in enumerate(grid):
         if g > 0:
-            batch.irls(float(lam), _FOLD_TOL)
+            batch.irls(float(lam), "relaxed")
         losses = _held_out_loss(
             design.response, batch.mu[fold_id, rows], batch.theta[fold_id], loss
         )

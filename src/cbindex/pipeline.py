@@ -15,7 +15,7 @@ import numpy as np
 
 from . import benefit as bn
 from . import nbglm
-from .errors import ConvergenceError, EstimationError, EstimatorUndefinedError
+from .errors import ConvergenceError, EstimationError, EstimatorUndefinedError, OrientationError
 from .trial_data import TrialDataset, standardize
 
 __all__ = ["BenefitPipeline", "PipelineResult", "ESTIMATOR_KINDS", "CV_LOSSES"]
@@ -48,8 +48,10 @@ class BenefitPipeline:
     ``model`` selects ridge (cross-validated l2 penalty) or ``ml``
     (unpenalized).  The penalty grid defaults to 100 log-spaced values
     spanning a 1e-4 ratio under 10-fold cross-validation; the simulation
-    study's ``SIM_PIPELINE`` shrinks these for speed.  Every setting is
-    checked on construction (``ValueError``).
+    study's ``SIM_PIPELINE`` shrinks these for speed.  ``precision``, a
+    key of ``nbglm.PRECISIONS``, sets the reported fit's tolerances; CV
+    folds always run at ``"relaxed"``.  Every setting is checked on
+    construction (``ValueError``).
     """
 
     model: str = "ridge"
@@ -57,10 +59,7 @@ class BenefitPipeline:
     lambda_grid_size: int = 100
     lambda_min_ratio: float = 1e-4
     cv_loss: str = CV_LOSSES[0]
-    # Final-fit precision; Monte Carlo harnesses relax these for speed.
-    fit_tol: float = 1e-8
-    theta_rtol: float = 1e-4
-    profile_xatol: float = 1e-6
+    precision: str = "final"
 
     def __post_init__(self):
         if self.model not in ("ridge", "ml"):
@@ -73,8 +72,8 @@ class BenefitPipeline:
             raise ValueError("penalty grid min ratio must lie in (0, 1)")
         if self.cv_loss not in CV_LOSSES:
             raise ValueError(f"cv loss must be one of {', '.join(CV_LOSSES)}")
-        if not min(self.fit_tol, self.theta_rtol, self.profile_xatol) > 0.0:
-            raise ValueError("fit tolerances must be positive")
+        if self.precision not in nbglm.PRECISIONS:
+            raise ValueError(f"precision must be one of {', '.join(nbglm.PRECISIONS)}")
 
     def estimate(self, data: TrialDataset, seed: int | None = None) -> PipelineResult:
         """Standardize, select the penalty, fit, and compute both
@@ -101,13 +100,7 @@ class BenefitPipeline:
             lam = cv.chosen_lambda
         else:
             lam = 0.0
-        model = nbglm.fit_alternating(
-            design,
-            lam,
-            tol=self.fit_tol,
-            theta_rtol=self.theta_rtol,
-            profile_xatol=self.profile_xatol,
-        )
+        model = nbglm.fit_alternating(design, lam, precision=self.precision)
         if not model.fit_meta.converged:
             raise ConvergenceError(
                 f"fit did not converge in {model.fit_meta.iterations} iterations"
@@ -130,6 +123,8 @@ class BenefitPipeline:
         failures: dict[str, str] = {}
         try:
             estimates["parametric"] = bn.cb_parametric(bv)
+        except OrientationError as exc:
+            failures["parametric"] = _orientation_failure(exc, data)
         except EstimationError as exc:
             failures["parametric"] = str(exc)
         try:
@@ -137,6 +132,19 @@ class BenefitPipeline:
         except EstimationError as exc:
             failures["semiparametric"] = str(exc)
         return PipelineResult(model=model, benefit=bv, estimates=estimates, failures=failures)
+
+
+def _orientation_failure(exc: OrientationError, data: TrialDataset) -> str:
+    """The parametric failure for a negative model mean benefit: flipped
+    labels are blamed only when the observed event rates agree."""
+    if data.has_both_arms and (observed := bn.observed_mean_benefit(data)) >= 0:
+        return (
+            f"model mean benefit {exc.mean_benefit:.6g} is negative, but the observed "
+            f"control-minus-treated event rate difference is {observed:+.6g} per unit of "
+            "follow-up time: the labels are not reversed; the fitted model contradicts "
+            "the observed outcomes"
+        )
+    return str(exc)
 
 
 def _reject_unfit_arms(data: TrialDataset, model: str) -> None:

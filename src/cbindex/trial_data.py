@@ -196,8 +196,8 @@ def load_dataset(
     Raises
     ------
     SchemaError
-        If a mapped column is absent from the header or the mapping is
-        incomplete.
+        If a mapped column is absent from the header, the mapping is
+        incomplete, or ``covariates`` is not a list of column names.
     RowParseError
         On malformed cells: non-numeric values, negative or non-integer
         counts, non-positive times, arm labels other than 0/1.  Rows
@@ -207,7 +207,9 @@ def load_dataset(
     for key in ("treatment", "events", "time", "covariates"):
         if key not in schema:
             raise SchemaError(f"schema is missing the '{key}' role")
-    cov_cols = list(schema["covariates"])
+    cov_cols = schema["covariates"]
+    if not (isinstance(cov_cols, (list, tuple)) and all(isinstance(c, str) for c in cov_cols)):
+        raise SchemaError(f"schema 'covariates' must be a list of column names, got {cov_cols!r}")
     if not cov_cols:
         raise SchemaError("schema must name at least one covariate column")
 
@@ -229,7 +231,7 @@ def load_dataset(
         header = [h.strip() for h in header]
         positions: dict[str, int] = {}
         wanted = [str(schema["treatment"]), str(schema["events"]), str(schema["time"])]
-        wanted += [str(c) for c in cov_cols]
+        wanted += cov_cols
         id_col = schema.get("id")
         if id_col is not None:
             wanted.append(str(id_col))
@@ -285,7 +287,7 @@ def load_dataset(
         events=np.array(events),
         time=np.array(time),
         covariates=np.array(covariates),
-        covariate_names=[str(c) for c in cov_cols],
+        covariate_names=list(cov_cols),
         ids=ids,
         n_missing_excluded=n_missing,
     )

@@ -139,6 +139,37 @@ class TestEstimateCommand:
         assert code == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        pytest.param(["estimate", "--model", "ridge"], id="ridge"),
+        pytest.param(["estimate", "--model", "ml"], id="ml"),
+        pytest.param(["estimate", "--model", "ml", "--bootstrap", "3"], id="ml-bootstrap"),
+        pytest.param(["curve", "--model", "ridge"], id="curve"),
+    ])
+    def test_negative_seed_is_config_error_before_any_work(self, workspace, capsys,
+                                                           monkeypatch, args):
+        tmp, csv, config = workspace
+
+        def no_load(*a, **k):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr("cbindex.cli.load_dataset", no_load)
+        code = run_cli(args + ["--input", csv, "--config", config, "--seed", "-1",
+                               "--out", tmp / "out"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: --seed")
+        assert not (tmp / "out").exists()
+
+    @pytest.mark.parametrize("covariates", [5, "x1"])
+    def test_malformed_covariate_list_is_schema_error(self, workspace, capsys, covariates):
+        tmp, csv, config = workspace
+        payload = json.loads(config.read_text())
+        payload["columns"]["covariates"] = covariates
+        config.write_text(json.dumps(payload))
+        code = run_cli(["estimate", "--input", csv, "--config", config, "--model", "ml",
+                        "--seed", "1", "--out", tmp / "out"])
+        assert code == 2
+        assert "list of column names" in capsys.readouterr().err
+
     def test_unknown_flag_is_config_error(self, workspace):
         tmp, csv, config = workspace
         assert run_cli(["estimate", "--input", csv, "--frobnicate", "1"]) == 1
@@ -287,6 +318,14 @@ class TestSimulateCommand:
         for line, row in zip(lines[2:], payload["rows"]):
             assert set(row) == set(columns)
             assert line == ",".join(str(row[c]) for c in columns)
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        code = run_cli(["simulate", "--scenario", "null", "--n", "150", "--replicates", "2",
+                        "--seed", "-1", "--out", tmp_path / "sim",
+                        "--population-size", "20000", "--optimism", "2"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: --seed")
+        assert not (tmp_path / "sim").exists()
 
     def test_unknown_scenario_is_config_error(self, tmp_path):
         code = run_cli(["simulate", "--scenario", "bogus", "--n", "150",

@@ -1,14 +1,21 @@
 import importlib
 import pkgutil
+import sys
 
 import pytest
 
 import cbindex
 
-# every module of the package; ``__main__`` runs the CLI when imported
-MODULES = ["cbindex"] + [
-    f"cbindex.{m.name}" for m in pkgutil.iter_modules(cbindex.__path__) if m.name != "__main__"
-]
+# every module of the package
+MODULES = ["cbindex"] + [f"cbindex.{m.name}" for m in pkgutil.iter_modules(cbindex.__path__)]
+
+
+def test_importing_main_runs_nothing(monkeypatch):
+    """``python -m cbindex`` runs the CLI; importing the module does not
+    (with no command given, a run would exit 1)."""
+    monkeypatch.delitem(sys.modules, "cbindex.__main__", raising=False)
+    monkeypatch.setattr(sys, "argv", ["cbindex"])
+    importlib.import_module("cbindex.__main__")
 
 
 @pytest.mark.parametrize("name", [

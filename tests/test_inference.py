@@ -20,7 +20,7 @@ MILD = np.array([0.3, -0.5, 0.4, -0.3, 0.3, -0.2])
 def quick_pipeline():
     return BenefitPipeline(
         model="ridge", cv_folds=3, lambda_grid_size=4, lambda_min_ratio=1e-2,
-        fit_tol=1e-6, theta_rtol=1e-2,
+        precision="relaxed",
     )
 
 
@@ -73,7 +73,7 @@ class TestBootstrapCi:
         np.testing.assert_array_equal(a.replicate_values, b.replicate_values)
 
     def test_workers_do_not_change_results(self, small_trial):
-        pipeline = BenefitPipeline(model="ml", fit_tol=1e-6, theta_rtol=1e-2)
+        pipeline = BenefitPipeline(model="ml", precision="relaxed")
         seq = bootstrap_intervals(
             small_trial, pipeline, BootstrapConfig(replicates=16, seed=3, workers=1)
         )
@@ -150,7 +150,7 @@ class TestOptimism:
         assert res.adjusted == res.unadjusted
 
     def test_same_seed_identical(self, small_trial):
-        pipeline = BenefitPipeline(model="ml", fit_tol=1e-6, theta_rtol=1e-2)
+        pipeline = BenefitPipeline(model="ml", precision="relaxed")
         cfg = BootstrapConfig(replicates=10, seed=21)
         a = optimism_adjust_all(small_trial, pipeline, cfg)
         b = optimism_adjust_all(small_trial, pipeline, cfg)
@@ -166,7 +166,7 @@ class TestOptimism:
         from cbindex.simulation import generate_population, _simulate_trial
 
         pop = generate_population("null", 20_000, seed=5)
-        pipeline = BenefitPipeline(model="ml", fit_tol=1e-6, theta_rtol=1e-2)
+        pipeline = BenefitPipeline(model="ml", precision="relaxed")
         rng = np.random.default_rng(17)
         values = []
         for seed in range(8):
@@ -181,6 +181,61 @@ class TestOptimism:
                 values.append(res["semiparametric"].optimism)
         assert len(values) >= 5
         assert np.mean(values) > 0
+
+
+class SemiOutOfRangeOnSomeResamples(ConstantPredictionPipeline):
+    """Adds a semi-parametric estimate: 0.5 within a resample, flagged 1.5
+    when the resample's event total is even; 0.25 on the original data,
+    flagged 1.25 when the fitted resample's total is a multiple of 3.
+    Records each resample's event total, in replicate order."""
+
+    def __init__(self, original):
+        self._original = original
+        self.totals = []
+
+    def _with_semi(self, result, cb):
+        result.estimates["semiparametric"] = CbEstimate(
+            mean_benefit=0.1, pair_max=0.2, delta_b=0.1, gini_b=1.0,
+            cb=cb, estimator_kind="semiparametric", out_of_range=cb > 1.0,
+        )
+        result.failures = {}
+        return result
+
+    def estimate(self, data, seed=None):
+        total = int(data.events.sum())
+        result = super().estimate(data, seed)
+        result.model.total = total
+        if data is self._original:
+            return self._with_semi(result, 0.25)
+        self.totals.append(total)
+        return self._with_semi(result, 1.5 if total % 2 == 0 else 0.5)
+
+    def evaluate(self, fitted, data):
+        assert data is self._original
+        cb = 1.25 if fitted.model.total % 3 == 0 else 0.25
+        return self._with_semi(super().estimate(data), cb)
+
+
+class TestOutOfRangeReplicates:
+    def test_bootstrap_keeps_raw_values_and_optimism_drops_flagged_pairs(self, small_trial):
+        cfg = BootstrapConfig(replicates=30, seed=8)
+        boot_pipe = SemiOutOfRangeOnSomeResamples(small_trial)
+        iv = bootstrap_intervals(small_trial, boot_pipe, cfg)["semiparametric"]
+        opt_pipe = SemiOutOfRangeOnSomeResamples(small_trial)
+        res = optimism_adjust_all(small_trial, opt_pipe, cfg)["semiparametric"]
+        # both draw the same resamples
+        totals = np.array(boot_pipe.totals)
+        assert totals.tolist() == opt_pipe.totals
+        within_flagged, original_flagged = totals % 2 == 0, totals % 3 == 0
+        assert within_flagged.any() and (original_flagged & ~within_flagged).any()
+        assert (~(within_flagged | original_flagged)).any()
+
+        assert iv.n_failed == 0
+        np.testing.assert_array_equal(iv.replicate_values, np.where(within_flagged, 1.5, 0.5))
+        dropped = int(np.sum(within_flagged | original_flagged))
+        assert (res.n_failed, res.n_replicates) == (dropped, 30 - dropped)
+        assert res.optimism == 0.25
+        assert res.adjusted == res.unadjusted - 0.25
 
 
 class TestConfigValidation:

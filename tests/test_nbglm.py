@@ -406,7 +406,7 @@ def subset(design, rows):
                         column_names=design.column_names, scaling=design.scaling)
 
 
-def reference_cv(design, folds, grid, seed, loss, fold_tol=1e-6):
+def reference_cv(design, folds, grid, seed, loss):
     """Cross-validation the slow, plain way: a copied training and held-out
     design per fold, then one warm-started ``fit`` per (fold, penalty).
 
@@ -421,12 +421,11 @@ def reference_cv(design, folds, grid, seed, loss, fold_tol=1e-6):
     for f in range(folds):
         design_tr = subset(design, fold_id != f)
         design_ho = subset(design, fold_id == f)
-        model = fit_alternating(design_tr, float(grid[0]), theta_rtol=1e-2,
-                                tol=fold_tol, profile_xatol=5e-4)
+        model = fit_alternating(design_tr, float(grid[0]), precision="relaxed")
         theta, beta = model.dispersion, model.coefficients
         for g, lam in enumerate(grid):
             if g > 0:
-                model = fit(design_tr, float(lam), theta, beta_start=beta, tol=fold_tol)
+                model = fit(design_tr, float(lam), theta, beta_start=beta, precision="relaxed")
                 beta = model.coefficients
                 iterations[f, g] = model.fit_meta.iterations
             y = design_ho.response

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cbindex import nbglm
+from cbindex.benefit import mean_benefit, observed_mean_benefit
 from cbindex.errors import EstimationError
 from cbindex.pipeline import BenefitPipeline
 from cbindex.trial_data import make_dataset
@@ -26,7 +27,7 @@ class TestBenefitPipeline:
         {"lambda_min_ratio": 0.0},
         {"lambda_min_ratio": 1.0},
         {"cv_loss": "abs"},
-        {"fit_tol": 0.0},
+        {"precision": "loose"},
     ])
     def test_bad_settings_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -40,7 +41,7 @@ class TestBenefitPipeline:
 
     def test_ridge_records_cv_choice(self, small_trial):
         pipe = BenefitPipeline(model="ridge", cv_folds=3, lambda_grid_size=4,
-                               lambda_min_ratio=1e-2, fit_tol=1e-6, theta_rtol=1e-2)
+                               lambda_min_ratio=1e-2, precision="relaxed")
         result = pipe.estimate(small_trial, seed=5)
         assert result.cv is not None
         assert result.model.penalty == result.cv.chosen_lambda
@@ -79,3 +80,24 @@ class TestBenefitPipeline:
         result = pipe.estimate(separated, seed=5)
         assert np.all(np.isfinite(result.model.coefficients))
         assert result.model.treatment_effect < 0
+
+    @pytest.mark.parametrize("seed, labels_reversed", [(2, False), (0, True)])
+    def test_negative_model_benefit_blames_the_labels_only_when_the_outcomes_agree(
+            self, seed, labels_reversed):
+        # on these 20-subject draws the ridge model's mean benefit comes
+        # out negative; only on the second do the observed rates agree
+        coefs = np.array([0.3, -0.5, 0.35, -0.25, 0.2, 0.15, -0.1, 0.05,
+                          -0.3, 0.2, -0.15, 0.1, 0.05, -0.05])
+        d = simulate_trial(coefs, n=20, seed=seed, theta=2.0, m=6, fixed_time=False)
+        result = BenefitPipeline().estimate(d, seed=1)
+        model_mean = mean_benefit(result.benefit)
+        observed = observed_mean_benefit(d)
+        assert model_mean < 0 and (observed < 0) == labels_reversed
+        message = result.failures["parametric"]
+        assert f"{model_mean:.6g}" in message
+        if labels_reversed:
+            assert "flip the treatment labels" in message
+        else:
+            assert f"{observed:+.6g}" in message
+            assert "flip" not in message
+        assert "parametric" not in result.estimates

@@ -38,6 +38,11 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match="'t'"):
             load_dataset(io.StringIO(text), SCHEMA)
 
+    @pytest.mark.parametrize("covariates", [5, "x1", None, ["x1", 2], {"x1": 1}])
+    def test_covariates_must_be_a_list_of_column_names(self, covariates):
+        with pytest.raises(SchemaError, match="covariates.*list of column names"):
+            load_dataset(io.StringIO(CSV_4ROW), dict(SCHEMA, covariates=covariates))
+
     def test_zero_time_is_row_error(self):
         text = CSV_4ROW.replace("b,1,0,0.8", "b,1,0,0.0")
         with pytest.raises(RowParseError, match="row 2.*'t'"):
