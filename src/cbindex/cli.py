@@ -30,7 +30,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -46,59 +46,75 @@ from .trial_data import balance_check, load_dataset
 
 SCHEMA_VERSION = 1
 
-_ESTIMATOR_CHOICES = ESTIMATOR_KINDS + ("both",)
-
-# Keys of the config file's ``cv`` object -> (BenefitPipeline field, type).
-_CV_KEYS = {
-    "folds": ("cv_folds", int),
-    "grid_size": ("lambda_grid_size", int),
-    "min_ratio": ("lambda_min_ratio", float),
-    "loss": ("cv_loss", str),
+# The type of every setting that a flag or a top-level config-file key
+# gives, under the key's name (each flag's ``dest``): a type, a tuple of
+# choices, ``[type]`` for a JSON list, or a dict of the keys a JSON
+# object may hold.  ``--model-file`` and ``--p`` are flags only.
+_TYPES: dict[str, Any] = {
+    # every command
+    "seed": int, "out": str, "workers": int,
+    # estimate and curve
+    "input": str, "columns": dict, "model": str,
+    "cv": {"folds": int, "grid_size": int, "min_ratio": float, "loss": str},
+    # estimate
+    "estimator": ESTIMATOR_KINDS + ("both",), "bootstrap": int, "optimism": int,
+    "smd_threshold": float,
+    # simulate
+    "scenarios": [str], "n_values": [int], "replicates": int, "population_size": int,
+    "theta": float, "followup": str, "sim_optimism": int,
+    # curve
+    "grid_size": int,
 }
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "a JSON object"}
 
-# RunConfig fields left out of the digest: where results go and how many
-# processes compute them change no output; the two input files enter by
-# the digest of their contents instead of their paths.
+# Keys of the config file's ``cv`` object -> BenefitPipeline field.
+_CV_FIELDS = {"folds": "cv_folds", "grid_size": "lambda_grid_size",
+              "min_ratio": "lambda_min_ratio", "loss": "cv_loss"}
+
+# Fields left out of the digest, at every level: where results go and how
+# many processes compute them change no output; the two input files
+# enter by the digest of their contents instead of their paths.
 _UNDIGESTED = ("out_dir", "workers", "input_path", "model_file")
 
 
 @dataclass
 class RunConfig:
-    """Resolved settings for one CLI invocation.
+    """Resolved settings for one CLI invocation: what the command runs,
+    built and checked by ``_resolve``.
 
-    Field defaults are the CLI's defaults; the simulation ones are read
-    from the settings they feed.
+    Field defaults are the CLI's defaults; ``pipeline``, ``scenarios``,
+    ``sim`` and the resampling settings are the objects the commands
+    run, so their defaults are those objects' own.  Settings a command
+    does not read keep their defaults.
     """
 
     command: str
     seed: int
     out_dir: Path = Path(".")
     input_path: Path | None = None
-    columns: dict[str, Any] = field(default_factory=dict)
-    model: str = "ridge"
-    estimator: str = "both"
-    bootstrap: int = 0
-    optimism: int = 0
-    workers: int = 1
-    cv: dict[str, Any] = field(default_factory=dict)
-    smd_threshold: float = 0.05
     model_file: Path | None = None
+    workers: int = 1
+    columns: dict[str, Any] = field(default_factory=dict)
+    # estimate and curve
+    pipeline: BenefitPipeline = BenefitPipeline()
+    # estimate
+    estimator: str = "both"
+    smd_threshold: float = 0.05
+    bootstrap: BootstrapConfig | None = None
+    optimism: BootstrapConfig | None = None
     # simulate
-    scenarios: list[str] = field(default_factory=list)
-    n_values: list[int] = field(default_factory=list)
+    scenarios: list[Scenario] = field(default_factory=list)
+    n_values: list[int] = field(default_factory=lambda: [400])
     replicates: int = 50
-    population_size: int = SimSettings.population_size
-    theta: float = Scenario.theta
-    followup: str = Scenario.followup
-    sim_optimism: int = SimSettings.optimism_replicates
+    sim: SimSettings = field(default_factory=SimSettings)
     # curve
     grid_size: int = 100
     p_values: list[float] | None = None
 
     def digest_payload(self) -> dict:
-        payload = {
-            f.name: getattr(self, f.name) for f in fields(self) if f.name not in _UNDIGESTED
-        }
+        payload = dataclasses.asdict(
+            self, dict_factory=lambda items: {k: v for k, v in items if k not in _UNDIGESTED}
+        )
         for key, path in (("input_sha256", self.input_path), ("model_sha256", self.model_file)):
             if path is not None and path.exists():
                 payload[key] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -169,39 +185,43 @@ def _config_errors(context: str = ""):
     """Report a bad value met while building settings as a config error."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"{context}{exc}") from exc
 
 
-def _require_seed(args, file_cfg) -> int:
-    seed = args.seed if args.seed is not None else file_cfg.get("seed")
-    if seed is None:
-        raise ConfigError("--seed is required (no wall-clock default)")
-    if int(seed) < 0:
-        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
-    return int(seed)
-
-
-def _estimator_kinds(selection: str) -> list[str]:
-    if selection == "both":
-        return list(ESTIMATOR_KINDS)
-    return [selection]
-
-
-def _build_pipeline(cfg: RunConfig) -> BenefitPipeline:
-    """The pipeline of ``--model`` with the config file's ``cv`` keys;
-    keys it leaves out keep the pipeline's defaults."""
-    if not isinstance(cfg.cv, dict):
-        raise ConfigError("cv must be a JSON object")
-    settings = {}
-    for key, value in cfg.cv.items():
-        if key not in _CV_KEYS:
-            raise ConfigError(f"unknown cv key {key!r}; expected one of {', '.join(_CV_KEYS)}")
-        name, convert = _CV_KEYS[key]
-        with _config_errors(f"cv {key}: "):
-            settings[name] = convert(value)
-    with _config_errors():
-        return BenefitPipeline(model=cfg.model, **settings)
+def _check(key: str, value, kind):
+    """``value`` if it has the type ``kind`` (see ``_TYPES``), else a
+    ConfigError naming ``key`` ("" for the whole config).  ``true``,
+    ``false`` and strings are never numbers, and a fractional value is
+    never an integer.  Equal numbers come out as one value: an integral
+    float such as 10.0 or 2e5 as that integer, an integer given for a
+    float setting as that float."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        expected = "one of " + ", ".join(kind)
+    elif isinstance(kind, list):
+        if isinstance(value, list):
+            return [_check(key, v, kind[0]) for v in value]
+        expected = "a JSON list"
+    elif isinstance(kind, dict):
+        if isinstance(value, dict):
+            for k in value:
+                if k not in kind:
+                    raise ConfigError(f"unknown {key or 'config'} key {k!r}; "
+                                      f"expected one of {', '.join(kind)}")
+            return {k: _check(f"{key} {k}".lstrip(), v, kind[k]) for k, v in value.items()}
+        expected = "a JSON object"
+    else:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if kind is float and number:
+            return value + 0.0
+        if kind is int and number and (isinstance(value, int) or value.is_integer()):
+            return round(value)
+        if kind not in (int, float) and isinstance(value, kind):
+            return value
+        expected = _TYPE_NAMES[kind]
+    raise ConfigError(f"{key} must be {expected}, got {value!r}")
 
 
 def _resampling(flag: str, replicates: int, seed: int, workers: int) -> BootstrapConfig | None:
@@ -221,13 +241,6 @@ def _cb_block(estimates, failures, kind):
 
 def cmd_estimate(cfg: RunConfig) -> int:
     """Fit the model on a trial CSV and write the estimation report."""
-    if cfg.input_path is None:
-        raise ConfigError("estimate needs --input")
-    if not cfg.columns:
-        raise ConfigError("estimate needs a column mapping in the config file")
-    pipeline = _build_pipeline(cfg)
-    boot_cfg = _resampling("--bootstrap", cfg.bootstrap, cfg.seed, cfg.workers)
-    opt_cfg = _resampling("--optimism", cfg.optimism, cfg.seed + 1, cfg.workers)
     data = load_dataset(str(cfg.input_path), cfg.columns)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -248,9 +261,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
             "flagged": bal.flagged,
         }
 
-    kinds = _estimator_kinds(cfg.estimator)
+    kinds = list(ESTIMATOR_KINDS) if cfg.estimator == "both" else [cfg.estimator]
     try:
-        result = pipeline.estimate(data, seed=cfg.seed)
+        result = cfg.pipeline.estimate(data, seed=cfg.seed)
     except EstimationError as exc:
         report["error"] = str(exc)
         _write_json(cfg.out_dir / "report.json", report)
@@ -259,7 +272,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
     model = result.model
     report["model"] = {
-        "kind": cfg.model,
+        "kind": cfg.pipeline.model,
         "lambda": model.penalty,
         "theta": model.dispersion,
         "converged": model.fit_meta.converged,
@@ -282,8 +295,8 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
     degenerate = [k for k in kinds if k not in result.estimates]
 
-    if boot_cfg is not None and not degenerate:
-        intervals = bootstrap_intervals(data, pipeline, boot_cfg, original=result)
+    if cfg.bootstrap is not None and not degenerate:
+        intervals = bootstrap_intervals(data, cfg.pipeline, cfg.bootstrap, original=result)
         report["intervals"] = {}
         for kind in kinds:
             iv = intervals.get(kind)
@@ -293,18 +306,18 @@ def cmd_estimate(cfg: RunConfig) -> int:
                 "level": iv.level,
                 "lower": iv.lower,
                 "upper": iv.upper,
-                "replicates": cfg.bootstrap,
+                "replicates": cfg.bootstrap.replicates,
                 "failed": iv.n_failed,
                 "unreliable": iv.unreliable,
             }
             _write_csv(cfg.out_dir / f"bootstrap_{kind}.csv", _meta_lines(cfg), ["value"],
                        ((v,) for v in iv.replicate_values.tolist()))
 
-    if opt_cfg is not None and not degenerate:
-        adjusted = optimism_adjust_all(data, pipeline, opt_cfg, original=result)
+    if cfg.optimism is not None and not degenerate:
+        adjusted = optimism_adjust_all(data, cfg.pipeline, cfg.optimism, original=result)
         report["optimism"] = {
             kind: {
-                "replicates": cfg.optimism,
+                "replicates": cfg.optimism.replicates,
                 "optimism": adj.optimism,
                 "adjusted": adj.adjusted,
                 "failed": adj.n_failed,
@@ -337,33 +350,10 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """Run the synthetic-trial estimator study and write its tables."""
-    if not cfg.scenarios:
-        raise ConfigError("simulate needs --scenario")
-    if not cfg.n_values:
-        raise ConfigError("simulate needs --n")
-    for n in cfg.n_values:
-        if not 1 <= n <= cfg.population_size:
-            raise ConfigError(
-                f"--n {n} must lie between 1 and the population size {cfg.population_size}"
-            )
-    if cfg.replicates < 2:
-        raise ConfigError("simulate needs at least two --replicates")
-    with _config_errors():
-        scenarios = [
-            Scenario.by_name(name, theta=cfg.theta, followup=cfg.followup)
-            for name in cfg.scenarios
-        ]
-        settings = SimSettings(
-            population_size=cfg.population_size,
-            optimism_replicates=cfg.sim_optimism,
-            workers=cfg.workers,
-        )
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     all_rows = []
-    for scenario in scenarios:
-        rep = run_simulation(
-            scenario, cfg.n_values, cfg.replicates, cfg.seed, settings=settings
-        )
+    for scenario in cfg.scenarios:
+        rep = run_simulation(scenario, cfg.n_values, cfg.replicates, cfg.seed, settings=cfg.sim)
         all_rows.extend(rep.rows)
     # SimulationRow's fields, in order, under their table names
     columns = ["scenario", "n", "estimator", "bias", "sd", "rmse",
@@ -384,20 +374,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_curve(cfg: RunConfig) -> int:
     """Write the benefit(p) curve for a fitted model or a dataset."""
-    if cfg.model_file is None and cfg.input_path is None:
-        raise ConfigError("curve needs --input or --model-file")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-
+    data = load_dataset(str(cfg.input_path), cfg.columns)
     if cfg.model_file is not None:
-        if cfg.input_path is None:
-            raise ConfigError("curve with --model-file still needs --input for covariates")
         try:
-            model = FittedBenefitModel.load(str(cfg.model_file))
+            model = FittedBenefitModel.load(cfg.model_file)
         except OSError as exc:
             raise DataError(f"cannot read model file: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed model file {cfg.model_file}: {exc!r}") from exc
-        data = load_dataset(str(cfg.input_path), cfg.columns)
         if data.m != model.m:
             raise DataError(
                 f"model file {cfg.model_file} expects {model.m} covariates, "
@@ -405,19 +390,15 @@ def cmd_curve(cfg: RunConfig) -> int:
             )
         bv = bn.predicted_benefit(model, data)
     else:
-        if not cfg.columns:
-            raise ConfigError("curve needs a column mapping in the config file")
-        pipeline = _build_pipeline(cfg)
-        data = load_dataset(str(cfg.input_path), cfg.columns)
         try:
-            result = pipeline.estimate(data, seed=cfg.seed)
+            result = cfg.pipeline.estimate(data, seed=cfg.seed)
         except EstimationError as exc:
             print(f"estimation degenerate: {exc}", file=sys.stderr)
             return 3
         bv = result.benefit
 
     if cfg.p_values:
-        grid = np.asarray(sorted(cfg.p_values), dtype=np.float64)
+        grid = np.asarray(cfg.p_values, dtype=np.float64)
     else:
         grid = np.arange(1, cfg.grid_size + 1, dtype=np.float64) / cfg.grid_size
     curve = bn.benefit_curve(bv, grid)
@@ -455,7 +436,7 @@ def _build_parser() -> _Parser:
     common(est)
     est.add_argument("--input", default=None, help="trial CSV")
     est.add_argument("--model", choices=("ridge", "ml"), default=None)
-    est.add_argument("--estimator", choices=_ESTIMATOR_CHOICES, default=None)
+    est.add_argument("--estimator", choices=_TYPES["estimator"], default=None)
     est.add_argument("--bootstrap", type=int, default=None, metavar="N",
                      help="bootstrap replicates for confidence intervals")
     est.add_argument("--optimism", type=int, default=None, metavar="N",
@@ -463,15 +444,15 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="synthetic-trial estimator study")
     common(sim)
-    sim.add_argument("--scenario", action="append", default=None,
-                     help="strong, weak, null, or all (repeatable)")
-    sim.add_argument("--n", action="append", type=int, default=None,
-                     help="trial size (repeatable)")
+    sim.add_argument("--scenario", dest="scenarios", action="append", default=None,
+                     metavar="NAME", help="strong, weak, null, or all (repeatable)")
+    sim.add_argument("--n", dest="n_values", action="append", type=int, default=None,
+                     metavar="N", help="trial size (repeatable)")
     sim.add_argument("--replicates", type=int, default=None)
     sim.add_argument("--population-size", type=int, default=None)
     sim.add_argument("--theta", type=float, default=None)
     sim.add_argument("--followup", choices=("fixed", "uniform"), default=None)
-    sim.add_argument("--optimism", type=int, default=None, metavar="N",
+    sim.add_argument("--optimism", dest="sim_optimism", type=int, default=None, metavar="N",
                      help="inner bootstrap count for adjusted estimators")
 
     cur = sub.add_parser("curve", help="export the benefit(p) curve")
@@ -485,56 +466,73 @@ def _build_parser() -> _Parser:
 
 
 def _resolve(args) -> RunConfig:
-    file_cfg = _load_config_file(args.config)
-    cfg = RunConfig(command=args.command, seed=_require_seed(args, file_cfg))
+    """Merge the config file and the flags given (a flag wins), check every
+    setting against ``_TYPES`` and the objects built from it, and build what
+    the command runs.  A bad setting raises here, before the input is read
+    or any output written."""
+    flags = {k: v for k, v in vars(args).items() if k in _TYPES and v is not None}
+    s = _check("", {**_load_config_file(args.config), **flags}, _TYPES)
 
-    def pick(key, flag_value=None, attr=None):
-        """The flag, else the config-file key, else the RunConfig default."""
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, getattr(cfg, attr or key))
+    def given(*keys, **renamed) -> dict:
+        """The settings given among ``keys``, and among ``renamed``'s values
+        under its names, as keyword arguments."""
+        names = dict(zip(keys, keys), **renamed)
+        return {name: s[key] for name, key in names.items() if key in s}
 
-    cfg.out_dir = Path(pick("out", args.out, "out_dir"))
-    cfg.workers = int(pick("workers", args.workers))
+    if "seed" not in s:
+        raise ConfigError("--seed is required (no wall-clock default)")
+    if s["seed"] < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {s['seed']}")
+    cfg = RunConfig(args.command, s["seed"], Path(s.get("out", RunConfig.out_dir)),
+                    **given("workers"))
     if cfg.workers < 1:
         raise ConfigError("--workers must be at least 1")
-    cfg.columns = pick("columns")
-    cfg.cv = pick("cv")
-    cfg.smd_threshold = float(pick("smd_threshold"))
-    if args.command in ("estimate", "curve"):
-        input_path = pick("input", args.input, "input_path")
-        cfg.input_path = Path(input_path) if input_path else None
-        cfg.model = str(pick("model", args.model))
-    if args.command == "estimate":
-        cfg.estimator = str(pick("estimator", args.estimator))
-        cfg.bootstrap = int(pick("bootstrap", args.bootstrap))
-        cfg.optimism = int(pick("optimism", args.optimism))
-    if args.command == "simulate":
-        raw = args.scenario if args.scenario is not None else file_cfg.get("scenarios", ["all"])
-        names = []
-        for item in raw:
-            names.extend(SCENARIO_NAMES if item == "all" else [item])
-        cfg.scenarios = names
-        n_values = args.n if args.n is not None else file_cfg.get("n_values", [400])
-        cfg.n_values = [int(v) for v in n_values]
-        cfg.replicates = int(pick("replicates", args.replicates))
-        cfg.population_size = int(pick("population_size", args.population_size))
-        cfg.theta = float(pick("theta", args.theta))
-        cfg.followup = str(pick("followup", args.followup))
-        cfg.sim_optimism = int(pick("sim_optimism", args.optimism))
-    if args.command == "curve":
-        cfg.model_file = Path(args.model_file) if args.model_file else None
-        cfg.grid_size = int(pick("grid_size", args.grid_size))
-        if cfg.grid_size < 1:
-            raise ConfigError("--grid-size must be at least 1")
-        if args.p:
-            try:
-                cfg.p_values = [float(v) for v in args.p.split(",") if v.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"bad --p list: {args.p!r}") from exc
-            for p in cfg.p_values:
-                if not 0.0 < p <= 1.0:
-                    raise ConfigError(f"--p values must lie in (0, 1], got {p!r}")
+    if cfg.command == "simulate":
+        names = [name for item in s.get("scenarios", ["all"])
+                 for name in (SCENARIO_NAMES if item == "all" else [item])]
+        cfg = dataclasses.replace(
+            cfg, **given("n_values", "replicates"),
+            scenarios=[Scenario.by_name(name, **given("theta", "followup")) for name in names],
+            sim=SimSettings(workers=cfg.workers,
+                            **given("population_size", optimism_replicates="sim_optimism")),
+        )
+        if not cfg.scenarios:
+            raise ConfigError("simulate needs --scenario")
+        if not cfg.n_values:
+            raise ConfigError("simulate needs --n")
+        for n in cfg.n_values:
+            if not 1 <= n <= cfg.sim.population_size:
+                raise ConfigError(f"--n {n} must lie between 1 and the population size "
+                                  f"{cfg.sim.population_size}")
+        if cfg.replicates < 2:
+            raise ConfigError("simulate needs at least two --replicates")
+        return cfg
+
+    if not s.get("input"):
+        raise ConfigError(f"{cfg.command} needs --input")
+    if not s.get("columns"):
+        raise ConfigError(f"{cfg.command} needs a column mapping in the config file")
+    cv = {_CV_FIELDS[key]: value for key, value in s.get("cv", {}).items()}
+    cfg = dataclasses.replace(cfg, input_path=Path(s["input"]), columns=s["columns"],
+                              pipeline=BenefitPipeline(**given("model"), **cv))
+    if cfg.command == "estimate":
+        return dataclasses.replace(
+            cfg, **given("estimator", "smd_threshold"),
+            bootstrap=_resampling("--bootstrap", s.get("bootstrap", 0), cfg.seed, cfg.workers),
+            optimism=_resampling("--optimism", s.get("optimism", 0), cfg.seed + 1, cfg.workers),
+        )
+    cfg = dataclasses.replace(cfg, **given("grid_size"),
+                              model_file=Path(args.model_file) if args.model_file else None)
+    if cfg.grid_size < 1:
+        raise ConfigError("--grid-size must be at least 1")
+    if args.p:
+        try:
+            cfg.p_values = sorted(float(v) for v in args.p.split(",") if v.strip())
+        except ValueError as exc:
+            raise ConfigError(f"bad --p list: {args.p!r}") from exc
+        for p in cfg.p_values:
+            if not 0.0 < p <= 1.0:
+                raise ConfigError(f"--p values must lie in (0, 1], got {p!r}")
     return cfg
 
 

@@ -156,8 +156,8 @@ class Scenario:
     def __post_init__(self):
         if len(self.coefficients) != 14:
             raise ValueError("scenario needs 14 coefficients (m=6 layout)")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError(f"theta must be finite and positive, got {self.theta!r}")
         if self.followup not in ("fixed", "uniform"):
             raise ValueError("followup must be 'fixed' or 'uniform'")
         if self.kind not in ("interaction", "constant-benefit"):

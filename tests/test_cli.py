@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -72,6 +73,10 @@ class TestConfigErrors:
         pytest.param(["estimate"], {"folds": 1}, id="cv-one-fold"),
         pytest.param(["estimate"], {"loss": "abs"}, id="cv-unknown-loss"),
         pytest.param(["estimate"], {"grid_size": 0}, id="cv-empty-grid"),
+        pytest.param(["estimate"], {"folds": 3.9}, id="cv-fractional-folds"),
+        pytest.param(["estimate"], {"grid_size": True}, id="cv-boolean-grid-size"),
+        pytest.param(["estimate"], {"folds": "3"}, id="cv-string-folds"),
+        pytest.param(["estimate"], {"min_ratio": 10**400}, id="cv-min-ratio-beyond-floats"),
         pytest.param(["estimate", "--bootstrap", "1"], None, id="one-bootstrap-replicate"),
         pytest.param(["estimate", "--bootstrap", "-3"], None, id="negative-bootstrap"),
         pytest.param(["estimate", "--workers", "0"], None, id="zero-workers"),
@@ -80,6 +85,8 @@ class TestConfigErrors:
         pytest.param(["simulate", "--n", "3000", "--population-size", "2000"], None,
                      id="trial-larger-than-population"),
         pytest.param(["simulate", "--n", "0"], None, id="empty-trial"),
+        pytest.param(["simulate", "--theta", "nan"], None, id="nan-theta"),
+        pytest.param(["simulate", "--theta", "inf"], None, id="infinite-theta"),
     ])
     def test_bad_value_exits_one_with_message(self, workspace, capsys, args, cv):
         tmp, csv, config = workspace
@@ -94,6 +101,95 @@ class TestConfigErrors:
         code = run_cli(args + ["--seed", "1", "--out", tmp / "out"])
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("bootstrap", 2.9, id="fractional-bootstrap"),
+        pytest.param("bootstrap", "3", id="string-bootstrap"),
+        pytest.param("workers", True, id="boolean-workers"),
+        pytest.param("seed", 2.7, id="fractional-seed"),
+        pytest.param("seed", True, id="boolean-seed"),
+        pytest.param("seed", "7", id="string-seed"),
+        pytest.param("smd_threshold", "0.1", id="string-threshold"),
+        pytest.param("estimator", "foo", id="unknown-estimator"),
+        pytest.param("columns", ["arm", "y"], id="columns-not-an-object"),
+    ])
+    def test_mistyped_config_value_exits_one_before_any_work(self, workspace, capsys,
+                                                             monkeypatch, key, value):
+        tmp, csv, config = workspace
+        payload = json.loads(config.read_text())
+        payload[key] = value
+        config.write_text(json.dumps(payload))
+
+        def no_load(*a, **k):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr("cbindex.cli.load_dataset", no_load)
+        seed = [] if key == "seed" else ["--seed", "1"]
+        code = run_cli(["estimate", "--input", csv, "--config", config, "--model", "ml",
+                        "--out", tmp / "out"] + seed)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}")
+
+    @pytest.mark.parametrize("payload, message", [
+        pytest.param({"scenarios": "null"}, "scenarios must be a JSON list", id="scenarios-string"),
+        pytest.param({"n_values": "150"}, "n_values must be a JSON list", id="n-values-string"),
+        pytest.param({"n_values": 400}, "n_values must be a JSON list", id="n-values-number"),
+        pytest.param({"bootsrap": 200}, "unknown config key 'bootsrap'", id="unknown-key"),
+    ])
+    def test_config_file_shape_is_checked(self, tmp_path, capsys, monkeypatch, payload, message):
+        def no_run(*a, **k):
+            raise AssertionError("simulation run")
+
+        monkeypatch.setattr("cbindex.cli.run_simulation", no_run)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        code = run_cli(["simulate", "--config", config, "--seed", "1", "--out", tmp_path / "out"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "curve"])
+    def test_config_error_leaves_no_output_directory(self, workspace, capsys, command):
+        tmp, csv, config = workspace
+        payload = json.loads(config.read_text())
+        payload["cv"] = {"folds": 1}
+        payload["replicates"] = 1
+        config.write_text(json.dumps(payload))
+        out = tmp / "out"
+        args = ["--input", csv, "--model", "ml"] if command != "simulate" else []
+        code = run_cli([command, "--config", config, "--seed", "1", "--out", out] + args)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_equal_settings_share_one_digest(self, workspace):
+        """Equal resolved settings give one digest however they are spelled."""
+        tmp, csv, config = workspace
+        payload = json.loads(config.read_text())
+        digests = set()
+        for i, (cv, seed) in enumerate([({}, 1), ({"folds": 10}, 1.0), ({"folds": 10.0}, 1)]):
+            config.write_text(json.dumps({**payload, "cv": cv, "seed": seed}))
+            out = tmp / f"run{i}"
+            assert run_cli(["estimate", "--input", csv, "--config", config, "--model", "ml",
+                            "--out", out]) == 0
+            digests.add(json.loads((out / "report.json").read_text())["config_digest"])
+        assert len(digests) == 1
+
+    def test_simulate_digest_covers_only_what_simulate_reads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("cbindex.cli.run_simulation", lambda *a, **k: SimpleNamespace(rows=[]))
+        digests = []
+        for i, payload in enumerate([
+            {},
+            {"cv": {"folds": 5}, "smd_threshold": 0.1, "columns": {"treatment": "arm"}},
+            {"theta": 5},
+        ]):
+            config = tmp_path / f"config{i}.json"
+            config.write_text(json.dumps(payload))
+            out = tmp_path / f"sim{i}"
+            assert run_cli(["simulate", "--config", config, "--scenario", "null",
+                            "--n", "150", "--seed", "5", "--out", out]) == 0
+            digests.append(json.loads((out / "simulation.json").read_text())["config_digest"])
+        assert digests[0] == digests[1] != digests[2]
 
     def test_digest_covers_every_setting_but_paths_and_workers(self, tmp_path):
         cfg = RunConfig(command="estimate", seed=1)

@@ -1,6 +1,8 @@
 import importlib
+import importlib.util
 import pkgutil
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +28,21 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing
+
+
+def test_every_traced_benchmark_target_resolves():
+    """``bench/tracer.py`` patches each ``TARGETS`` entry by name, so a
+    removed or renamed function breaks the traced benchmark (``--trace 1``)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, attr in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        *classes, name = attr.split(".")
+        for cls_name in classes:
+            owner = getattr(owner, cls_name, None)
+        if owner is None or name not in vars(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert tracer.TARGETS and not missing

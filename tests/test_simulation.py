@@ -45,6 +45,11 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario("bad", (0.0,) * 14, followup="monthly")
 
+    @pytest.mark.parametrize("theta", [0.0, float("nan"), float("inf")])
+    def test_theta_must_be_finite_and_positive(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite and positive"):
+            Scenario.by_name("strong", theta=theta)
+
 
 class TestSimSettings:
     @pytest.mark.parametrize("bad", [
