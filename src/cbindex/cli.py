@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -120,8 +121,10 @@ class RunConfig:
                 payload[key] = hashlib.sha256(path.read_bytes()).hexdigest()
         return payload
 
-    @property
+    @functools.cached_property
     def digest(self) -> str:
+        """Computed once per run, so every output file names one digest
+        and the input file is hashed once."""
         canon = json.dumps(self.digest_payload(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
@@ -512,27 +515,34 @@ def _resolve(args) -> RunConfig:
         raise ConfigError(f"{cfg.command} needs --input")
     if not s.get("columns"):
         raise ConfigError(f"{cfg.command} needs a column mapping in the config file")
-    cv = {_CV_FIELDS[key]: value for key, value in s.get("cv", {}).items()}
+    model_file = Path(args.model_file) if cfg.command == "curve" and args.model_file else None
     cfg = dataclasses.replace(cfg, input_path=Path(s["input"]), columns=s["columns"],
-                              pipeline=BenefitPipeline(**given("model"), **cv))
+                              model_file=model_file)
+    if model_file is None:  # a saved model replaces the pipeline, which keeps its default
+        cv = {_CV_FIELDS[key]: value for key, value in s.get("cv", {}).items()}
+        cfg = dataclasses.replace(cfg, pipeline=BenefitPipeline(**given("model"), **cv))
     if cfg.command == "estimate":
-        return dataclasses.replace(
+        cfg = dataclasses.replace(
             cfg, **given("estimator", "smd_threshold"),
             bootstrap=_resampling("--bootstrap", s.get("bootstrap", 0), cfg.seed, cfg.workers),
             optimism=_resampling("--optimism", s.get("optimism", 0), cfg.seed + 1, cfg.workers),
         )
-    cfg = dataclasses.replace(cfg, **given("grid_size"),
-                              model_file=Path(args.model_file) if args.model_file else None)
+        if not (math.isfinite(cfg.smd_threshold) and cfg.smd_threshold >= 0):
+            raise ConfigError(f"smd_threshold must be a finite number of at least 0, "
+                              f"got {cfg.smd_threshold!r}")
+        return cfg
+    cfg = dataclasses.replace(cfg, **given("grid_size"))
     if cfg.grid_size < 1:
         raise ConfigError("--grid-size must be at least 1")
     if args.p:
         try:
-            cfg.p_values = sorted(float(v) for v in args.p.split(",") if v.strip())
+            p_values = sorted(float(v) for v in args.p.split(",") if v.strip())
         except ValueError as exc:
             raise ConfigError(f"bad --p list: {args.p!r}") from exc
-        for p in cfg.p_values:
+        for p in p_values:
             if not 0.0 < p <= 1.0:
                 raise ConfigError(f"--p values must lie in (0, 1], got {p!r}")
+        cfg = dataclasses.replace(cfg, p_values=p_values)
     return cfg
 
 

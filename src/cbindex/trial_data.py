@@ -10,6 +10,7 @@ arms.  All operations are pure: they never mutate their inputs.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Mapping, Sequence
@@ -157,6 +158,11 @@ class ScalingParams:
         return (x - self.means) / self.sds
 
 
+# Rows that load_dataset reads and checks at once.  Only one block's
+# cell strings are alive at a time.
+_BLOCK_ROWS = 4096
+
+
 def _parse_float(raw: str, row: int, column: str) -> float:
     try:
         value = float(raw)
@@ -173,7 +179,169 @@ def _parse_count(raw: str, row: int, column: str) -> int:
         raise RowParseError(row, column, f"not an integer count: {raw!r}")
     if value < 0:
         raise RowParseError(row, column, f"negative count: {raw!r}")
+    if value >= 2**63:
+        raise RowParseError(row, column, f"count not below 2**63: {raw!r}")
     return int(value)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where each role's cell sits in a data row of ``width`` cells."""
+
+    width: int
+    positions: dict[str, int]  # mapped column name -> cell index
+    treatment: str
+    events: str
+    time: str
+    covariates: list[str]
+    id: str | None
+
+
+@dataclass(frozen=True)
+class _Block:
+    """The kept rows of one block, in the dtypes TrialDataset holds."""
+
+    treatment: np.ndarray
+    events: np.ndarray
+    time: np.ndarray
+    covariates: np.ndarray
+    ids: list[str]
+    n_missing: int
+
+
+def _float_or_nan(cell: str) -> float:
+    """``float(cell)``, or NaN for a missing token."""
+    try:
+        return float(cell)
+    except ValueError:
+        if cell.strip().lower() in _MISSING_TOKENS:
+            return math.nan
+        raise
+
+
+def _numbers(column: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The column's cells through the ``float`` that ``_parse_float`` uses,
+    and a mask of its missing cells, which hold NaN.  Raises ValueError
+    for a cell that is neither a number nor missing."""
+    try:
+        values = np.fromiter(map(float, column), np.float64, len(column))
+    except ValueError:  # text, or a missing token other than nan
+        values = np.fromiter(map(_float_or_nan, column), np.float64, len(column))
+    missing = np.zeros(len(column), dtype=bool)
+    for i in np.flatnonzero(np.isnan(values)):  # nan is missing, -nan is not
+        missing[i] = column[i].strip().lower() in _MISSING_TOKENS
+    return values, missing
+
+
+def _clean_block(rows: list[list[str]], layout: _Layout) -> _Block | None:
+    """``rows`` converted a column at a time, or None when any row has the
+    wrong cell count or a kept row holds a bad cell.
+
+    A row with a missing token in a mapped cell is dropped and counted,
+    and a row of blank cells is skipped, as the per-row parser does.
+    Every row check runs once per column on the kept rows, so a block
+    taken here gives what the per-row parser would give.
+    """
+    if set(map(len, rows)) != {layout.width}:
+        return None
+    cells = list(zip(*rows))  # every row has ``width`` cells, so none is cut
+    names = [layout.treatment, layout.events, layout.time, *layout.covariates]
+    try:
+        columns = [_numbers(cells[layout.positions[name]]) for name in names]
+    except ValueError:  # a cell that is neither a number nor missing
+        return None
+    (arm, _), (count, _), (time, _), *x_columns = columns
+    x = np.column_stack([values for values, _ in x_columns])
+    missing = np.logical_or.reduce([mask for _, mask in columns])
+    ids = [] if layout.id is None else list(map(str.strip, cells[layout.positions[layout.id]]))
+    if not _MISSING_TOKENS.isdisjoint(map(str.lower, ids)):
+        missing |= [c.lower() in _MISSING_TOKENS for c in ids]
+
+    n_missing = 0
+    if missing.any():
+        keep = ~missing
+        arm, count, time, x = arm[keep], count[keep], time[keep], x[keep]
+        ids = list(itertools.compress(ids, keep))
+        n_missing = sum(any(c.strip() for c in rows[i]) for i in np.flatnonzero(missing))
+    clean = (
+        np.all((arm == 0) | (arm == 1))
+        and np.all((count >= 0) & (count < 2.0**63) & (count == np.floor(count)))
+        and np.all(np.isfinite(time) & (time > 0))
+        and np.all(np.isfinite(x))
+    )
+    if not clean:
+        return None
+    return _Block(arm.astype(np.int64), count.astype(np.int64), time, x, ids, n_missing)
+
+
+def _parse_rows(rows: list[list[str]], first_row: int, layout: _Layout) -> _Block:
+    """The per-row parser, on the rows of one block numbered from
+    ``first_row``: it skips blank rows, drops and counts rows with missing
+    cells, and alone raises a RowParseError for a bad row."""
+    treatment: list[int] = []
+    events: list[int] = []
+    time: list[float] = []
+    covariates: list[list[float]] = []
+    ids: list[str] = []
+    n_missing = 0
+
+    for row_number, row in enumerate(rows, start=first_row):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != layout.width:
+            raise RowParseError(
+                row_number, "<row>", f"expected {layout.width} cells, got {len(row)}"
+            )
+        cells = {name: row[pos].strip() for name, pos in layout.positions.items()}
+        if any(c.lower() in _MISSING_TOKENS for c in cells.values()):
+            n_missing += 1
+            continue
+
+        t_col = layout.treatment
+        arm = _parse_float(cells[t_col], row_number, t_col)
+        if arm not in (0.0, 1.0):
+            raise RowParseError(row_number, t_col, f"arm must be 0 or 1: {cells[t_col]!r}")
+        y_col = layout.events
+        count = _parse_count(cells[y_col], row_number, y_col)
+        time_col = layout.time
+        followup = _parse_float(cells[time_col], row_number, time_col)
+        if followup <= 0:
+            raise RowParseError(row_number, time_col, f"time must be positive: {cells[time_col]!r}")
+        x = [_parse_float(cells[c], row_number, c) for c in layout.covariates]
+
+        treatment.append(int(arm))
+        events.append(count)
+        time.append(followup)
+        covariates.append(x)
+        if layout.id is not None:
+            ids.append(cells[layout.id])
+
+    return _Block(
+        treatment=np.array(treatment, dtype=np.int64),
+        events=np.array(events, dtype=np.int64),
+        time=np.array(time, dtype=np.float64),
+        covariates=np.array(covariates, dtype=np.float64).reshape(
+            len(covariates), len(layout.covariates)
+        ),
+        ids=ids,
+        n_missing=n_missing,
+    )
+
+
+def _read_block(
+    reader: Iterable[list[str]], first_row: int, layout: _Layout
+) -> list[list[str]]:
+    """The next rows of ``reader``, up to ``_BLOCK_ROWS``.  When the reader
+    fails on a row, the rows read before it are parsed first, so that a
+    bad row earlier in the file is the error raised."""
+    rows: list[list[str]] = []
+    try:
+        for row in itertools.islice(reader, _BLOCK_ROWS):
+            rows.append(row)
+    except csv.Error:
+        _parse_rows(rows, first_row, layout)
+        raise
+    return rows
 
 
 def load_dataset(
@@ -193,6 +361,14 @@ def load_dataset(
     -------
     TrialDataset with the file's row order preserved.
 
+    Notes
+    -----
+    Rows are read in blocks of ``_BLOCK_ROWS``.  A block in which every
+    row has the header's cell count and every cell is a valid value or
+    missing is converted a column at a time; any other block goes through
+    the per-row parser, which raises for the first bad row.  Blocks are
+    read in file order, so an error names the first bad row of the file.
+
     Raises
     ------
     SchemaError
@@ -200,9 +376,10 @@ def load_dataset(
         incomplete, or ``covariates`` is not a list of column names.
     RowParseError
         On malformed cells: non-numeric values, negative or non-integer
-        counts, non-positive times, arm labels other than 0/1.  Rows
-        with *missing* cells (empty, NA, NaN, null) are not errors;
-        they are dropped and counted on ``n_missing_excluded``.
+        counts, counts of 2**63 or more, non-positive times, arm labels
+        other than 0/1.  Rows with *missing* cells (empty, NA, NaN,
+        null, none) are not errors; they are dropped and counted on
+        ``n_missing_excluded``.
     """
     for key in ("treatment", "events", "time", "covariates"):
         if key not in schema:
@@ -239,57 +416,29 @@ def load_dataset(
             if name not in header:
                 raise SchemaError(f"column '{name}' not found in header {header}")
             positions[name] = header.index(name)
+        layout = _Layout(len(header), positions, *wanted[:3], list(cov_cols),
+                         None if id_col is None else str(id_col))
 
-        treatment: list[int] = []
-        events: list[int] = []
-        time: list[float] = []
-        covariates: list[list[float]] = []
-        ids: list[str] = []
-        n_missing = 0
-
-        for row_number, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise RowParseError(
-                    row_number, "<row>", f"expected {len(header)} cells, got {len(row)}"
-                )
-            cells = {name: row[pos].strip() for name, pos in positions.items()}
-            if any(c.lower() in _MISSING_TOKENS for c in cells.values()):
-                n_missing += 1
-                continue
-
-            t_col = str(schema["treatment"])
-            arm = _parse_float(cells[t_col], row_number, t_col)
-            if arm not in (0.0, 1.0):
-                raise RowParseError(row_number, t_col, f"arm must be 0 or 1: {cells[t_col]!r}")
-            y_col = str(schema["events"])
-            count = _parse_count(cells[y_col], row_number, y_col)
-            time_col = str(schema["time"])
-            followup = _parse_float(cells[time_col], row_number, time_col)
-            if followup <= 0:
-                raise RowParseError(row_number, time_col, f"time must be positive: {cells[time_col]!r}")
-            x = [_parse_float(cells[str(c)], row_number, str(c)) for c in cov_cols]
-
-            treatment.append(int(arm))
-            events.append(count)
-            time.append(followup)
-            covariates.append(x)
-            ids.append(cells[str(id_col)] if id_col is not None else str(len(ids) + 1))
+        blocks: list[_Block] = []
+        first_row = 1
+        while rows := _read_block(reader, first_row, layout):
+            block = _clean_block(rows, layout)
+            blocks.append(block if block is not None else _parse_rows(rows, first_row, layout))
+            first_row += len(rows)
     finally:
         if close:
             stream.close()
 
-    if not treatment:
+    if not any(b.time.size for b in blocks):
         raise SchemaError("no usable data rows after exclusions")
     return TrialDataset(
-        treatment=np.array(treatment),
-        events=np.array(events),
-        time=np.array(time),
-        covariates=np.array(covariates),
+        treatment=np.concatenate([b.treatment for b in blocks]),
+        events=np.concatenate([b.events for b in blocks]),
+        time=np.concatenate([b.time for b in blocks]),
+        covariates=np.concatenate([b.covariates for b in blocks]),
         covariate_names=list(cov_cols),
-        ids=ids,
-        n_missing_excluded=n_missing,
+        ids=[i for b in blocks for i in b.ids],
+        n_missing_excluded=sum(b.n_missing for b in blocks),
     )
 
 

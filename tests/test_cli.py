@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -110,6 +111,9 @@ class TestConfigErrors:
         pytest.param("seed", True, id="boolean-seed"),
         pytest.param("seed", "7", id="string-seed"),
         pytest.param("smd_threshold", "0.1", id="string-threshold"),
+        pytest.param("smd_threshold", -1, id="negative-threshold"),
+        pytest.param("smd_threshold", math.nan, id="nan-threshold"),
+        pytest.param("smd_threshold", math.inf, id="infinite-threshold"),
         pytest.param("estimator", "foo", id="unknown-estimator"),
         pytest.param("columns", ["arm", "y"], id="columns-not-an-object"),
     ])
@@ -190,6 +194,34 @@ class TestConfigErrors:
                             "--n", "150", "--seed", "5", "--out", out]) == 0
             digests.append(json.loads((out / "simulation.json").read_text())["config_digest"])
         assert digests[0] == digests[1] != digests[2]
+
+    def test_every_file_of_one_run_names_one_digest(self, workspace, monkeypatch):
+        """The digest is computed once per run, so the input is hashed
+        once and every output file carries the same value."""
+        tmp, csv, config = workspace
+        calls = []
+        payload = RunConfig.digest_payload
+
+        def counted(cfg):
+            calls.append(cfg.command)
+            return payload(cfg)
+
+        monkeypatch.setattr(RunConfig, "digest_payload", counted)
+        out = tmp / "out"
+        assert run_cli(["estimate", "--input", csv, "--config", config, "--model", "ml",
+                        "--seed", "3", "--out", out, "--bootstrap", "4"]) == 0
+        digests = {json.loads((out / name).read_text())["config_digest"]
+                   for name in ("report.json", "model.json")}
+        tables = sorted(out.glob("*.csv"))
+        assert {p.name for p in tables} >= {"bootstrap_parametric.csv",
+                                            "bootstrap_semiparametric.csv",
+                                            "benefit_histogram.csv", "partial_sums.csv"}
+        for table in tables:
+            meta = table.read_text().splitlines()[0]
+            digests.add(re.fullmatch(r"# schema=1 command=estimate config=(\w+) seed=3",
+                                     meta).group(1))
+        assert len(digests) == 1
+        assert calls == ["estimate"]
 
     def test_digest_covers_every_setting_but_paths_and_workers(self, tmp_path):
         cfg = RunConfig(command="estimate", seed=1)
@@ -283,6 +315,21 @@ class TestEstimateCommand:
         code = run_cli(["estimate", "--input", bad, "--config", config,
                         "--seed", "1", "--out", tmp / "x"])
         assert code == 2
+
+    @pytest.mark.parametrize("count", ["1e20", "9223372036854775808"])
+    def test_count_too_large_for_int64_is_data_error(self, workspace, capsys, count):
+        tmp, _, config = workspace
+        bad = tmp / "huge.csv"
+        bad.write_text("id,arm,y,t,x1,x2\n"
+                       "r1,0,2,1.0,0.1,0.2\n"
+                       "r2,1,0,1.0,0.3,0.1\n"
+                       f"r3,0,{count},1.0,0.5,0.4\n"
+                       "r4,1,1,1.0,0.2,0.6\n")
+        code = run_cli(["estimate", "--input", bad, "--config", config, "--model", "ml",
+                        "--seed", "1", "--out", tmp / "x"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: row 3, column 'y': count not below 2**63: {count!r}\n"
 
     def test_single_arm_dataset_exits_three_with_diagnostic(self, workspace, tmp_path, capsys):
         tmp, _, config = workspace
@@ -467,6 +514,20 @@ class TestCurveCommand:
                             "--model-file", model_file, "--seed", "2", "--out", out]) == 0
             headers.append((out / "curve.csv").read_text().splitlines()[0])
         assert headers[0] != headers[1]
+
+    def test_model_file_runs_ignore_the_pipeline_settings(self, workspace):
+        """A saved model replaces the pipeline, so ``--model`` and ``cv``
+        change neither the curve nor its digest."""
+        tmp, csv, config = workspace
+        model_file = tmp / "const_model.json"
+        model_file.write_text(json.dumps(constant_model(0.4).to_dict()))
+        curves = set()
+        for model in ("ridge", "ml"):
+            out = tmp / f"curve_{model}"
+            assert run_cli(["curve", "--input", csv, "--config", config, "--model", model,
+                            "--model-file", model_file, "--seed", "2", "--out", out]) == 0
+            curves.add((out / "curve.csv").read_bytes())
+        assert len(curves) == 1
 
     def test_model_file_from_estimate_gives_the_fitted_curve(self, workspace):
         tmp, csv, config = workspace

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbindex.errors import DegenerateCovariateError, RowParseError, SchemaError
+from cbindex import trial_data
+from cbindex.errors import DataError, DegenerateCovariateError, RowParseError, SchemaError
 from cbindex.trial_data import (
+    TrialDataset,
     balance_check,
     load_dataset,
     make_dataset,
@@ -22,6 +25,165 @@ b,1,0,0.8,-0.2
 c,0,1,1.2,1.5
 d,1,3,0.9,0.1
 """
+
+_REFERENCE_MISSING = {"", "na", "nan", "null", "none"}
+
+
+def _reference_float(raw, row, column):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise RowParseError(row, column, f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise RowParseError(row, column, f"not finite: {raw!r}")
+    return value
+
+
+def _reference_count(raw, row, column):
+    value = _reference_float(raw, row, column)
+    if value != int(value):
+        raise RowParseError(row, column, f"not an integer count: {raw!r}")
+    if value < 0:
+        raise RowParseError(row, column, f"negative count: {raw!r}")
+    # The one intended difference from the per-row loader: a count of
+    # 2**63 or more passed this parser and then failed in TrialDataset
+    # with an OverflowError; now it is a RowParseError naming the cell.
+    if value >= 2**63:
+        raise RowParseError(row, column, f"count not below 2**63: {raw!r}")
+    return int(value)
+
+
+def reference_load(source, schema):
+    """The per-row loader that ``load_dataset`` reads blocks in place of:
+    one dict of stripped cells per row, parsed cell by cell.  Kept as the
+    oracle for the block reader, from a stream with a valid schema."""
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("empty input: no header row") from None
+    header = [h.strip() for h in header]
+    cov_cols = schema["covariates"]
+    positions = {}
+    wanted = [str(schema["treatment"]), str(schema["events"]), str(schema["time"])]
+    wanted += cov_cols
+    id_col = schema.get("id")
+    if id_col is not None:
+        wanted.append(str(id_col))
+    for name in wanted:
+        if name not in header:
+            raise SchemaError(f"column '{name}' not found in header {header}")
+        positions[name] = header.index(name)
+
+    treatment, events, time, covariates, ids = [], [], [], [], []
+    n_missing = 0
+    for row_number, row in enumerate(reader, start=1):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise RowParseError(
+                row_number, "<row>", f"expected {len(header)} cells, got {len(row)}"
+            )
+        cells = {name: row[pos].strip() for name, pos in positions.items()}
+        if any(c.lower() in _REFERENCE_MISSING for c in cells.values()):
+            n_missing += 1
+            continue
+
+        t_col = str(schema["treatment"])
+        arm = _reference_float(cells[t_col], row_number, t_col)
+        if arm not in (0.0, 1.0):
+            raise RowParseError(row_number, t_col, f"arm must be 0 or 1: {cells[t_col]!r}")
+        y_col = str(schema["events"])
+        count = _reference_count(cells[y_col], row_number, y_col)
+        time_col = str(schema["time"])
+        followup = _reference_float(cells[time_col], row_number, time_col)
+        if followup <= 0:
+            raise RowParseError(row_number, time_col, f"time must be positive: {cells[time_col]!r}")
+        x = [_reference_float(cells[str(c)], row_number, str(c)) for c in cov_cols]
+
+        treatment.append(int(arm))
+        events.append(count)
+        time.append(followup)
+        covariates.append(x)
+        ids.append(cells[str(id_col)] if id_col is not None else str(len(ids) + 1))
+
+    if not treatment:
+        raise SchemaError("no usable data rows after exclusions")
+    return TrialDataset(
+        treatment=np.array(treatment),
+        events=np.array(events),
+        time=np.array(time),
+        covariates=np.array(covariates),
+        covariate_names=list(cov_cols),
+        ids=ids,
+        n_missing_excluded=n_missing,
+    )
+
+
+# Cells of the generated CSVs, by column: values every row check accepts,
+# then values some check rejects.  Padding and case vary throughout.
+_GOOD = {
+    "id": ["s1", "s2", " s3 ", '"a,b"', '" q, r "'],
+    "arm": ["0", "1", " 1 ", "-0", "1.0", '"0"'],
+    "y": ["0", "3", " 12 ", "2.0", "-0", "9223372036854774784"],
+    "t": ["1.0", "0.5", " 2 ", "1e-3"],
+    "x": ["0.25", "-1.5", "3", " 1e-3 ", "1e300", "-0", "1_5"],
+}
+_BAD = {
+    "arm": ["2", "0.5", "-1"],
+    "y": ["1.5", "-1", "1e20", "9223372036854775808"],
+    "t": ["0", "-1", "-0"],
+    "x": ["abc", "1.2.3", "0x1p3"],
+}
+_MISSING = ["", "NA", " na ", "NaN", " nan", "NULL", "None", " NONE ", "nUlL"]
+_NON_FINITE = ["-nan", "inf", "-Infinity", "1e500", "-1e500"]
+_COLUMNS = ["id", "arm", "y", "t", "x", "x"]
+_HEADER = "id,arm,y,t,x1,x2,note"
+_BLANK_LINES = ["   ", " , ,\t, , , , "]
+
+
+@st.composite
+def trial_csvs(draw):
+    """A CSV with columns id, arm, y, t, x1, x2, note: mostly valid rows,
+    with missing cells and blank and whitespace-only lines mixed in, and
+    in half the files rejected or non-finite cells and rows of the wrong
+    width too."""
+    kinds = ["valid"] * 6 + ["missing"] * 3 + ["blank", "spaces"]
+    if draw(st.booleans()):
+        kinds += ["bad", "non-finite", "width"]
+    lines = [_HEADER]
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(kinds))
+        cells = [draw(st.sampled_from(_GOOD[c])) for c in _COLUMNS] + ["n"]
+        j = draw(st.integers(0, len(_COLUMNS) - 1))
+        if kind == "bad":
+            j = draw(st.integers(1, len(_COLUMNS) - 1))
+            cells[j] = draw(st.sampled_from(_BAD[_COLUMNS[j]]))
+        elif kind == "non-finite":
+            cells[j] = draw(st.sampled_from(_NON_FINITE))
+        elif kind == "missing":
+            cells[j] = draw(st.sampled_from(_MISSING))
+        elif kind == "width":
+            cells = cells[:j] if draw(st.booleans()) else cells + ["extra"]
+        line = ",".join(cells)
+        if kind == "blank":
+            line = ""
+        elif kind == "spaces":
+            line = draw(st.sampled_from(_BLANK_LINES))
+        lines.append(line)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def _outcome(load, text, schema):
+    """The dataset a loader returns with what ``==`` leaves out, or the
+    class and message of the data error it raises."""
+    try:
+        d = load(io.StringIO(text, newline=""), schema)
+    except DataError as exc:
+        return type(exc), str(exc)
+    arrays = (d.treatment, d.events, d.time, d.covariates)
+    return d, d.n_missing_excluded, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
 class TestLoadDataset:
@@ -77,6 +239,89 @@ class TestLoadDataset:
     def test_stream_input(self):
         d = load_dataset(io.StringIO(CSV_4ROW), SCHEMA)
         assert d.n == 4
+
+    @pytest.mark.parametrize("count", ["1e20", "9223372036854775808"])
+    def test_count_of_two_to_the_63_is_row_error(self, count):
+        text = CSV_4ROW.replace("c,0,1,", f"c,0,{count},")
+        with pytest.raises(RowParseError, match=r"row 3, column 'y': count not below 2\*\*63"):
+            load_dataset(io.StringIO(text), SCHEMA)
+
+    def test_error_names_the_first_bad_row_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(trial_data, "_BLOCK_ROWS", 2)
+        rows = CSV_4ROW.splitlines()[1:] * 2
+        rows[4] = rows[4].replace(",1.0,", ",0,")  # row 5: zero time
+        rows[6] = "g,2,1,1.0,0.3"  # row 7: bad arm
+        text = "\n".join(["id,arm,y,t,x1", *rows]) + "\n"
+        with pytest.raises(RowParseError, match=r"row 5, column 't'"):
+            load_dataset(io.StringIO(text), SCHEMA)
+
+    def test_each_trouble_at_each_row_matches_per_row_reference(self, monkeypatch):
+        """One troubled cell or line at each of the 7 rows of an otherwise
+        valid file read in blocks of 3: the first, middle and last row of
+        a block, and of the last, short block."""
+        monkeypatch.setattr(trial_data, "_BLOCK_ROWS", 3)
+        schema = dict(SCHEMA, covariates=["x1", "x2"])
+        valid = ["s1", "1", "3", "1.0", "0.25", "-1.5", "n"]
+        troubled = ["", *_BLANK_LINES, ",".join(valid[:4]), ",".join(valid + ["extra"])]
+        for j, column in enumerate(_COLUMNS):
+            for value in _BAD.get(column, []) + _MISSING + _NON_FINITE:
+                troubled.append(",".join(valid[:j] + [value] + valid[j + 1:]))
+        for line in troubled:
+            for at in range(7):
+                rows = [",".join(valid)] * 7
+                rows[at] = line
+                text = "\n".join([_HEADER, *rows]) + "\n"
+                assert (_outcome(load_dataset, text, schema)
+                        == _outcome(reference_load, text, schema)), (line, at)
+
+    def test_block_with_missing_and_blank_rows_is_read_whole(self, monkeypatch):
+        """Rows with missing cells and rows of blank cells do not send their
+        block to the per-row parser: the block reader drops and counts
+        the former and skips the latter, as the reference does."""
+        schema = dict(SCHEMA, covariates=["x1", "x2"])
+        valid = ["s1", "1", "3", "1.0", "0.25", "-1.5", "n"]
+        rows = [",".join(valid)] * 9
+        for at, (j, token) in enumerate([(0, " NA "), (1, "nan"), (2, ""), (4, "None"),
+                                         (5, " nUlL ")]):
+            rows[2 * at] = ",".join(valid[:j] + [token] + valid[j + 1:])
+        rows[3] = _BLANK_LINES[1]
+        text = "\n".join([_HEADER, *rows]) + "\n"
+
+        def per_row(*args):
+            raise AssertionError("block sent to the per-row parser")
+
+        monkeypatch.setattr(trial_data, "_parse_rows", per_row)
+        assert _outcome(load_dataset, text, schema) == _outcome(reference_load, text, schema)
+        assert load_dataset(io.StringIO(text), schema).n_missing_excluded == 5
+
+    def test_bad_row_before_an_unreadable_row_is_the_error(self):
+        """A stray quote on row 10 runs the field past the csv module's
+        size limit; the bad arm on row 2 of the same block is still the
+        error raised, and without it the csv error is."""
+        rows = ["a,0,2,1.0,0.5", "b,2,0,0.5,-1.0"] + ["c,0,1,1.2,1.5"] * 7
+        rows.append('j,0,1,1.0,"' + "9" * (csv.field_size_limit() + 1))
+        text = "\n".join(["id,arm,y,t,x1", *rows]) + "\n"
+        for load in (load_dataset, reference_load):
+            with pytest.raises(RowParseError, match=r"row 2, column 'arm'"):
+                load(io.StringIO(text), SCHEMA)
+        text = text.replace("b,2,", "b,1,")
+        for load in (load_dataset, reference_load):
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                load(io.StringIO(text), SCHEMA)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=trial_csvs(), with_id=st.booleans())
+    def test_block_reader_matches_per_row_reference(self, text, with_id):
+        """Blocks of 3 rows put trouble in later blocks and on block
+        boundaries; the loader gives the reference's dataset (ids and
+        exclusions included, bit for bit) or its error."""
+        schema = dict(SCHEMA, covariates=["x1", "x2"])
+        if not with_id:
+            del schema["id"]
+        expected = _outcome(reference_load, text, schema)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trial_data, "_BLOCK_ROWS", 3)
+            assert _outcome(load_dataset, text, schema) == expected
 
 
 class TestStandardize:
