@@ -5,13 +5,13 @@ events y, and follow-up T is
 
     E(y) = exp(b0 + ba*A + sum_j bj*x_j + sum_j baj*A*x_j + ln T)
 
-with variance mu + mu^2/theta.  Coefficients are estimated by iteratively
-reweighted least squares on the working response, maximizing the
-log-likelihood minus an l2 penalty ``lam * sum(beta^2)`` over every
-coefficient except the intercept.  Each step is halved until the penalized
-objective does not increase, so the penalized deviance is non-increasing
-across iterations.  The dispersion is profiled on a log scale and the two
-updates are alternated to a joint fixed point.
+with variance mu + mu^2/theta.  Coefficients are estimated by penalized
+Newton steps on the observed information (at fixed dispersion), step-halved,
+maximizing the log-likelihood minus an l2 penalty ``lam * sum(beta^2)`` over
+every coefficient except the intercept.  Each step is halved until the
+penalized objective does not increase, so the penalized deviance is
+non-increasing across iterations up to rounding.  The dispersion is profiled
+on a log scale and the two updates are alternated to a joint fixed point.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ def build_design_matrix(
 
 
 def _deviance_constant(y, theta):
-    """Twice the saturated log-likelihood in the terms the IRLS objective
+    """Twice the saturated log-likelihood in the terms the fit's objective
     keeps, so that the deviance is twice the objective plus this."""
     ypos = y[y > 0]
     return 2.0 * float(np.sum(ypos * np.log(ypos) - (ypos + theta) * np.log1p(ypos / theta)))
@@ -496,7 +496,8 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Batch:
-    """The module's one penalized IRLS, run for K members at once.
+    """The module's one fitting kernel, penalized Newton (observed
+    information), step-halved, run for K members at once.
 
     Member k fits the design rows marked by row k of a (K, n) 0/1 weight
     matrix, with its own dispersion and coefficients.  ``irls`` holds each
@@ -563,11 +564,19 @@ class _Batch:
         return -(self.weights[members] * loglik).sum(axis=1)
 
     def _solve(self, lam, members):
-        """Penalized IRLS update of each member from its current means."""
+        """Penalized Newton (observed information) update of each member
+        from its current means.
+
+        Subject i weighs theta*mu*(y+theta)/(theta+mu)^2, the second
+        derivative of its negative log-likelihood in the linear predictor
+        at fixed theta, which is never negative.  The log link is not
+        canonical for this model, so that is not the expected (Fisher)
+        information mu*theta/(theta+mu) (McCullagh & Nelder 1989, 2.5).
+        """
         X, y = self.design.X, self.design.response
         mu, theta, weights = self.mu[members], self.theta[members, None], self.weights[members]
         shrink = theta / (theta + mu)
-        w = weights * (mu * shrink)
+        w = weights * (mu * shrink * ((y + theta) / (theta + mu)))
         z = w * self.eta[members] + weights * ((y - mu) * shrink)
         if self.products is None:
             A = ((X * w[0, :, None]).T @ X)[None]
@@ -615,6 +624,12 @@ class _Batch:
             cand_obj = cand_nll + lam * ((candidate * candidate) @ self.pen)
             # not "cand_obj > obj": a NaN objective must count as worse
             worse = ~(cand_obj <= obj[sel])
+            # Near the optimum Newton converges quadratically, and a step
+            # already below the tolerance changes the objective by less than
+            # its rounding: whether the test above accepts it depends on
+            # summation order.  Such a step is taken while its objective is
+            # finite, so a batch and a lone member stop at the same step.
+            worse &= ~((np.abs(direction).max(axis=1) < tol) & np.isfinite(cand_obj))
             any_worse = worse.any()
             step = 1.0
             for _ in range(_MAX_HALVINGS):
@@ -692,12 +707,14 @@ def fit(
 ) -> FittedBenefitModel:
     """Estimate coefficients for a fixed penalty and fixed dispersion.
 
-    Each IRLS step is halved, at most ``_MAX_HALVINGS`` times, until the
-    penalized objective does not increase.  Convergence is declared when
-    the largest absolute coefficient change falls below the tolerance of
-    ``precision``, or when no descent is left at fp resolution; otherwise
-    the model is returned flagged non-converged after ``_MAX_ITER``
-    iterations.
+    Each penalized Newton (observed information) step is halved, at most
+    ``_MAX_HALVINGS`` times, until the penalized objective does not
+    increase; a step whose largest coefficient change is already below the
+    tolerance of ``precision`` is taken without that test unless its
+    objective is not finite.  Convergence is declared when the largest
+    absolute coefficient change falls below that tolerance, or when no
+    descent is left at fp resolution; otherwise the model is returned
+    flagged non-converged after ``_MAX_ITER`` iterations.
 
     Raises
     ------

@@ -351,8 +351,9 @@ def load_dataset(
 
     Parameters
     ----------
-    source : path or open text stream.  UTF-8, header row, comma
-        separated, ``.`` decimal separator.
+    source : path or open text stream.  UTF-8 (a path's leading
+        byte-order mark is skipped), header row, comma separated, ``.``
+        decimal separator.
     schema : column-role mapping with keys ``treatment``, ``events``,
         ``time``, ``covariates`` (list of one or more column names) and
         optionally ``id``.
@@ -372,8 +373,9 @@ def load_dataset(
     Raises
     ------
     SchemaError
-        If a mapped column is absent from the header, the mapping is
-        incomplete, or ``covariates`` is not a list of column names.
+        If a mapped column is absent from the header or named in it more
+        than once, the mapping is incomplete, or ``covariates`` is not a
+        list of column names.
     RowParseError
         On malformed cells: non-numeric values, negative or non-integer
         counts, counts of 2**63 or more, non-positive times, arm labels
@@ -392,7 +394,7 @@ def load_dataset(
 
     if isinstance(source, (str, bytes)):
         try:
-            stream: IO[str] = open(source, "r", encoding="utf-8", newline="")
+            stream: IO[str] = open(source, "r", encoding="utf-8-sig", newline="")
         except OSError as exc:
             raise DataError(f"cannot read input: {exc}") from exc
         close = True
@@ -415,6 +417,8 @@ def load_dataset(
         for name in wanted:
             if name not in header:
                 raise SchemaError(f"column '{name}' not found in header {header}")
+            if header.count(name) > 1:
+                raise SchemaError(f"column '{name}' appears more than once in header {header}")
             positions[name] = header.index(name)
         layout = _Layout(len(header), positions, *wanted[:3], list(cov_cols),
                          None if id_col is None else str(id_col))

@@ -331,6 +331,30 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err == f"data error: row 3, column 'y': count not below 2**63: {count!r}\n"
 
+    def test_byte_order_mark_is_skipped(self, workspace):
+        tmp, csv, config = workspace
+        marked = tmp / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + csv.read_bytes())
+        for name, source in (("plain", csv), ("marked", marked)):
+            assert run_cli(["estimate", "--input", source, "--config", config, "--model", "ml",
+                            "--seed", "1", "--out", tmp / name]) == 0
+        plain, marked = (json.loads((tmp / name / "report.json").read_text())
+                         for name in ("plain", "marked"))
+        # the digest hashes the input's bytes, so only it may differ
+        assert plain.pop("config_digest") != marked.pop("config_digest")
+        assert plain == marked
+
+    def test_repeated_header_name_is_data_error(self, workspace, capsys):
+        tmp, csv, config = workspace
+        bad = tmp / "repeated.csv"
+        lines = csv.read_text().splitlines()
+        bad.write_text("\n".join([lines[0] + ",x2"] + [row + ",0.5" for row in lines[1:]]) + "\n")
+        code = run_cli(["estimate", "--input", bad, "--config", config, "--model", "ml",
+                        "--seed", "1", "--out", tmp / "x"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: column 'x2' appears more than once in header")
+
     def test_single_arm_dataset_exits_three_with_diagnostic(self, workspace, tmp_path, capsys):
         tmp, _, config = workspace
         for arm, missing in ((1, "control arm (treatment=0)"), (0, "treated arm (treatment=1)")):

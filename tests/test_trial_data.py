@@ -200,6 +200,16 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match="'t'"):
             load_dataset(io.StringIO(text), SCHEMA)
 
+    def test_repeated_mapped_column_is_schema_error(self):
+        text = "id,arm,y,t,x1,x1\na,0,2,1.0,0.5,7\nb,1,0,0.8,-0.2,7\n"
+        with pytest.raises(SchemaError, match="column 'x1' appears more than once in header"):
+            load_dataset(io.StringIO(text), SCHEMA)
+
+    def test_repeated_unmapped_column_is_allowed(self):
+        lines = CSV_4ROW.splitlines()
+        text = "\n".join([lines[0] + ",z,z"] + [row + ",7,8" for row in lines[1:]]) + "\n"
+        assert load_dataset(io.StringIO(text), SCHEMA) == load_dataset(io.StringIO(CSV_4ROW), SCHEMA)
+
     @pytest.mark.parametrize("covariates", [5, "x1", None, ["x1", 2], {"x1": 1}])
     def test_covariates_must_be_a_list_of_column_names(self, covariates):
         with pytest.raises(SchemaError, match="covariates.*list of column names"):
@@ -234,6 +244,13 @@ class TestLoadDataset:
     def test_file_path_roundtrip(self, tmp_path):
         p = tmp_path / "trial.csv"
         p.write_text(CSV_4ROW, encoding="utf-8")
+        assert load_dataset(str(p), SCHEMA) == load_dataset(io.StringIO(CSV_4ROW), SCHEMA)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet programs save UTF-8 with a leading byte-order mark,
+        # which must not become part of the first header cell ('id' here)
+        p = tmp_path / "trial.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + CSV_4ROW.encode("utf-8"))
         assert load_dataset(str(p), SCHEMA) == load_dataset(io.StringIO(CSV_4ROW), SCHEMA)
 
     def test_stream_input(self):
