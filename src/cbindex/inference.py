@@ -8,8 +8,20 @@ Optimism correction quantifies in-sample flattery: a model fitted to a
 bootstrap sample is scored both on that sample and on the original one,
 and the average gap is subtracted from the naive estimate.
 
-Every replicate is a pure function of (data, master seed, replicate
-index), so runs are reproducible and independent of worker count.
+Maximum-likelihood replicates skip one step of that: each is fitted as
+its subjects' counts over the original sample's standardized design, in
+one batch with the other replicates of its chunk.  The ML fit is
+equivariant under the affine map a standardization applies to the
+covariates (the interaction design spans the same columns either way),
+so its benefits do not depend on which sample the scaling came from,
+and a replicate's own standardization would change nothing but
+rounding.  Ridge penalizes the standardized coefficients, so a ridge
+replicate runs the whole pipeline on its own resample.
+
+ML replicates run in chunks of ``_CHUNK``, and others one at a time, fixed
+by replicate index; every chunk is a pure function of (data, master
+seed, chunk index), so runs are reproducible and independent of worker
+count.
 """
 
 from __future__ import annotations
@@ -35,6 +47,11 @@ __all__ = [
 
 # Coverage of every percentile interval.
 CI_LEVEL = 0.95
+# Replicates per task, and per maximum-likelihood batch.  It is fixed, so a
+# replicate's batch, and its rounding, do not depend on the worker count;
+# small, because every member of a batch holds its weights, means and
+# working arrays, and a larger batch gains little more.
+_CHUNK = 10
 
 
 @dataclass(frozen=True)
@@ -106,19 +123,59 @@ def _fold_seed(seed: int, key: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(key, 1)).generate_state(1)[0])
 
 
-def _replicate_task(r: int) -> dict[str, tuple[float, float | None, bool] | None]:
-    """Replicate ``r``: the whole pipeline refitted on a bootstrap sample.
+def _resample(n: int, seed: int, r: int) -> np.ndarray:
+    """Subject indices of replicate ``r``'s bootstrap sample of ``n``."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r + 1, 0)))
+    return rng.integers(0, n, size=n)
+
+
+def _batched(pipeline) -> bool:
+    """Whether the pipeline's replicates are fitted as batches of ``_CHUNK``
+    (``BenefitPipeline.estimate_resamples``); any other pipeline runs
+    ``estimate`` on each resample, one replicate per task."""
+    return isinstance(pipeline, BenefitPipeline) and pipeline.model == "ml"
+
+
+def _chunk_task(c: int) -> list[dict[str, tuple[float, float | None, bool] | None]]:
+    """``_replicate_scores`` of chunk ``c`` of the replicates."""
+    data, pipeline, seed, score_original, replicates = _parallel.shared_state()
+    batched = _batched(pipeline)
+    chunk = _CHUNK if batched else 1
+    indices = range(c * chunk, min(replicates, (c + 1) * chunk))
+    draws = [_resample(data.n, seed, r) for r in indices]
+    if batched:
+        fits = pipeline.estimate_resamples(data, draws)
+    else:
+        fits = [
+            _estimate_or_error(pipeline, data.subset(draw), _fold_seed(seed, r + 1))
+            for r, draw in zip(indices, draws)
+        ]
+    return [_replicate_scores(fitted, pipeline, data, score_original) for fitted in fits]
+
+
+def _estimate_or_error(pipeline, sample: TrialDataset, seed: int) -> PipelineResult | CbIndexError:
+    try:
+        return pipeline.estimate(sample, seed=seed)
+    except CbIndexError as exc:
+        return exc
+
+
+def _replicate_scores(
+    fitted: PipelineResult | CbIndexError,
+    pipeline: BenefitPipeline,
+    data: TrialDataset,
+    score_original: bool,
+) -> dict[str, tuple[float, float | None, bool] | None]:
+    """One replicate's pipeline result, or the error that ended it, scored.
 
     Per estimator kind: (cb within the sample, cb of the same model
     applied to the original data, whether either is out of range), or
     None when the kind failed.  The original data are scored only when
-    the shared state asks for it; otherwise the second value is None.
+    ``score_original`` is set; otherwise the second value is None.
     """
-    data, pipeline, seed, score_original = _parallel.shared_state()
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r + 1, 0)))
-    sample = data.subset(rng.integers(0, data.n, size=data.n))
+    if isinstance(fitted, CbIndexError):
+        return dict.fromkeys(ESTIMATOR_KINDS)
     try:
-        fitted = pipeline.estimate(sample, seed=_fold_seed(seed, r + 1))
         applied = pipeline.evaluate(fitted, data) if score_original else None
     except CbIndexError:
         return dict.fromkeys(ESTIMATOR_KINDS)
@@ -140,7 +197,7 @@ def _run_replicates(
     original: PipelineResult | None,
     score_original: bool,
 ) -> list[tuple[str, float, list]]:
-    """(kind, point estimate, every replicate's ``_replicate_task`` entry
+    """(kind, point estimate, every replicate's ``_replicate_scores`` entry
     for that kind) for each kind estimated on the original data.
 
     The point estimates come from ``original``, the pipeline's result on
@@ -149,8 +206,13 @@ def _run_replicates(
     """
     if original is None:
         original = pipeline.estimate(data, seed=_fold_seed(cfg.seed, 0))
-    shared = (data, pipeline, cfg.seed, score_original)
-    rows = _parallel.run_indexed(_replicate_task, range(cfg.replicates), cfg.workers, shared)
+    shared = (data, pipeline, cfg.seed, score_original, cfg.replicates)
+    chunks = range(-(-cfg.replicates // (_CHUNK if _batched(pipeline) else 1)))
+    rows = [
+        row
+        for chunk in _parallel.run_indexed(_chunk_task, chunks, cfg.workers, shared)
+        for row in chunk
+    ]
     return [
         (kind, original.cb_value(kind), [row[kind] for row in rows])
         for kind in ESTIMATOR_KINDS

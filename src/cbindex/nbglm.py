@@ -11,7 +11,10 @@ maximizing the log-likelihood minus an l2 penalty ``lam * sum(beta^2)`` over
 every coefficient except the intercept.  Each step is halved until the
 penalized objective does not increase, so the penalized deviance is
 non-increasing across iterations up to rounding.  The dispersion is profiled
-on a log scale and the two updates are alternated to a joint fixed point.
+by Newton steps on log(theta), and the two updates are alternated to a joint
+fixed point.  One kernel fits many members at once, each a weighting of the
+design's rows: cross-validation training splits, bootstrap resamples as
+subject counts, or a single fit.
 """
 
 from __future__ import annotations
@@ -49,11 +52,16 @@ THETA_MAX = 1e8
 
 _MAX_ITER = 100
 _MAX_HALVINGS = 40
+# A Newton step d near the optimum lowers the objective by about d'Hd/2;
+# below this size that is as small as the objective's rounding, about eps
+# times the sum of its terms' sizes (a 3e-8 step of a 300-subject fit
+# passed the descent test in one summation order and failed it in another).
+_UNTESTED_STEP = 1e-6
 _MAX_ROUNDS = 50
 _THETA_INIT = 1.0
 # Fit precision -> (coefficient tolerance, relative dispersion change that
-# ends the alternation, log-scale dispersion search tolerance).  Penalty
-# selection and Monte Carlo studies need no final-fit precision.
+# ends the alternation, dispersion search step tolerance on log theta).
+# Penalty selection and Monte Carlo studies need no final-fit precision.
 PRECISIONS = {"final": (1e-8, 1e-4, 1e-6), "relaxed": (1e-6, 1e-2, 5e-4)}
 
 
@@ -238,11 +246,13 @@ def build_design_matrix(
     )
 
 
-def _deviance_constant(y, theta):
+def _deviance_constant(y, weights, theta):
     """Twice the saturated log-likelihood in the terms the fit's objective
-    keeps, so that the deviance is twice the objective plus this."""
-    ypos = y[y > 0]
-    return 2.0 * float(np.sum(ypos * np.log(ypos) - (ypos + theta) * np.log1p(ypos / theta)))
+    keeps, subject i weighed ``weights[i]``, so that the deviance is twice
+    the objective plus this."""
+    pos = y > 0
+    ypos = y[pos]
+    return 2.0 * float(weights[pos] @ (ypos * np.log(ypos) - (ypos + theta) * np.log1p(ypos / theta)))
 
 
 def _start_coefficients(design: DesignMatrix, weights: np.ndarray) -> np.ndarray:
@@ -253,12 +263,14 @@ def _start_coefficients(design: DesignMatrix, weights: np.ndarray) -> np.ndarray
     return beta
 
 
-# From this dispersion up, lgamma(v+theta) - lgamma(theta) comes from
-# Stirling's series: differencing two lgamma values there cancels (at
-# theta=1e8 a 500-subject profile lost up to 3e-5, above the plateau
-# test's tolerance), while the first term left out of the series is below
-# 2e-15 from theta=20 up.
-_STIRLING_THETA = 20.0
+# Counts up to this are summed exactly by the dispersion profiles; the terms
+# j >= _EXACT_COUNT of a larger count come from asymptotic series, whose
+# first omitted terms are there below 1e-20 relative.  The loader accepts
+# counts up to 2**63, so no sum may run over every j below the largest.
+_EXACT_COUNT = 4096
+# The dispersion search's largest step in log theta, and its step cap.
+_SEARCH_MAX_STEP = 2.0
+_SEARCH_MAX_STEPS = 100
 
 
 def _stirling_tail(x):
@@ -268,163 +280,197 @@ def _stirling_tail(x):
     return inv * (1.0 / 12 - inv2 * (1.0 / 360 - inv2 * (1.0 / 1260 - inv2 / 1680)))
 
 
-def _log_gamma_ratio(values, counts, theta):
-    """Sum over distinct counts v (with multiplicities ``counts``) of
-    lgamma(v+theta) - lgamma(theta) - v*log(theta)."""
-    if theta < _STIRLING_THETA:
-        lgamma_theta, log_theta = math.lgamma(theta), math.log(theta)
-        return sum(
-            n * (math.lgamma(v + theta) - lgamma_theta - v * log_theta)
-            for v, n in zip(values.tolist(), counts.tolist())
-        )
-    terms = (
-        (values + (theta - 0.5)) * np.log1p(values / theta)
-        - values
-        + (_stirling_tail(values + theta) - _stirling_tail(theta))
+def _digamma_tail(x):
+    """digamma(x) - log(x), to four terms."""
+    inv = 1.0 / x
+    inv2 = inv * inv
+    return -0.5 * inv - inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 / 252))
+
+
+def _trigamma(x):
+    """trigamma(x), to five terms."""
+    inv = 1.0 / x
+    inv2 = inv * inv
+    return inv * (1.0 + inv * (0.5 + inv * (1.0 / 6 - inv2 * (1.0 / 30 - inv2 / 42))))
+
+
+def _large_count_terms(v, theta):
+    """The terms j in [_EXACT_COUNT, v) of the sums over j of counts ``v``
+    above ``_EXACT_COUNT``: of log1p(j/theta), of theta/(theta+j) and of
+    -theta^2/(theta+j)^2, from lgamma, digamma and trigamma at v+theta and
+    _EXACT_COUNT+theta (Abramowitz & Stegun 6.1.41, 6.3.18, 6.4.12)."""
+    c = float(_EXACT_COUNT)
+    x1, x0 = v + theta, c + theta
+    value = (
+        (x1 - 0.5) * np.log1p(v / theta) - (x0 - 0.5) * np.log1p(c / theta) - (v - c)
+        + (_stirling_tail(x1) - _stirling_tail(x0))
     )
-    return float(counts @ terms)
+    digamma = theta * (np.log1p((v - c) / x0) + (_digamma_tail(x1) - _digamma_tail(x0)))
+    return value, digamma, theta * theta * (_trigamma(x1) - _trigamma(x0))
 
 
-def _profile_loglik(y, eta_full):
-    """The log-likelihood at fixed means ``exp(eta_full)``, as a function
-    of the dispersion theta (lgamma(y+1) left out).
+class _Profiles:
+    """The dispersion profiles of K members at fixed means: member k's
+    log-likelihood in theta, subject i weighed ``weights[k, i]`` (lgamma(y+1)
+    left out), with its score and curvature in log(theta).
 
-    theta*log(theta) - (y+theta)*log(theta+mu) is written as
-    -y*log(theta) - (y+theta)*log1p(mu/theta), and the -y*log(theta) part
-    joins the log-gamma terms, which are summed once per distinct positive
-    count; no term cancels at large theta.
+    For an integer count y, lgamma(y+theta) - lgamma(theta) - y*log(theta)
+    is the finite sum over j < y of log1p(j/theta), and the digamma and
+    trigamma terms of its derivatives are finite sums too.  A member's
+    terms over all subjects are therefore sums over j weighed by its tail
+    weights T_j = sum_i w_i [y_i > j], which ``np.bincount`` gives at once
+    and which may be counts.  The rest is written in log1p form:
+
+        l(theta) = sum_j T_j log1p(j/theta) - sum_i w_i (y_i+theta) log1p(mu_i/theta)
+                   + sum_i w_i y_i eta_i
+
+    where no term cancels at large theta.
 
     Raises
     ------
     NumericalError
-        If a fitted mean overflows.
+        If a count or linear predictor is not finite, or a fitted mean
+        overflows.
+    DispersionError
+        If a member has no events on its rows.
     """
-    with np.errstate(over="ignore"):
-        mu = np.exp(eta_full)
-    if not np.all(np.isfinite(mu)):
-        raise NumericalError(
-            f"fitted means overflow: linear predictor reaches {float(np.max(eta_full)):.4g}"
-        )
-    values, counts = np.unique(y[y > 0], return_counts=True)
-    counts = counts.astype(np.float64)
-    y_eta = float(y @ eta_full)
 
-    def loglik(theta: float) -> float:
-        ratio = mu / theta
-        np.log1p(ratio, out=ratio)
-        return _log_gamma_ratio(values, counts, theta) - float((y + theta) @ ratio) + y_eta
+    def __init__(self, y, weights, eta_full, mu):
+        if not np.all(np.isfinite(y)):
+            raise NumericalError("dispersion profile is not finite: an event count is not finite")
+        if np.any(weights @ y == 0):
+            raise DispersionError("dispersion undefined: all event counts are zero")
+        # A batch's accepted steps keep every row's objective, so its means,
+        # finite: only coefficients given from outside can fail these.
+        if not np.all(np.isfinite(eta_full)):
+            raise NumericalError("coefficients produce non-finite linear predictor")
+        if not np.all(np.isfinite(mu)):
+            raise NumericalError(
+                f"fitted means overflow: linear predictor reaches {float(np.max(eta_full)):.4g}"
+            )
+        self.y, self.weights, self.mu = y, weights, mu
+        self.wy_eta = (weights * (y * eta_full)).sum(axis=1)
+        top = np.minimum(y, _EXACT_COUNT).astype(np.intp)
+        size = int(top.max()) + 1
+        below = np.array([np.bincount(top, weights=w, minlength=size) for w in weights])
+        self.tail = np.cumsum(below[:, :0:-1], axis=1)[:, ::-1]
+        self.j = np.arange(size - 1, dtype=np.float64)
+        self.y_exact = np.minimum(y, _EXACT_COUNT)
+        self.large = np.flatnonzero(y > _EXACT_COUNT)
+        self.large_y, self.large_w = y[self.large], weights[:, self.large]
 
-    return loglik
+    def loglik(self, theta):
+        """Each member's profile at its entry of ``theta``."""
+        th = theta[:, None]
+        ll = (self.tail * np.log1p(self.j / th)).sum(axis=1)
+        ll -= (self.weights * ((self.y + th) * np.log1p(self.mu / th))).sum(axis=1)
+        ll += self.wy_eta
+        if self.large_y.size:
+            ll += (self.large_w * _large_count_terms(self.large_y, th)[0]).sum(axis=1)
+        return ll
+
+    def slopes(self, theta, members):
+        """Score g and curvature h of each member's profile in log(theta).
+
+        A count above ``_EXACT_COUNT`` enters the subject terms at
+        ``_EXACT_COUNT``; the rest of it, v, joins its terms j >=
+        ``_EXACT_COUNT`` as -v*theta/(theta+mu), so that no two terms of
+        the size of the count cancel."""
+        th = theta[:, None]
+        mu, w, y = self.mu[members], self.weights[members], self.y_exact
+        jt = self.j / (th + self.j)
+        tail = self.tail[members]
+        g = -(tail * jt).sum(axis=1)
+        h = (tail * (jt * (1.0 - jt))).sum(axis=1)
+        u = mu / (th + mu)
+        f = u - np.log1p(mu / th)
+        g += (w * (th * f + y * u)).sum(axis=1)
+        h += (w * (th * (f + u * u) - y * (u * (1.0 - u)))).sum(axis=1)
+        if self.large_y.size:
+            _, digamma, trigamma = _large_count_terms(self.large_y, th)
+            rest = (self.large_y - _EXACT_COUNT) * (th / (th + mu[:, self.large]))
+            g += (self.large_w[members] * (digamma - rest)).sum(axis=1)
+            h += (self.large_w[members] * (digamma + trigamma - rest * u[:, self.large])).sum(axis=1)
+        return g, h
 
 
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
-_SEARCH_MAX_EVALS = 500
+def _search_dispersion(profiles: _Profiles, theta: np.ndarray, xatol: float) -> np.ndarray:
+    """Every member's profile maximizer over [THETA_MIN, THETA_MAX], by one
+    Newton search on log(theta) for all members at once (Venables & Ripley
+    2002, *MASS* 7.4), each started from its entry of ``theta``.
 
+    A step is capped at ``_SEARCH_MAX_STEP``; where the curvature is not
+    negative it is a capped step in the direction of the score.  Above
+    theta=1 the step is Newton's on 1/theta instead, see below.  Each
+    member keeps a bracket of points where its score was positive and
+    negative (its ends start just outside the range), and a step that does
+    not land strictly inside it bisects the bracket instead.  A member
+    stops on a step below ``xatol``.  A profile still climbing at the upper
+    bound, to within 1e-8 of its maximum (no overdispersion beyond
+    Poisson), returns the bound itself: that comparison is made for all
+    members together, from the same tail weights.
 
-def _bounded_minimize(func, lo, hi, xatol, max_evals):
-    """Minimize ``func`` on [lo, hi] by Brent's bounded search: golden
-    sections with parabolic steps (Brent 1973, *Algorithms for
-    Minimization without Derivatives*, ch. 5).
-
-    Step for step the method of scipy's ``minimize_scalar(method=
-    "bounded")``, on plain floats.  Returns the best point, its value
-    and the number of evaluations, which reaches ``max_evals`` only when
-    the search was cut off there.
+    Raises
+    ------
+    NumericalError
+        If a profile is not finite where the search evaluates it, or the
+        search reaches its step cap.
     """
-    a, b = lo, hi
-    fulc = nfc = xf = x = a + _GOLDEN * (b - a)
-    rat = e = 0.0
-    fx = ffulc = fnfc = func(x)
-    evals = 1
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points so far
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        evals += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if evals >= max_evals:
-            break
-    return xf, fx, evals
-
-
-def _profile_dispersion(y: np.ndarray, eta_full: np.ndarray, xatol: float) -> float:
-    """``estimate_dispersion`` for counts ``y`` at the linear predictor
-    ``eta_full`` (offset included)."""
-    if y.sum() == 0:
-        raise DispersionError("dispersion undefined: all event counts are zero")
-    if not np.all(np.isfinite(eta_full)):
-        raise NumericalError("coefficients produce non-finite linear predictor")
-
-    loglik = _profile_loglik(y, eta_full)
     lo, hi = math.log(THETA_MIN), math.log(THETA_MAX)
-    log_theta, neg_ll, evals = _bounded_minimize(
-        lambda lt: -loglik(math.exp(lt)), lo, hi, xatol, _SEARCH_MAX_EVALS
-    )
-    theta_hat = math.exp(log_theta)
-    if not math.isfinite(neg_ll):
-        raise NumericalError(
-            f"dispersion profile is not finite at theta={theta_hat:.6g}"
-        )
-    if evals >= _SEARCH_MAX_EVALS:
-        raise NumericalError(
-            f"dispersion search stopped at its {_SEARCH_MAX_EVALS}-evaluation cap"
-        )
-    ll_hat = -neg_ll
-    ll_hi = loglik(THETA_MAX)
-    if ll_hi >= ll_hat - 1e-8 * (1.0 + abs(ll_hat)):
-        return THETA_MAX
-    return theta_hat
+    size = theta.size
+    log_theta = np.clip(np.log(theta), lo, hi)
+    low, high = np.full(size, lo - 1.0), np.full(size, hi + 1.0)
+    active = np.arange(size)
+    for _ in range(_SEARCH_MAX_STEPS):
+        sel = slice(None) if active.size == size else active
+        x = log_theta[sel]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            g, h = profiles.slopes(np.exp(x), sel)
+            finite = np.isfinite(g) & np.isfinite(h)
+            if not finite.all():
+                raise NumericalError(
+                    f"dispersion profile is not finite at theta={math.exp(x[~finite][0]):.6g}"
+                )
+            step = np.where(h < 0, -g / h, np.sign(g) * _SEARCH_MAX_STEP)
+            step = np.clip(step, -_SEARCH_MAX_STEP, _SEARCH_MAX_STEP)
+            # Above theta=1 the step is Newton's on 1/theta, in which the
+            # profile is close to quadratic for large theta: it scales 1/theta
+            # by 1 + g/(g+h), and reaches the Poisson plateau at once where
+            # steps on log(theta) climb it by about one e-fold each.  Where
+            # the profile is convex in 1/theta and climbing, the step goes to
+            # the upper bound.
+            scale = np.where(g + h < 0, 1.0 + g / (g + h), 0.0)
+            step = np.where(
+                (x > 0) & ((g + h < 0) | (g > 0)), -np.log(np.maximum(scale, 0.0)), step
+            )
+        low[sel] = np.where(g > 0, x, low[sel])
+        high[sel] = np.where(g < 0, x, high[sel])
+        new = np.clip(x + step, lo, hi)
+        bisect = np.clip(0.5 * (low[sel] + high[sel]), lo, hi)
+        new = np.where((new <= low[sel]) | (new >= high[sel]), bisect, new)
+        moving = np.abs(new - x) >= xatol
+        log_theta[sel] = new  # ``x`` may be a view of it
+        active = active[moving]
+        if active.size == 0:
+            break
+    else:
+        raise NumericalError(f"dispersion search stopped at its {_SEARCH_MAX_STEPS}-step cap")
+    theta_hat = np.exp(log_theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ll_hat = profiles.loglik(theta_hat)
+    if not np.all(np.isfinite(ll_hat)):
+        bad = int(np.flatnonzero(~np.isfinite(ll_hat))[0])
+        raise NumericalError(f"dispersion profile is not finite at theta={theta_hat[bad]:.6g}")
+    ll_hi = profiles.loglik(np.full(size, THETA_MAX))
+    return np.where(ll_hi >= ll_hat - 1e-8 * (1.0 + np.abs(ll_hat)), THETA_MAX, theta_hat)
 
 
 def estimate_dispersion(design: DesignMatrix, coefficients: np.ndarray) -> float:
     """Profile the dispersion at fixed fitted means.
 
-    Maximizes the likelihood in theta over [1e-3, 1e8] on the log scale,
-    to the ``"final"`` search tolerance.  A likelihood still
+    Maximizes the likelihood in theta over [1e-3, 1e8] by Newton steps on
+    the log scale, from theta=1 to the ``"final"`` step tolerance.  A
+    likelihood still
     climbing at the upper bound (no overdispersion beyond Poisson)
     returns the bound itself.
 
@@ -434,11 +480,14 @@ def estimate_dispersion(design: DesignMatrix, coefficients: np.ndarray) -> float
         If every response is zero, in which case no dispersion is
         identifiable.
     NumericalError
-        If a fitted mean overflows, the profile is not finite at the
-        optimum found, or the search runs out of evaluations.
+        If a fitted mean overflows, the profile is not finite where the
+        search evaluates it, or the search reaches its step cap.
     """
     eta_full = design.X @ np.asarray(coefficients, dtype=np.float64) + design.offset
-    return _profile_dispersion(design.response, eta_full, PRECISIONS["final"][2])
+    with np.errstate(over="ignore"):
+        mu = np.exp(eta_full)
+    profiles = _Profiles(design.response, np.ones((1, design.n)), eta_full[None], mu[None])
+    return float(_search_dispersion(profiles, np.array([_THETA_INIT]), PRECISIONS["final"][2])[0])
 
 
 def default_lambda_grid(
@@ -499,12 +548,13 @@ class _Batch:
     """The module's one fitting kernel, penalized Newton (observed
     information), step-halved, run for K members at once.
 
-    Member k fits the design rows marked by row k of a (K, n) 0/1 weight
-    matrix, with its own dispersion and coefficients.  ``irls`` holds each
-    member to the rules ``fit`` documents, and a stall or the iteration
-    cap ends that member only.  Each member's linear predictor and means
-    are carried from its accepted step into the next iteration, the
-    dispersion profile and the held-out loss.
+    Member k fits the design rows weighed by row k of a (K, n) weight
+    matrix, with its own dispersion and coefficients: 0/1 weights mark a
+    cross-validation training split, counts a bootstrap resample.
+    ``irls`` holds each member to the rules ``fit`` documents, and a
+    stall or the iteration cap ends that member only.  Each member's
+    linear predictor and means are carried from its accepted step into
+    the next iteration, the dispersion profile and the held-out loss.
     """
 
     def __init__(
@@ -530,13 +580,18 @@ class _Batch:
             # Products of every column pair (i <= j): one weighted sum over
             # rows gives the upper triangle of a member's Gram matrix, and
             # ``square`` spreads it over the p x p matrix.  One member is
-            # faster without building this n x p(p+1)/2 table.
+            # faster without building this n x p(p+1)/2 table.  It is filled
+            # in place, p columns at a time, and in column order, where
+            # ``_product``'s column blocks of it are contiguous.
             iu, ju = np.triu_indices(design.p)
-            self.products = design.X[:, iu] * design.X[:, ju]
+            self.products = np.empty((design.n, iu.size), order="F")
+            for s in range(0, iu.size, design.p):
+                block = slice(s, s + design.p)
+                np.multiply(design.X[:, iu[block]], design.X[:, ju[block]],
+                            out=self.products[:, block])
             square = np.empty((design.p, design.p), dtype=np.intp)
             square[iu, ju] = square[ju, iu] = np.arange(iu.size)
             self.square = square.ravel()
-        self.rows = weights > 0
         self.eta, self.mu, _ = self._evaluate(self.beta, slice(None))
         self.iterations = np.zeros(size, dtype=np.int64)
         self.rounds = np.zeros(size, dtype=np.int64)
@@ -625,11 +680,12 @@ class _Batch:
             # not "cand_obj > obj": a NaN objective must count as worse
             worse = ~(cand_obj <= obj[sel])
             # Near the optimum Newton converges quadratically, and a step
-            # already below the tolerance changes the objective by less than
-            # its rounding: whether the test above accepts it depends on
+            # below ``_UNTESTED_STEP`` changes the objective by about its
+            # rounding: whether the test above accepts it depends on
             # summation order.  Such a step is taken while its objective is
             # finite, so a batch and a lone member stop at the same step.
-            worse &= ~((np.abs(direction).max(axis=1) < tol) & np.isfinite(cand_obj))
+            small = np.abs(direction).max(axis=1) < max(tol, _UNTESTED_STEP)
+            worse &= ~(small & np.isfinite(cand_obj))
             any_worse = worse.any()
             step = 1.0
             for _ in range(_MAX_HALVINGS):
@@ -661,19 +717,21 @@ class _Batch:
 
     def alternate(self, lam: float, precision: str) -> None:
         """``fit_alternating``'s rounds for every member, each profiled on
-        its own rows and ended when its own dispersion settles; a member
-        still unsettled after ``_MAX_ROUNDS`` rounds is non-converged."""
+        its own weights and ended when its own dispersion settles; a member
+        still unsettled after ``_MAX_ROUNDS`` rounds is non-converged.  The
+        dispersion searches of a round run as one, each warm-started from
+        the member's current theta."""
         _, theta_rtol, xatol = PRECISIONS[precision]
         y, offset = self.design.response, self.design.offset
-        active = np.arange(self.theta.size)
+        size = self.theta.size
+        active = np.arange(size)
         for rounds in range(1, _MAX_ROUNDS + 1):
             self.irls(lam, precision, active)
             self.rounds[active] = rounds
             theta = self.theta[active]
-            theta_new = np.array([
-                _profile_dispersion(y[self.rows[k]], (self.eta[k] + offset)[self.rows[k]], xatol)
-                for k in active.tolist()
-            ])
+            sel = slice(None) if active.size == size else active
+            profiles = _Profiles(y, self.weights[sel], self.eta[sel] + offset, self.mu[sel])
+            theta_new = _search_dispersion(profiles, theta, xatol)
             done = np.abs(theta_new - theta) <= theta_rtol * theta
             self.theta[active] = theta_new
             active = active[~done]
@@ -683,7 +741,7 @@ class _Batch:
 
     def model(self, k: int, lam: float) -> FittedBenefitModel:
         """Member ``k`` at penalty ``lam``, described by its last ``irls``."""
-        dev_const = _deviance_constant(self.design.response[self.rows[k]], self.path_theta[k])
+        dev_const = _deviance_constant(self.design.response, self.weights[k], self.path_theta[k])
         path = tuple(2.0 * v + dev_const for v in self.paths[k])
         meta = FitMeta(
             int(self.iterations[k]), bool(self.converged[k]), path[-1], path, int(self.rounds[k])
@@ -709,10 +767,11 @@ def fit(
 
     Each penalized Newton (observed information) step is halved, at most
     ``_MAX_HALVINGS`` times, until the penalized objective does not
-    increase; a step whose largest coefficient change is already below the
-    tolerance of ``precision`` is taken without that test unless its
+    increase; a step whose largest coefficient change is below
+    ``_UNTESTED_STEP`` (or the tolerance of ``precision``, if larger), and
+    so too small for that test to judge, is taken without it unless its
     objective is not finite.  Convergence is declared when the largest
-    absolute coefficient change falls below that tolerance, or when no
+    absolute coefficient change falls below the tolerance, or when no
     descent is left at fp resolution; otherwise the model is returned
     flagged non-converged after ``_MAX_ITER`` iterations.
 
@@ -741,9 +800,27 @@ def fit_alternating(
     allows, then returns the model from the final coefficient fit with
     the settled dispersion attached.
     """
-    batch = _Batch(design, np.ones((1, design.n)), [_THETA_INIT])
+    return fit_weighted(design, np.ones((1, design.n)), lam, precision)[0]
+
+
+def fit_weighted(
+    design: DesignMatrix, weights: np.ndarray, lam: float, precision: str = "final"
+) -> list[FittedBenefitModel]:
+    """``fit_alternating`` of every row of the (K, n) ``weights`` at once:
+    member k weighs design row i by ``weights[k, i]``, so that a bootstrap
+    resample is the vector of its subjects' counts.  Member k's model is
+    the fit of the design with row i repeated ``weights[k, i]`` times, up
+    to rounding.
+
+    Raises
+    ------
+    NumericalError, DispersionError
+        If any member's fit or dispersion search fails: the whole batch
+        fails.
+    """
+    batch = _Batch(design, weights, np.full(weights.shape[0], _THETA_INIT))
     batch.alternate(lam, precision)
-    return batch.model(0, lam)
+    return [batch.model(k, lam) for k in range(weights.shape[0])]
 
 
 def _stratified_folds(treatment: np.ndarray, folds: int, seed: int) -> np.ndarray:

@@ -4,7 +4,8 @@ A pipeline bundles every choice a run depends on (penalized or plain
 maximum likelihood, cross-validation settings, fit precision) so that
 resampling procedures can repeat the *whole* calculation -- including
 penalty selection -- on each replicate, and so a model fitted on one
-sample can be applied unchanged to another.
+sample can be applied unchanged to another.  Maximum-likelihood resamples
+are fitted many at once, as subject counts over the original design.
 """
 
 from __future__ import annotations
@@ -15,7 +16,15 @@ import numpy as np
 
 from . import benefit as bn
 from . import nbglm
-from .errors import ConvergenceError, EstimationError, EstimatorUndefinedError, OrientationError
+from .errors import (
+    CbIndexError,
+    ConvergenceError,
+    DispersionError,
+    EstimationError,
+    EstimatorUndefinedError,
+    NumericalError,
+    OrientationError,
+)
 from .trial_data import TrialDataset, standardize
 
 __all__ = ["BenefitPipeline", "PipelineResult", "ESTIMATOR_KINDS", "CV_LOSSES"]
@@ -101,13 +110,73 @@ class BenefitPipeline:
         else:
             lam = 0.0
         model = nbglm.fit_alternating(design, lam, precision=self.precision)
-        if not model.fit_meta.converged:
-            raise ConvergenceError(
-                f"fit did not converge in {model.fit_meta.iterations} iterations"
-            )
+        _require_converged(model)
         result = self._evaluate_model(model, data)
         result.cv = cv
         return result
+
+    def estimate_resamples(
+        self, data: TrialDataset, draws: list[np.ndarray]
+    ) -> list[PipelineResult | CbIndexError]:
+        """Maximum-likelihood ``estimate`` of every resample
+        ``data.subset(draw)``: per draw, the result, or the error that
+        ended that resample.
+
+        The resamples are fitted together, as members of one
+        ``nbglm.fit_weighted`` batch over the design of ``data`` weighed by
+        their subject counts.  ML predictions do not depend on how the
+        covariates were standardized (the design spans the same columns
+        either way), so each result equals ``estimate``'s on that resample
+        up to rounding, and the resample's own standardization is not
+        computed.  Each resample still passes ``estimate``'s checks, its
+        arms and its covariate spread, before it joins the batch.  A batch
+        that fails numerically is refitted one member at a time, so that
+        only the failing resample fails.  The estimators run on each
+        materialized resample.
+        """
+        if self.model != "ml":
+            raise ValueError("only maximum-likelihood resamples are fitted as one batch")
+        samples = [data.subset(draw) for draw in draws]
+        out: list[PipelineResult | CbIndexError] = []
+        members = []
+        for i, sample in enumerate(samples):
+            try:
+                _reject_unfit_arms(sample, self.model)
+                standardize(sample)  # raises on a constant covariate
+            except CbIndexError as exc:
+                out.append(exc)
+            else:
+                out.append(None)
+                members.append(i)
+        if not members:
+            return out
+        std, scaling = standardize(data)
+        design = nbglm.build_design_matrix(std, scaling=scaling)
+        counts = np.array(
+            [np.bincount(draws[i], minlength=data.n) for i in members], dtype=np.float64
+        )
+        for i, model in zip(members, self._fit_counts(design, counts)):
+            if isinstance(model, CbIndexError):
+                out[i] = model
+                continue
+            try:
+                _require_converged(model)
+                out[i] = self._evaluate_model(model, samples[i])
+            except CbIndexError as exc:
+                out[i] = exc
+        return out
+
+    def _fit_counts(
+        self, design: nbglm.DesignMatrix, counts: np.ndarray
+    ) -> list[nbglm.FittedBenefitModel | CbIndexError]:
+        """ML fits of the count rows as one batch, or, if the batch fails
+        numerically, of each row alone, a failing row giving its error."""
+        try:
+            return nbglm.fit_weighted(design, counts, 0.0, self.precision)
+        except (NumericalError, DispersionError) as exc:
+            if counts.shape[0] == 1:
+                return [exc]
+        return [model for row in counts for model in self._fit_counts(design, row[None])]
 
     def evaluate(self, fitted: PipelineResult, data: TrialDataset) -> PipelineResult:
         """Apply an already-fitted model to a new dataset: no refitting,
@@ -132,6 +201,11 @@ class BenefitPipeline:
         except EstimationError as exc:
             failures["semiparametric"] = str(exc)
         return PipelineResult(model=model, benefit=bv, estimates=estimates, failures=failures)
+
+
+def _require_converged(model: nbglm.FittedBenefitModel) -> None:
+    if not model.fit_meta.converged:
+        raise ConvergenceError(f"fit did not converge in {model.fit_meta.iterations} iterations")
 
 
 def _orientation_failure(exc: OrientationError, data: TrialDataset) -> str:

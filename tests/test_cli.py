@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cbindex
+from cbindex import inference
 from cbindex.cli import RunConfig, main
 from cbindex.nbglm import FitMeta, FittedBenefitModel
 from cbindex.trial_data import ScalingParams
@@ -260,6 +261,21 @@ class TestEstimateCommand:
         for name in ("report.json", "benefit_histogram.csv", "partial_sums.csv",
                      "bootstrap_parametric.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_ml_resampling_is_byte_identical_across_workers(self, workspace):
+        # ML replicates are fitted in fixed chunks; neither count fills its
+        # last chunk
+        tmp, csv, config = workspace
+        assert 23 % inference._CHUNK and 7 % inference._CHUNK
+        outputs = []
+        for workers in (1, 2, 8):
+            out = tmp / f"workers{workers}"
+            assert run_cli(["estimate", "--input", csv, "--config", config, "--model", "ml",
+                            "--seed", "13", "--bootstrap", "23", "--optimism", "7",
+                            "--workers", workers, "--out", out]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert "bootstrap_semiparametric.csv" in outputs[0]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_missing_seed_is_config_error(self, workspace, capsys):
         tmp, csv, config = workspace

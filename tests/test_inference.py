@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from cbindex import inference, make_dataset, nbglm
 from cbindex.benefit import BenefitVector, CbEstimate
 from cbindex.cli import _write_csv
-from cbindex.errors import EstimationError
+from cbindex.errors import CbIndexError, EstimationError, NumericalError
 from cbindex.inference import (
     BootstrapConfig,
     _percentile_nearest_rank,
+    _resample,
     bootstrap_intervals,
     optimism_adjust_all,
 )
@@ -246,3 +248,95 @@ class TestConfigValidation:
     def test_workers_floor(self):
         with pytest.raises(ValueError):
             BootstrapConfig(replicates=10, seed=0, workers=0)
+
+
+def sparse_treated_events(small_trial):
+    """``small_trial`` with events in the treated arm kept for only three
+    subjects: some resamples draw none of them."""
+    events = small_trial.events.copy()
+    keep = np.flatnonzero((small_trial.treatment == 1) & (events > 0))[:3]
+    events[small_trial.treatment == 1] = 0
+    events[keep] = small_trial.events[keep]
+    return make_dataset(small_trial.treatment, events, small_trial.time, small_trial.covariates)
+
+
+def replicate_values(data, pipeline, cfg):
+    """Per kind, each replicate's within-sample cb, None where it failed."""
+    return {
+        kind: [None if e is None else e[0] for e in entries]
+        for kind, _, entries in inference._run_replicates(data, pipeline, cfg, None, False)
+    }
+
+
+class TestMaximumLikelihoodBatches:
+    """ML replicates are fitted as count-weighted members of one batch per
+    chunk of ``inference._CHUNK`` replicates."""
+
+    def per_replicate(self, data, pipeline, seed, replicates):
+        """Each replicate's cb values by ``estimate`` on its own resample
+        (None for a failed estimator), or the class of the error that
+        ended it."""
+        out = []
+        for r in range(replicates):
+            try:
+                res = pipeline.estimate(data.subset(_resample(data.n, seed, r)))
+            except CbIndexError as exc:
+                out.append(type(exc).__name__)
+            else:
+                out.append({kind: res.cb_value(kind) for kind in ("parametric", "semiparametric")})
+        return out
+
+    def assert_matches(self, got, reference, kind, rtol):
+        for value, rep in zip(got, reference):
+            expected = None if isinstance(rep, str) else rep[kind]
+            if expected is None:
+                assert value is None
+            else:
+                assert value == pytest.approx(expected, rel=rtol, abs=0)
+
+    def test_replicates_equal_their_own_pipeline_runs(self, small_trial):
+        pipeline = BenefitPipeline(model="ml")
+        cfg = BootstrapConfig(replicates=12, seed=4)
+        assert cfg.replicates % inference._CHUNK
+        reference = self.per_replicate(small_trial, pipeline, cfg.seed, cfg.replicates)
+        for kind, values in replicate_values(small_trial, pipeline, cfg).items():
+            self.assert_matches(values, reference, kind, 1e-9)
+
+    def test_eventless_arm_fails_its_replicate_only(self, small_trial):
+        data = sparse_treated_events(small_trial)
+        pipeline = BenefitPipeline(model="ml", precision="relaxed")
+        cfg = BootstrapConfig(replicates=20, seed=3)
+        reference = self.per_replicate(data, pipeline, cfg.seed, cfg.replicates)
+        failed = [r for r, rep in enumerate(reference) if isinstance(rep, str)]
+        # one resample draws no treated events; its chunk holds others
+        assert [reference[r] for r in failed] == ["EstimationError"]
+        assert failed[0] // inference._CHUNK == (failed[0] + 1) // inference._CHUNK
+        for kind, values in replicate_values(data, pipeline, cfg).items():
+            assert sum(v is None for v in values) == 1
+            self.assert_matches(values, reference, kind, 1e-8)
+
+    def test_singular_solve_fails_its_replicate_only(self, small_trial, monkeypatch):
+        pipeline = BenefitPipeline(model="ml")
+        cfg = BootstrapConfig(replicates=12, seed=6)
+        clean = replicate_values(small_trial, pipeline, cfg)
+        broken = 7  # a member of a chunk of several
+        counts = np.bincount(_resample(small_trial.n, cfg.seed, broken), minlength=small_trial.n)
+        solve = nbglm._Batch._solve
+
+        def singular_for_one_resample(self, lam, members):
+            if any(np.array_equal(row, counts) for row in self.weights):
+                raise NumericalError("singular penalized system (forced)")
+            return solve(self, lam, members)
+
+        monkeypatch.setattr(nbglm._Batch, "_solve", singular_for_one_resample)
+        for kind, values in replicate_values(small_trial, pipeline, cfg).items():
+            assert clean[kind][broken] is not None and values[broken] is None
+            assert sum(v is None for v in values) == sum(v is None for v in clean[kind]) + 1
+            for r, (value, before) in enumerate(zip(values, clean[kind])):
+                if r == broken or before is None:
+                    continue
+                if r // inference._CHUNK == broken // inference._CHUNK:
+                    # refitted one at a time: only rounding differs
+                    assert value == pytest.approx(before, rel=1e-9, abs=0)
+                else:
+                    assert value == before

@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize, minimize_scalar
-from scipy.special import gammaln
+from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.special import digamma, gammaln
 
 from cbindex import nbglm
 from cbindex.benefit import predicted_benefit
@@ -20,9 +20,9 @@ from cbindex.nbglm import (
     estimate_dispersion,
     fit,
     fit_alternating,
-    _bounded_minimize,
-    _log_gamma_ratio,
-    _profile_loglik,
+    fit_weighted,
+    _Profiles,
+    _search_dispersion,
     _stratified_folds,
 )
 from cbindex.simulation import ML_COEFFICIENTS
@@ -223,6 +223,24 @@ class TestFit:
             short = np.max(np.abs(np.linalg.solve(hess, grad)))
             assert np.max(np.abs(model.coefficients - ref)) <= 1e-6 + short
 
+    @pytest.mark.parametrize("design_index", [0, 5, 6])
+    def test_count_weighted_member_equals_fit_on_repeated_rows(self, design_index):
+        design = reference_designs()[design_index]
+        rng = np.random.default_rng(37 + design_index)
+        counts = np.array([np.bincount(rng.integers(0, design.n, design.n), minlength=design.n)
+                           for _ in range(3)])
+        counts[0, :4] = [5, 6, 0, 9]
+        assert (counts == 0).any() and (counts >= 5).any()
+        members = fit_weighted(design, counts.astype(np.float64), 0.0)
+        for k, member in enumerate(members):
+            ref = fit_alternating(subset(design, np.repeat(np.arange(design.n), counts[k])), 0.0)
+            assert member.fit_meta.converged and ref.fit_meta.converged
+            np.testing.assert_allclose(member.coefficients, ref.coefficients, rtol=1e-10,
+                                       atol=1e-10 * np.max(np.abs(ref.coefficients)))
+            assert abs(member.dispersion - ref.dispersion) <= 1e-10 * ref.dispersion
+            assert abs(member.fit_meta.penalized_deviance - ref.fit_meta.penalized_deviance) \
+                <= 1e-10 * abs(ref.fit_meta.penalized_deviance)
+
     def test_no_descent_stop_matches_reference(self, monkeypatch):
         # With halving switched off, the first step that overshoots ends
         # the fit where it is, flagged converged, far from the optimum.
@@ -353,8 +371,10 @@ class TestDispersion:
 
     def test_search_cap_is_named(self, monkeypatch):
         design = design_from(simulate_trial(np.zeros(6), n=200, seed=15, m=2))
-        monkeypatch.setattr(nbglm, "_SEARCH_MAX_EVALS", 5)
-        with pytest.raises(NumericalError, match="5-evaluation cap"):
+        theta = estimate_dispersion(design, np.zeros(6))
+        assert 0.5 < theta < 5.0  # two steps from theta=1 do not settle
+        monkeypatch.setattr(nbglm, "_SEARCH_MAX_STEPS", 2)
+        with pytest.raises(NumericalError, match="2-step cap"):
             estimate_dispersion(design, np.zeros(6))
 
     def test_overflowing_means_are_named(self):
@@ -392,28 +412,126 @@ def gammaln_profile(y, eta, theta):
     )
 
 
-class TestDispersionProfile:
-    LO, HI = math.log(nbglm.THETA_MIN), math.log(nbglm.THETA_MAX)
+def profile(y, eta, weights=None):
+    """The package's dispersion profiles of one member (or one per row of
+    ``weights``) at the means ``exp(eta)``."""
+    if weights is None:
+        weights = np.ones((1, y.size))
+    eta = np.broadcast_to(eta, weights.shape)
+    return _Profiles(y, weights, eta, np.exp(eta))
 
+
+def loglik(prof, theta):
+    """Every member's profile at ``theta``."""
+    return prof.loglik(np.full(prof.weights.shape[0], theta))
+
+
+def search(prof, xatol):
+    """Every member's dispersion, searched from theta=1."""
+    return _search_dispersion(prof, np.ones(prof.weights.shape[0]), xatol)
+
+
+def bounded_reference(prof):
+    """The maximizer of a one-member profile by scipy's bounded Brent
+    search, to 1e-10 on log theta, with the plateau rule, and the profile's
+    value there.  The profile's values are checked against the gammaln
+    expression below, whose own rounding at large theta is too coarse for
+    the plateau rule."""
+    lo, hi = math.log(nbglm.THETA_MIN), math.log(nbglm.THETA_MAX)
+    ref = minimize_scalar(lambda lt: -loglik(prof, math.exp(lt))[0], bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-10})
+    ll_hat = -float(ref.fun)
+    if loglik(prof, nbglm.THETA_MAX)[0] >= ll_hat - 1e-8 * (1.0 + abs(ll_hat)):
+        return nbglm.THETA_MAX, ll_hat
+    return math.exp(float(ref.x)), ll_hat
+
+
+class TestDispersionProfile:
     @pytest.mark.parametrize("xatol", [1e-6, 5e-4])
     def test_search_matches_scipy_bounded(self, xatol):
         rng = np.random.default_rng(17)
+        plateaus = 0
         for _ in range(120):
-            loglik = _profile_loglik(*random_profile(rng))
+            prof = profile(*random_profile(rng))
+            ref, ll_ref = bounded_reference(prof)
+            got = float(search(prof, xatol)[0])
+            if ref == nbglm.THETA_MAX:
+                plateaus += 1
+                assert got == nbglm.THETA_MAX
+                continue
+            # Where the profile is flat the reference resolves its maximum
+            # only to about sqrt(eps) of the profile's value, which Newton
+            # steps on the score pass; so the values are compared as well.
+            assert abs(math.log(got) - math.log(ref)) < 2e-5
+            assert loglik(prof, got)[0] >= ll_ref - 1e-13 * abs(ll_ref)
+        assert 10 < plateaus < 60
 
-            def neg(log_theta):
-                return -loglik(math.exp(log_theta))
+    def test_search_from_any_start_finds_the_maximum(self):
+        # members warm-started anywhere in the range reach the same theta
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            y, eta = random_profile(rng)
+            starts = np.array([nbglm.THETA_MIN, 0.05, 1.0, 40.0, 3e4, nbglm.THETA_MAX])
+            prof = profile(y, eta, np.ones((starts.size, y.size)))
+            got = _search_dispersion(prof, starts, 1e-6)
+            np.testing.assert_allclose(np.log(got), np.log(got[2]), rtol=0, atol=1e-7)
 
-            ref = minimize_scalar(neg, bounds=(self.LO, self.HI), method="bounded",
-                                  options={"xatol": xatol})
-            got = _bounded_minimize(neg, self.LO, self.HI, xatol, 500)
-            assert got == (float(ref.x), float(ref.fun), int(ref.nfev))
+    def test_count_weighted_profile_equals_repeated_rows(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            y, eta = random_profile(rng)
+            counts = rng.multinomial(y.size, np.full(y.size, 1.0 / y.size)).astype(np.float64)
+            if counts @ y == 0:
+                continue
+            weighted = profile(y, eta, counts[None])
+            rows = np.repeat(np.arange(y.size), counts.astype(int))
+            repeated = profile(y[rows], eta[rows])
+            for theta in np.geomspace(1e-3, 1e8, 12):
+                a, b = loglik(weighted, theta)[0], loglik(repeated, theta)[0]
+                assert abs(a - b) <= 1e-12 * abs(b)
+                sa = weighted.slopes(np.array([theta]), slice(None))
+                sb = repeated.slopes(np.array([theta]), slice(None))
+                np.testing.assert_allclose(sa, sb, rtol=1e-9, atol=1e-12 * abs(b))
+            for xatol in (1e-6, 5e-4):
+                theta_w = float(search(weighted, xatol)[0])
+                theta_r = float(search(repeated, xatol)[0])
+                assert abs(math.log(theta_w) - math.log(theta_r)) < 1e-9
+
+    @pytest.mark.parametrize("count", [1e6, 1e12])
+    def test_counts_above_the_exact_cap_match_gammaln(self, count):
+        # Counts above the exact-sum cap come from asymptotic series.  The
+        # reference's own terms are of the size of lgamma(count), and its
+        # score (digamma) has no such terms, so the maximizer is checked as
+        # the root of that score.
+        assert count > nbglm._EXACT_COUNT
+        rng = np.random.default_rng(31)
+        n = 200
+        eta = rng.normal(1.0, 0.8, n)
+        y = rng.negative_binomial(2.0, 2.0 / (2.0 + np.exp(eta))).astype(np.float64)
+        y[:5] = np.round(count * rng.uniform(0.5, 2.0, 5))
+        y[5] = nbglm._EXACT_COUNT + 1
+        eta[:6] = np.log(y[:6]) + rng.normal(0.0, 0.5, 6)
+        mu = np.exp(eta)
+        prof = profile(y, eta)
+        for theta in np.geomspace(1e-3, 1e8, 23):
+            ref = gammaln_profile(y, eta, float(theta))
+            rounding = 4 * n * np.finfo(float).eps * float(np.max(np.abs(gammaln(y + theta))))
+            assert abs(loglik(prof, theta)[0] - ref) <= 1e-12 * abs(ref) + rounding
+
+        def score(log_theta):
+            theta = math.exp(log_theta)
+            return float(np.sum(digamma(y + theta) - digamma(theta) - np.log1p(mu / theta)
+                                + (mu - y) / (theta + mu)))
+
+        root = brentq(score, math.log(1e-2), math.log(1e4), xtol=1e-14)
+        got = float(search(prof, 1e-6)[0])
+        assert abs(math.log(got) - root) < 1e-9
 
     def test_profile_matches_gammaln_expression(self):
         rng = np.random.default_rng(18)
         for _ in range(30):
             y, eta = random_profile(rng)
-            loglik = _profile_loglik(y, eta)
+            prof = profile(y, eta)
             for theta in np.geomspace(1e-3, 1e5, 41):
                 theta = float(theta)
                 ref = gammaln_profile(y, eta, theta)
@@ -423,21 +541,25 @@ class TestDispersionProfile:
                 rounding = y.size * np.finfo(float).eps * (
                     abs(math.lgamma(theta)) + theta * abs(math.log(theta))
                 )
-                assert abs(loglik(theta) - ref) <= 1e-10 * abs(ref) + rounding
+                assert abs(loglik(prof, theta)[0] - ref) <= 1e-10 * abs(ref) + rounding
 
     def test_log_gamma_terms_match_rising_factorial(self):
         # lgamma(v+theta) - lgamma(theta) - v*log(theta) is exactly
-        # sum_{k<v} log1p(k/theta) for integer v, summed here without
-        # cancellation up to the top of the search range.
+        # sum_{k<v} log1p(k/theta) for integer v; the profile sums it by
+        # tail weights, here counts, without cancellation up to the top of
+        # the search range.
         values = np.arange(1.0, 61.0)
         counts = np.random.default_rng(19).integers(1, 50, values.size).astype(np.float64)
-        for theta in np.concatenate([np.geomspace(1e-3, 1e8, 67), [19.999999, 20.0]]):
+        # means and linear predictors of 0 leave only the log-gamma terms
+        prof = _Profiles(values, counts[None], np.zeros((1, values.size)),
+                         np.zeros((1, values.size)))
+        for theta in np.geomspace(1e-3, 1e8, 67):
             theta = float(theta)
             exact = math.fsum(
                 c * math.fsum(math.log1p(k / theta) for k in range(int(v)))
                 for v, c in zip(values, counts)
             )
-            got = _log_gamma_ratio(values, counts, theta)
+            got = loglik(prof, theta)[0]
             assert abs(got - exact) <= 1e-11 * max(1.0, abs(exact))
 
 
@@ -500,6 +622,9 @@ class TestCrossValidation:
         # Poisson-like counts: two folds settle on the Poisson plateau
         # after 2 dispersion rounds, two at theta 28 and 45 after 4
         pytest.param(4, 300, 6, 1e6, 0.3, None, None, id="4-folds-poisson-plateau"),
+        # the same recipe, where a flat fold profile let a bracketing search
+        # end 7e-7 apart on the two paths
+        pytest.param(4, 300, 124, 1e6, 0.3, None, None, id="4-folds-poisson-plateau-124"),
     ])
     def test_batched_folds_match_per_fold_fits(self, monkeypatch, folds, n, data_seed, theta,
                                                effects, halvings, slopes, loss):
@@ -528,15 +653,13 @@ class TestCrossValidation:
         assert np.any(iterations.min(axis=0) != iterations.max(axis=0))
         res = cross_validate_lambda(design, folds=folds, grid=grid, seed=7, loss=loss)
         assert res.chosen_lambda == chosen
-        # Near the Poisson limit the dispersion profile is flat, and the
-        # relaxed search (tolerance 5e-4 on log theta) can end a little
-        # apart on profiles that differ only in rounding.  Here the CV
-        # errors differ by 1.6e-11 relative; over 70 more such data sets
-        # by at most 7.5e-10, except one (data seed 124) where a fold's
-        # dispersion ended 7e-7 apart and its errors 1.9e-7.
-        rtol = 1e-10 if theta < 1e3 else 1e-9
-        np.testing.assert_allclose(res.cv_error, cv_error, rtol=rtol, atol=0)
-        np.testing.assert_allclose(res.cv_se, cv_se, rtol=rtol, atol=0)
+        # Near the Poisson limit the dispersion profile is flat.  The
+        # Newton search stops where the score's root is, whatever rounding
+        # the two paths' profiles differ by, so the plateau cases hold the
+        # overdispersed cases' bound too (a bracketing search on values
+        # had ended up to 7e-7 apart on data seed 124).
+        np.testing.assert_allclose(res.cv_error, cv_error, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(res.cv_se, cv_se, rtol=1e-10, atol=0)
 
     def test_deterministic_given_seed(self):
         d = simulate_trial(np.array([0.2, -0.3, 0.5, -0.2, 0.2, 0.1]), n=400, seed=14, m=2)
