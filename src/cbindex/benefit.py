@@ -62,12 +62,13 @@ class BenefitVector:
     """Estimated benefits in subject order plus their descending ranking.
 
     ``order`` is a permutation such that ``values[order]`` is
-    non-increasing; ties keep original subject order.
+    non-increasing; ties keep original subject order.  ``subject_ids``,
+    when given, labels the subjects in the same order.
     """
 
     values: np.ndarray
     order: np.ndarray
-    subject_ids: list[str]
+    subject_ids: list[str] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -84,7 +85,7 @@ class BenefitVector:
         s = self.values[self.order]
         if np.any(np.diff(s) > 0):
             raise ValueError("order must sort values descending")
-        if len(self.subject_ids) != self.values.size:
+        if self.subject_ids is not None and len(self.subject_ids) != self.values.size:
             raise ValueError("subject_ids must align with values")
 
     @classmethod
@@ -96,11 +97,7 @@ class BenefitVector:
         """Rank benefits descending, ties by original index."""
         values = np.asarray(values, dtype=np.float64)
         order = np.argsort(-values, kind="stable")
-        ids = (
-            list(subject_ids)
-            if subject_ids is not None
-            else [str(i + 1) for i in range(values.size)]
-        )
+        ids = list(subject_ids) if subject_ids is not None else None
         return cls(values=values, order=order, subject_ids=ids)
 
     @property

@@ -8,20 +8,21 @@ Optimism correction quantifies in-sample flattery: a model fitted to a
 bootstrap sample is scored both on that sample and on the original one,
 and the average gap is subtracted from the naive estimate.
 
-Maximum-likelihood replicates skip one step of that: each is fitted as
-its subjects' counts over the original sample's standardized design, in
-one batch with the other replicates of its chunk.  The ML fit is
+Replicates are fitted as their subjects' counts over the original
+sample's standardized design, in batches with the other replicates of
+their chunk (``BenefitPipeline.estimate_resamples``).  The ML fit is
 equivariant under the affine map a standardization applies to the
 covariates (the interaction design spans the same columns either way),
 so its benefits do not depend on which sample the scaling came from,
-and a replicate's own standardization would change nothing but
-rounding.  Ridge penalizes the standardized coefficients, so a ridge
-replicate runs the whole pipeline on its own resample.
+and an ML replicate uses the original one.  Ridge penalizes the
+standardized coefficients, so a ridge replicate, its cross-validation
+folds included, works in the coordinates of its own standardization:
+it takes its own pipeline's Newton steps, and chooses its penalty, up to
+rounding.
 
-ML replicates run in chunks of ``_CHUNK``, and others one at a time, fixed
-by replicate index; every chunk is a pure function of (data, master
-seed, chunk index), so runs are reproducible and independent of worker
-count.
+A chunk holds a fixed run of replicate indices (see ``_chunk_size``);
+every chunk is a pure function of (data, master seed, chunk index), so
+runs are reproducible and independent of worker count.
 """
 
 from __future__ import annotations
@@ -47,11 +48,14 @@ __all__ = [
 
 # Coverage of every percentile interval.
 CI_LEVEL = 0.95
-# Replicates per task, and per maximum-likelihood batch.  It is fixed, so a
-# replicate's batch, and its rounding, do not depend on the worker count;
-# small, because every member of a batch holds its weights, means and
-# working arrays, and a larger batch gains little more.
+# At most this many replicates per task, and per batch.  The chunk of a
+# replicate is fixed, so its batch, and its rounding, do not depend on the
+# worker count; small, because every member of a batch holds its weights,
+# means and working arrays, and a larger batch gains little more.
 _CHUNK = 10
+# Fewer replicates per chunk when their batch members would hold more
+# design rows than this: a batch's cost grows faster than its member count.
+_BATCH_ROWS = 20_000
 
 
 @dataclass(frozen=True)
@@ -129,26 +133,31 @@ def _resample(n: int, seed: int, r: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def _batched(pipeline) -> bool:
-    """Whether the pipeline's replicates are fitted as batches of ``_CHUNK``
-    (``BenefitPipeline.estimate_resamples``); any other pipeline runs
-    ``estimate`` on each resample, one replicate per task."""
-    return isinstance(pipeline, BenefitPipeline) and pipeline.model == "ml"
+def _chunk_size(pipeline, n: int) -> int:
+    """Replicates per task.  A ``BenefitPipeline`` fits a chunk's
+    resamples as batches (``estimate_resamples``) of one member per
+    replicate for maximum likelihood, and one per cross-validation fold
+    for ridge; any other pipeline runs ``estimate`` on each resample, one
+    replicate per task."""
+    if not isinstance(pipeline, BenefitPipeline):
+        return 1
+    members = pipeline.cv_folds if pipeline.model == "ridge" else 1
+    return max(1, min(_CHUNK, _BATCH_ROWS // (members * n)))
 
 
 def _chunk_task(c: int) -> list[dict[str, tuple[float, float | None, bool] | None]]:
     """``_replicate_scores`` of chunk ``c`` of the replicates."""
     data, pipeline, seed, score_original, replicates = _parallel.shared_state()
-    batched = _batched(pipeline)
-    chunk = _CHUNK if batched else 1
+    chunk = _chunk_size(pipeline, data.n)
     indices = range(c * chunk, min(replicates, (c + 1) * chunk))
     draws = [_resample(data.n, seed, r) for r in indices]
-    if batched:
-        fits = pipeline.estimate_resamples(data, draws)
+    seeds = [_fold_seed(seed, r + 1) for r in indices]
+    if isinstance(pipeline, BenefitPipeline):
+        fits = pipeline.estimate_resamples(data, draws, seeds)
     else:
         fits = [
-            _estimate_or_error(pipeline, data.subset(draw), _fold_seed(seed, r + 1))
-            for r, draw in zip(indices, draws)
+            _estimate_or_error(pipeline, data.subset(draw), fold_seed)
+            for draw, fold_seed in zip(draws, seeds)
         ]
     return [_replicate_scores(fitted, pipeline, data, score_original) for fitted in fits]
 
@@ -207,7 +216,7 @@ def _run_replicates(
     if original is None:
         original = pipeline.estimate(data, seed=_fold_seed(cfg.seed, 0))
     shared = (data, pipeline, cfg.seed, score_original, cfg.replicates)
-    chunks = range(-(-cfg.replicates // (_CHUNK if _batched(pipeline) else 1)))
+    chunks = range(-(-cfg.replicates // _chunk_size(pipeline, data.n)))
     rows = [
         row
         for chunk in _parallel.run_indexed(_chunk_task, chunks, cfg.workers, shared)

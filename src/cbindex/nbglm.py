@@ -13,8 +13,11 @@ penalized objective does not increase, so the penalized deviance is
 non-increasing across iterations up to rounding.  The dispersion is profiled
 by Newton steps on log(theta), and the two updates are alternated to a joint
 fixed point.  One kernel fits many members at once, each a weighting of the
-design's rows: cross-validation training splits, bootstrap resamples as
-subject counts, or a single fit.
+design's rows with its own penalty: cross-validation training splits,
+bootstrap resamples as subject counts (and a resample's training splits as
+the counts outside a fold), or a single fit.  A resample's ridge members
+work in the coordinates of the resample's own standardization through a
+p x p basis over the original design.
 """
 
 from __future__ import annotations
@@ -500,16 +503,49 @@ def default_lambda_grid(
     penalized coefficients are crushed toward zero; the grid descends by
     ``min_ratio`` over ``size`` log-spaced values.
     """
-    beta0 = _start_coefficients(design, np.ones((1, design.n)))[0]
-    mu0 = np.exp(design.X @ beta0 + design.offset)
-    try:
-        theta0 = estimate_dispersion(design, beta0)
-    except DispersionError:
-        theta0 = 1.0
+    return _lambda_grids(design, np.ones((1, design.n)), size, min_ratio)[0]
+
+
+def _lambda_grids(design, weights, size, min_ratio, scalings=None) -> np.ndarray:
+    """``default_lambda_grid`` of every row of the (R, n) ``weights``, one
+    grid per row: row r's subject counts give its intercept-only fit, its
+    dispersion (1 for a row with no events) and its score, taken in the
+    coordinates of ``scalings[r]`` when given (see ``_basis``)."""
+    beta0 = _start_coefficients(design, weights)
+    eta_full = _product(beta0, design.X.T) + design.offset
+    with np.errstate(over="ignore"):
+        mu0 = np.exp(eta_full)
+    theta0 = np.ones((weights.shape[0], 1))
+    events = weights @ design.response > 0
+    if events.any():
+        profiles = _Profiles(design.response, weights[events], eta_full[events], mu0[events])
+        theta0[events, 0] = _search_dispersion(
+            profiles, np.full(int(events.sum()), _THETA_INIT), PRECISIONS["final"][2]
+        )
     resid = (design.response - mu0) * theta0 / (theta0 + mu0)
-    score = design.X[:, 1:].T @ resid
-    lam_max = max(float(np.max(np.abs(score))), 1e-8)
-    return np.geomspace(lam_max, lam_max * min_ratio, size)
+    score = _product(weights * resid, design.X)
+    if scalings is not None:
+        score = np.matmul(score[:, None, :], _bases(design, scalings))[:, 0, :]
+    lam_max = np.maximum(np.abs(score[:, 1:]).max(axis=1), 1e-8)
+    return np.array([np.geomspace(top, top * min_ratio, size) for top in lam_max])
+
+
+def _basis(origin: ScalingParams, own: ScalingParams) -> np.ndarray:
+    """The p x p map T with X_own = X_origin @ T, for the interaction
+    designs of one sample's rows standardized by ``origin`` and by
+    ``own``: x_own = (s0/s)*x_origin + (m0 - m)/s for every covariate, on
+    the main effect and, times the arm, on its interaction."""
+    m = own.means.size
+    basis = np.eye(2 + 2 * m)
+    main = np.arange(2, 2 + m)
+    ratio, shift = origin.sds / own.sds, (origin.means - own.means) / own.sds
+    basis[main, main] = basis[main + m, main + m] = ratio
+    basis[0, main] = basis[1, main + m] = shift
+    return basis
+
+
+def _bases(design: DesignMatrix, scalings: Sequence[ScalingParams]) -> np.ndarray:
+    return np.array([_basis(design.scaling, own) for own in scalings])
 
 
 def _held_out_loss(y, mu, theta, kind):
@@ -549,12 +585,24 @@ class _Batch:
     information), step-halved, run for K members at once.
 
     Member k fits the design rows weighed by row k of a (K, n) weight
-    matrix, with its own dispersion and coefficients: 0/1 weights mark a
-    cross-validation training split, counts a bootstrap resample.
-    ``irls`` holds each member to the rules ``fit`` documents, and a
-    stall or the iteration cap ends that member only.  Each member's
-    linear predictor and means are carried from its accepted step into
-    the next iteration, the dispersion profile and the held-out loss.
+    matrix, with its own penalty, dispersion and coefficients: 0/1
+    weights mark a cross-validation training split, counts a bootstrap
+    resample, and a resample's training split holds its subjects' counts
+    outside the fold.  ``irls`` holds each member to the rules ``fit``
+    documents, and a stall or the iteration cap ends that member only.
+    Each member's linear predictor and means are carried from its
+    accepted step into the next iteration, the dispersion profile and
+    the held-out loss.
+
+    Given ``scalings``, member k works in the coordinates of its own
+    standardization, ``scalings[k]``, through the basis T_k of ``_basis``:
+    its linear predictor is X (T_k beta), its Gram matrix T_k' G T_k and
+    its right-hand side T_k' X'z.  The penalty, the start, the step
+    halving and the stop tests all stay in its own coordinates, and
+    Newton's method is affine-invariant, so the member takes the steps
+    of a fit of the design standardized its own way, up to rounding.
+    Ridge is not equivariant under standardization; this lets a
+    resample's fit run over the original sample's design.
     """
 
     def __init__(
@@ -563,11 +611,15 @@ class _Batch:
         weights: np.ndarray,
         theta: Sequence[float],
         beta: np.ndarray | None = None,
+        scalings: Sequence[ScalingParams] | None = None,
     ):
         size = weights.shape[0]
         self.design = design
         self.weights = weights
         self.theta = np.array(theta, dtype=np.float64)
+        self.lam = np.zeros(size)
+        self.scalings = scalings
+        self.basis = None if scalings is None else _bases(design, scalings)
         if beta is None:
             self.beta = _start_coefficients(design, weights)
         else:
@@ -602,6 +654,8 @@ class _Batch:
 
     def _evaluate(self, beta, members):
         """Linear predictor (offset excluded), means and ``_nll`` of rows of coefficients."""
+        if self.basis is not None:
+            beta = np.matmul(self.basis[members], beta[:, :, None])[:, :, 0]
         eta = _product(beta, self.design.X.T)
         with np.errstate(over="ignore", invalid="ignore"):
             eta_full = eta + self.design.offset
@@ -620,7 +674,7 @@ class _Batch:
 
     def _solve(self, lam, members):
         """Penalized Newton (observed information) update of each member
-        from its current means.
+        from its current means, at its entry of ``lam``.
 
         Subject i weighs theta*mu*(y+theta)/(theta+mu)^2, the second
         derivative of its negative log-likelihood in the linear predictor
@@ -637,8 +691,12 @@ class _Batch:
             A = ((X * w[0, :, None]).T @ X)[None]
         else:
             A = _product(w, self.products)[:, self.square].reshape(-1, *self.pen_diag.shape)
-        A += (2.0 * lam) * self.pen_diag
         rhs = _product(z, X)
+        if self.basis is not None:
+            basis = self.basis[members]
+            A = np.matmul(basis.transpose(0, 2, 1), np.matmul(A, basis))
+            rhs = np.matmul(rhs[:, None, :], basis)[:, 0, :]
+        A += (2.0 * lam)[:, None, None] * self.pen_diag
         try:
             beta_new = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
@@ -651,17 +709,19 @@ class _Batch:
             )
         return beta_new
 
-    def irls(self, lam: float, precision: str, members: np.ndarray | None = None) -> None:
-        """Refit ``members`` (all by default) at penalty ``lam``, each
-        warm-started from its current coefficients and dispersion."""
+    def irls(self, lam, precision: str, members: np.ndarray | None = None) -> None:
+        """Refit ``members`` (all by default) at penalty ``lam``, one for
+        all members or one per member, each warm-started from its current
+        coefficients and dispersion."""
         tol = PRECISIONS[precision][0]
         size = self.theta.size
         active = np.arange(size) if members is None else members
+        self.lam[active] = np.broadcast_to(lam, (size,))[active]
         obj = np.empty(size)
         beta = self.beta[active]
         with np.errstate(invalid="ignore"):
             nll = self._nll(self.eta[active] + self.design.offset, self.mu[active], active)
-        obj[active] = nll + lam * ((beta * beta) @ self.pen)
+        obj[active] = nll + self.lam[active] * ((beta * beta) @ self.pen)
         if not np.all(np.isfinite(obj[active])):
             raise NumericalError("starting point has non-finite objective")
         self.converged[active] = False
@@ -672,7 +732,7 @@ class _Batch:
             # While every member is active a slice reads them without copies.
             sel = slice(None) if active.size == size else active
             self.iterations[sel] = iteration
-            beta = self.beta[sel]
+            beta, lam = self.beta[sel], self.lam[sel]
             candidate = self._solve(lam, sel)
             direction = candidate - beta
             cand_eta, cand_mu, cand_nll = self._evaluate(candidate, sel)
@@ -695,7 +755,7 @@ class _Batch:
                 h = np.flatnonzero(worse)
                 candidate[h] = beta[h] + step * direction[h]
                 cand_eta[h], cand_mu[h], cand_nll = self._evaluate(candidate[h], active[h])
-                cand_obj[h] = cand_nll + lam * ((candidate[h] * candidate[h]) @ self.pen)
+                cand_obj[h] = cand_nll + lam[h] * ((candidate[h] * candidate[h]) @ self.pen)
                 worse[h] = ~(cand_obj[h] <= obj[active[h]])
                 any_worse = worse.any()
             done = np.abs(candidate - beta).max(axis=1) < tol
@@ -715,8 +775,9 @@ class _Batch:
             if active.size == 0:
                 break
 
-    def alternate(self, lam: float, precision: str) -> None:
-        """``fit_alternating``'s rounds for every member, each profiled on
+    def alternate(self, lam, precision: str) -> None:
+        """``fit_alternating``'s rounds for every member at penalty ``lam``
+        (one for all members or one per member), each profiled on
         its own weights and ended when its own dispersion settles; a member
         still unsettled after ``_MAX_ROUNDS`` rounds is non-converged.  The
         dispersion searches of a round run as one, each warm-started from
@@ -739,8 +800,9 @@ class _Batch:
                 break
         self.converged[active] = False
 
-    def model(self, k: int, lam: float) -> FittedBenefitModel:
-        """Member ``k`` at penalty ``lam``, described by its last ``irls``."""
+    def model(self, k: int) -> FittedBenefitModel:
+        """Member ``k``, described by its last ``irls``, with the scaling of
+        its own coordinates."""
         dev_const = _deviance_constant(self.design.response, self.weights[k], self.path_theta[k])
         path = tuple(2.0 * v + dev_const for v in self.paths[k])
         meta = FitMeta(
@@ -750,8 +812,8 @@ class _Batch:
             coefficients=self.beta[k].copy(),
             coefficient_names=list(self.design.column_names),
             dispersion=float(self.theta[k]),
-            penalty=lam,
-            scaling=self.design.scaling,
+            penalty=float(self.lam[k]),
+            scaling=self.design.scaling if self.scalings is None else self.scalings[k],
             fit_meta=meta,
         )
 
@@ -787,7 +849,7 @@ def fit(
         raise ValueError("dispersion must be positive")
     batch = _Batch(design, np.ones((1, design.n)), [theta], beta_start)
     batch.irls(lam, precision)
-    return batch.model(0, lam)
+    return batch.model(0)
 
 
 def fit_alternating(
@@ -804,13 +866,19 @@ def fit_alternating(
 
 
 def fit_weighted(
-    design: DesignMatrix, weights: np.ndarray, lam: float, precision: str = "final"
+    design: DesignMatrix,
+    weights: np.ndarray,
+    lam,
+    precision: str = "final",
+    scalings: Sequence[ScalingParams] | None = None,
 ) -> list[FittedBenefitModel]:
-    """``fit_alternating`` of every row of the (K, n) ``weights`` at once:
-    member k weighs design row i by ``weights[k, i]``, so that a bootstrap
+    """``fit_alternating`` of every row of the (K, n) ``weights`` at once,
+    at penalty ``lam`` (one for all members or one per member): member k
+    weighs design row i by ``weights[k, i]``, so that a bootstrap
     resample is the vector of its subjects' counts.  Member k's model is
     the fit of the design with row i repeated ``weights[k, i]`` times, up
-    to rounding.
+    to rounding; given ``scalings``, of those rows standardized by
+    ``scalings[k]`` (see ``_Batch``).
 
     Raises
     ------
@@ -818,9 +886,9 @@ def fit_weighted(
         If any member's fit or dispersion search fails: the whole batch
         fails.
     """
-    batch = _Batch(design, weights, np.full(weights.shape[0], _THETA_INIT))
+    batch = _Batch(design, weights, np.full(weights.shape[0], _THETA_INIT), scalings=scalings)
     batch.alternate(lam, precision)
-    return [batch.model(k, lam) for k in range(weights.shape[0])]
+    return [batch.model(k) for k in range(weights.shape[0])]
 
 
 def _stratified_folds(treatment: np.ndarray, folds: int, seed: int) -> np.ndarray:
@@ -850,6 +918,17 @@ def _stratified_folds(treatment: np.ndarray, folds: int, seed: int) -> np.ndarra
     return fold_id
 
 
+def _fold_weights(fold_id: np.ndarray, folds: int, draw: np.ndarray, n: int):
+    """Training weights and held-out counts, each (folds, n), of the folds
+    of a resample: the resample's rows are the design rows ``draw`` and
+    carry the labels ``fold_id``, so copies of one subject may sit in
+    different folds.  Row k counts each subject's copies outside fold k,
+    and inside it."""
+    held = np.bincount(fold_id * n + draw, minlength=folds * n).reshape(folds, n)
+    held = held.astype(np.float64)
+    return np.bincount(draw, minlength=n) - held, held
+
+
 def cross_validate_lambda(
     design: DesignMatrix,
     folds: int,
@@ -866,7 +945,8 @@ def cross_validate_lambda(
     subjects and its SE comes from the spread of fold means.  Ties break
     toward the larger penalty.  The folds are fitted together, at the
     ``"relaxed"`` precision: each is a 0/1 weight row over the full
-    design, and one batched IRLS walks all of them down the grid.
+    design, and one batched IRLS walks all of them down the grid.  This
+    is the one-sample case of ``_cross_validate``.
 
     Raises
     ------
@@ -882,33 +962,63 @@ def cross_validate_lambda(
         raise ValueError("penalties must be positive")
 
     fold_id = _stratified_folds(design.treatment.astype(np.int64), folds, seed)
-    train = (fold_id != np.arange(folds)[:, None]).astype(np.float64)
-    batch = _Batch(design, train, np.full(folds, _THETA_INIT))
-    # Dispersion is profiled on each training split once, at the top of
-    # the path; coefficient fits are then warm-started down the
-    # descending grid at that fixed dispersion, all folds at once.
-    batch.alternate(float(grid[0]), "relaxed")
-    # Every subject is held out by exactly one fold: score it with that
-    # fold's means.
-    rows = np.arange(design.n)
-    fold_sums = np.empty((folds, grid.size))
-    for g, lam in enumerate(grid):
-        if g > 0:
-            batch.irls(float(lam), "relaxed")
-        losses = _held_out_loss(
-            design.response, batch.mu[fold_id, rows], batch.theta[fold_id], loss
-        )
-        fold_sums[:, g] = np.bincount(fold_id, weights=losses, minlength=folds)
-    total = fold_sums.sum(axis=0)
-    fold_means = fold_sums / np.bincount(fold_id, minlength=folds)[:, None]
-    cv_error = total / design.n
-    cv_se = fold_means.std(axis=0, ddof=1) / math.sqrt(folds)
-    chosen = float(grid[int(np.argmin(cv_error))])
-    return CvResult(
-        lambda_grid=grid,
-        cv_error=cv_error,
-        cv_se=cv_se,
-        chosen_lambda=chosen,
-        folds=folds,
-        seed=seed,
+    train, held = _fold_weights(fold_id, folds, np.arange(design.n), design.n)
+    return _cross_validate(design, train[None], held[None], grid[None], loss, [seed])[0]
+
+
+def _cross_validate(
+    design: DesignMatrix,
+    train: np.ndarray,
+    held: np.ndarray,
+    grids: np.ndarray,
+    loss: str,
+    seeds: Sequence[int],
+    scalings: Sequence[ScalingParams] | None = None,
+) -> list[CvResult]:
+    """``cross_validate_lambda`` of R samples at once, sample r with the
+    (K, n) fold weights ``train[r]`` and held-out counts ``held[r]`` of
+    ``_fold_weights``, its descending grid ``grids[r]``, its fold seed
+    (recorded only) and, given ``scalings``, its own coordinates.
+
+    Every fold of every sample is a member of one batch with its own
+    penalty path.  A subject held out by fold k counts as many times as
+    it has copies there, and only such (member, subject) pairs are
+    scored, at most n per sample.
+    """
+    samples, folds, n = train.shape
+    members = samples * folds
+    batch = _Batch(
+        design,
+        train.reshape(members, n),
+        np.full(members, _THETA_INIT),
+        scalings=None if scalings is None else [s for s in scalings for _ in range(folds)],
     )
+    lam = np.repeat(grids, folds, axis=0)
+    # Dispersion is profiled on each training split once, at the top of
+    # its path; coefficient fits are then warm-started down the
+    # descending grid at that fixed dispersion, all folds at once.
+    batch.alternate(lam[:, 0], "relaxed")
+    member, subject = np.nonzero(held.reshape(members, n))
+    copies = held.reshape(members, n)[member, subject]
+    y = design.response[subject]
+    fold_sums = np.empty((members, grids.shape[1]))
+    for g in range(grids.shape[1]):
+        if g > 0:
+            batch.irls(lam[:, g], "relaxed")
+        losses = _held_out_loss(y, batch.mu[member, subject], batch.theta[member], loss)
+        fold_sums[:, g] = np.bincount(member, weights=copies * losses, minlength=members)
+    fold_sums = fold_sums.reshape(samples, folds, -1)
+    sizes = held.sum(axis=2)
+    cv_error = fold_sums.sum(axis=1) / sizes.sum(axis=1)[:, None]
+    cv_se = (fold_sums / sizes[:, :, None]).std(axis=1, ddof=1) / math.sqrt(folds)
+    return [
+        CvResult(
+            lambda_grid=grids[r],
+            cv_error=cv_error[r],
+            cv_se=cv_se[r],
+            chosen_lambda=float(grids[r][int(np.argmin(cv_error[r]))]),
+            folds=folds,
+            seed=seeds[r],
+        )
+        for r in range(samples)
+    ]

@@ -4,8 +4,9 @@ A pipeline bundles every choice a run depends on (penalized or plain
 maximum likelihood, cross-validation settings, fit precision) so that
 resampling procedures can repeat the *whole* calculation -- including
 penalty selection -- on each replicate, and so a model fitted on one
-sample can be applied unchanged to another.  Maximum-likelihood resamples
-are fitted many at once, as subject counts over the original design.
+sample can be applied unchanged to another.  Resamples are fitted many at
+once, as subject counts over the original design; a single run is the
+one-sample case of the same code.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     NumericalError,
     OrientationError,
 )
-from .trial_data import TrialDataset, standardize
+from .trial_data import ScalingParams, TrialDataset, standardize
 
 __all__ = ["BenefitPipeline", "PipelineResult", "ESTIMATOR_KINDS", "CV_LOSSES"]
 
@@ -48,6 +49,19 @@ class PipelineResult:
     def cb_value(self, kind: str) -> float | None:
         est = self.estimates.get(kind)
         return est.cb if est is not None else None
+
+
+@dataclass(frozen=True)
+class _Member:
+    """A sample that passed ``estimate``'s checks: its place among the
+    draws, its rows of the original data, its own scaling and, for
+    ridge, its fold labels and fold seed."""
+
+    index: int
+    draw: np.ndarray
+    scaling: ScalingParams | None
+    fold_id: np.ndarray | None
+    seed: int | None
 
 
 @dataclass(frozen=True)
@@ -91,92 +105,127 @@ class BenefitPipeline:
         ``seed`` drives cross-validation fold assignment and is required
         for the ridge model.  Raises on fitting failures; estimator-level
         failures (orientation, degenerate denominators) are recorded per
-        estimator instead so callers can count them.
+        estimator instead so callers can count them.  This is the
+        one-sample case of ``estimate_resamples``: all-ones counts, in the
+        sample's own coordinates.
         """
-        _reject_unfit_arms(data, self.model)
-        std, scaling = standardize(data)
-        design = nbglm.build_design_matrix(std, scaling=scaling)
-        cv = None
-        if self.model == "ridge":
-            if seed is None:
-                raise ValueError("ridge pipeline needs a seed for fold assignment")
-            grid = nbglm.default_lambda_grid(
-                design, size=self.lambda_grid_size, min_ratio=self.lambda_min_ratio
-            )
-            cv = nbglm.cross_validate_lambda(
-                design, folds=self.cv_folds, grid=grid, seed=int(seed), loss=self.cv_loss
-            )
-            lam = cv.chosen_lambda
-        else:
-            lam = 0.0
-        model = nbglm.fit_alternating(design, lam, precision=self.precision)
-        _require_converged(model)
-        result = self._evaluate_model(model, data)
-        result.cv = cv
+        if self.model == "ridge" and seed is None:
+            raise ValueError("ridge pipeline needs a seed for fold assignment")
+        (result,) = self._estimate(data, None, [seed])
+        if isinstance(result, CbIndexError):
+            raise result
         return result
 
     def estimate_resamples(
-        self, data: TrialDataset, draws: list[np.ndarray]
+        self, data: TrialDataset, draws: list[np.ndarray], seeds: list[int] | None = None
     ) -> list[PipelineResult | CbIndexError]:
-        """Maximum-likelihood ``estimate`` of every resample
-        ``data.subset(draw)``: per draw, the result, or the error that
-        ended that resample.
+        """``estimate`` of every resample ``data.subset(draw)``, draw i
+        with fold seed ``seeds[i]`` (required for ridge): per draw, the
+        result, or the error that ended that resample.
 
-        The resamples are fitted together, as members of one
-        ``nbglm.fit_weighted`` batch over the design of ``data`` weighed by
-        their subject counts.  ML predictions do not depend on how the
-        covariates were standardized (the design spans the same columns
-        either way), so each result equals ``estimate``'s on that resample
-        up to rounding, and the resample's own standardization is not
-        computed.  Each resample still passes ``estimate``'s checks, its
-        arms and its covariate spread, before it joins the batch.  A batch
-        that fails numerically is refitted one member at a time, so that
-        only the failing resample fails.  The estimators run on each
-        materialized resample.
+        The resamples are fitted together, as members of batches over the
+        design of ``data`` weighed by their subject counts (see
+        ``_fit``).  Each resample still passes ``estimate``'s checks, its
+        arms, its covariate spread and (ridge) its folds, on the
+        materialized resample before it joins.  The estimators run on
+        each materialized resample.
         """
-        if self.model != "ml":
-            raise ValueError("only maximum-likelihood resamples are fitted as one batch")
-        samples = [data.subset(draw) for draw in draws]
+        return self._estimate(data, draws, seeds or [None] * len(draws))
+
+    def _estimate(
+        self, data: TrialDataset, draws: list[np.ndarray] | None, seeds: list[int | None]
+    ) -> list[PipelineResult | CbIndexError]:
+        """``estimate_resamples``, or ``estimate`` of ``data`` itself when
+        ``draws`` is None."""
+        samples = [data] if draws is None else [data.subset(draw) for draw in draws]
         out: list[PipelineResult | CbIndexError] = []
-        members = []
+        group = []
         for i, sample in enumerate(samples):
             try:
                 _reject_unfit_arms(sample, self.model)
-                standardize(sample)  # raises on a constant covariate
+                std, scaling = standardize(sample)
+                fold_id = None
+                if self.model == "ridge":
+                    fold_id = nbglm._stratified_folds(
+                        sample.treatment, self.cv_folds, int(seeds[i])
+                    )
             except CbIndexError as exc:
                 out.append(exc)
-            else:
-                out.append(None)
-                members.append(i)
-        if not members:
-            return out
-        std, scaling = standardize(data)
-        design = nbglm.build_design_matrix(std, scaling=scaling)
-        counts = np.array(
-            [np.bincount(draws[i], minlength=data.n) for i in members], dtype=np.float64
-        )
-        for i, model in zip(members, self._fit_counts(design, counts)):
-            if isinstance(model, CbIndexError):
-                out[i] = model
                 continue
+            out.append(None)
+            if draws is None:
+                # the one sample is ``data``: its design is in its own coordinates
+                group.append(_Member(i, np.arange(data.n), None, fold_id, seeds[i]))
+            else:
+                group.append(_Member(i, draws[i], scaling, fold_id, seeds[i]))
+        if not group:
+            return out
+        if draws is not None:
+            std, scaling = standardize(data)
+        design = nbglm.build_design_matrix(std, scaling=scaling)
+        for member, fitted in zip(group, self._fit(design, group)):
+            if isinstance(fitted, CbIndexError):
+                out[member.index] = fitted
+                continue
+            model, cv = fitted
             try:
                 _require_converged(model)
-                out[i] = self._evaluate_model(model, samples[i])
+                out[member.index] = self._evaluate_model(model, samples[member.index])
             except CbIndexError as exc:
-                out[i] = exc
+                out[member.index] = exc
+            else:
+                out[member.index].cv = cv
         return out
 
-    def _fit_counts(
-        self, design: nbglm.DesignMatrix, counts: np.ndarray
-    ) -> list[nbglm.FittedBenefitModel | CbIndexError]:
-        """ML fits of the count rows as one batch, or, if the batch fails
-        numerically, of each row alone, a failing row giving its error."""
+    def _fit(
+        self, design: nbglm.DesignMatrix, group: list[_Member]
+    ) -> list[tuple[nbglm.FittedBenefitModel, nbglm.CvResult | None] | CbIndexError]:
+        """Model and penalty choice of each member of ``group``, fitted as
+        count rows over ``design``: or, if the batch fails numerically,
+        each member alone, a failing member giving its error.
+
+        Maximum likelihood is one ``nbglm.fit_weighted`` batch.  ML
+        predictions do not depend on how the covariates were standardized
+        (the design spans the same columns either way), so its members use
+        the design's.  Ridge penalizes the standardized coefficients: each
+        member works in the coordinates of its own scaling, its
+        penalty grid comes from its counts, every fold of every member is
+        one member of a cross-validation batch, and the chosen penalties
+        are fitted as one more batch.
+        """
         try:
-            return nbglm.fit_weighted(design, counts, 0.0, self.precision)
+            return self._fit_batch(design, group)
         except (NumericalError, DispersionError) as exc:
-            if counts.shape[0] == 1:
+            if len(group) == 1:
                 return [exc]
-        return [model for row in counts for model in self._fit_counts(design, row[None])]
+        return [fitted for member in group for fitted in self._fit(design, [member])]
+
+    def _fit_batch(self, design, group):
+        """``_fit`` of the whole group at once; raises if any member fails."""
+        counts = np.array([np.bincount(m.draw, minlength=design.n) for m in group], np.float64)
+        if self.model == "ml":
+            models = nbglm.fit_weighted(design, counts, 0.0, self.precision)
+            return [(model, None) for model in models]
+        # None for ``data`` itself, which is in the design's coordinates
+        scalings = None if group[0].scaling is None else [m.scaling for m in group]
+        grids = nbglm._lambda_grids(
+            design, counts, self.lambda_grid_size, self.lambda_min_ratio, scalings
+        )
+        folds = [
+            nbglm._fold_weights(m.fold_id, self.cv_folds, m.draw, design.n) for m in group
+        ]
+        cvs = nbglm._cross_validate(
+            design,
+            np.array([train for train, _ in folds]),
+            np.array([held for _, held in folds]),
+            grids,
+            self.cv_loss,
+            [int(m.seed) for m in group],
+            scalings,
+        )
+        lam = np.array([cv.chosen_lambda for cv in cvs])
+        models = nbglm.fit_weighted(design, counts, lam, self.precision, scalings)
+        return list(zip(models, cvs))
 
     def evaluate(self, fitted: PipelineResult, data: TrialDataset) -> PipelineResult:
         """Apply an already-fitted model to a new dataset: no refitting,

@@ -108,13 +108,14 @@ class TrialDataset:
     def subset(self, indices: Sequence[int] | np.ndarray) -> "TrialDataset":
         """Row-subset (or resample, when indices repeat) of the dataset."""
         idx = np.asarray(indices, dtype=np.intp)
+        ids = self.ids
         return TrialDataset(
             treatment=self.treatment[idx],
             events=self.events[idx],
             time=self.time[idx],
             covariates=self.covariates[idx],
             covariate_names=self.covariate_names,
-            ids=[self.ids[i] for i in idx],
+            ids=[ids[i] for i in idx.tolist()],
         )
 
     def __eq__(self, other) -> bool:

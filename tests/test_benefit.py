@@ -365,6 +365,11 @@ class TestOrderingAndCurveShape:
         increments = np.diff(curve.values)
         assert np.all(np.diff(increments) <= 1e-12)
 
+    def test_ids_are_optional_and_checked_when_given(self):
+        assert BenefitVector.from_values([2.0, 1.0]).subject_ids is None
+        with pytest.raises(ValueError, match="subject_ids"):
+            BenefitVector.from_values([2.0, 1.0], subject_ids=["a"])
+
     def test_order_breaks_ties_by_index(self):
         v = BenefitVector.from_values([1.0, 2.0, 1.0, 2.0])
         assert v.order.tolist() == [1, 3, 0, 2]

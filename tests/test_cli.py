@@ -262,15 +262,16 @@ class TestEstimateCommand:
                      "bootstrap_parametric.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_ml_resampling_is_byte_identical_across_workers(self, workspace):
-        # ML replicates are fitted in fixed chunks; neither count fills its
+    @pytest.mark.parametrize("model", ["ml", "ridge"])
+    def test_resampling_is_byte_identical_across_workers(self, workspace, model):
+        # replicates are fitted in fixed chunks; neither count fills its
         # last chunk
         tmp, csv, config = workspace
         assert 23 % inference._CHUNK and 7 % inference._CHUNK
         outputs = []
         for workers in (1, 2, 8):
             out = tmp / f"workers{workers}"
-            assert run_cli(["estimate", "--input", csv, "--config", config, "--model", "ml",
+            assert run_cli(["estimate", "--input", csv, "--config", config, "--model", model,
                             "--seed", "13", "--bootstrap", "23", "--optimism", "7",
                             "--workers", workers, "--out", out]) == 0
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})

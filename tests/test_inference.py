@@ -7,12 +7,14 @@ from cbindex.cli import _write_csv
 from cbindex.errors import CbIndexError, EstimationError, NumericalError
 from cbindex.inference import (
     BootstrapConfig,
+    _fold_seed,
     _percentile_nearest_rank,
     _resample,
     bootstrap_intervals,
     optimism_adjust_all,
 )
 from cbindex.pipeline import BenefitPipeline, PipelineResult
+from cbindex.simulation import SIM_PIPELINE
 
 from conftest import simulate_trial
 
@@ -336,6 +338,160 @@ class TestMaximumLikelihoodBatches:
                 if r == broken or before is None:
                     continue
                 if r // inference._CHUNK == broken // inference._CHUNK:
+                    # refitted one at a time: only rounding differs
+                    assert value == pytest.approx(before, rel=1e-9, abs=0)
+                else:
+                    assert value == before
+
+
+def test_chunk_rule():
+    """Replicates per task: at most ``_CHUNK``, and fewer when a chunk's
+    batch members would hold more than ``_BATCH_ROWS`` design rows."""
+    assert inference._chunk_size(BenefitPipeline(), 1000) == 2  # 10 folds x 1000 rows
+    assert inference._chunk_size(SIM_PIPELINE, 400) == 10  # 4 folds x 400 rows
+    assert inference._chunk_size(BenefitPipeline(model="ml"), 1000) == inference._CHUNK
+    assert inference._chunk_size(BenefitPipeline(cv_folds=5), 10_000) == 1
+    assert inference._chunk_size(ConstantPredictionPipeline(), 1000) == 1
+
+
+def ridge_pipeline():
+    return BenefitPipeline(model="ridge", cv_folds=4, lambda_grid_size=6, lambda_min_ratio=1e-3)
+
+
+class TestRidgeBatches:
+    """Ridge replicates are fitted as count-weighted members of batches
+    over the original design: every fold of every replicate in a chunk,
+    each in its replicate's own coordinates, then their final fits."""
+
+    def per_replicate(self, data, pipeline, seed, replicates):
+        """Each replicate's ``estimate`` on its own resample, or the class
+        of the error that ended it."""
+        out = []
+        for r in range(replicates):
+            try:
+                out.append(pipeline.estimate(data.subset(_resample(data.n, seed, r)),
+                                             seed=_fold_seed(seed, r + 1)))
+            except CbIndexError as exc:
+                out.append(type(exc).__name__)
+        return out
+
+    def batched(self, data, pipeline, seed, replicates):
+        """Each replicate's result as its chunk's ``estimate_resamples``
+        gives it, or the class of the error that ended it."""
+        chunk = inference._chunk_size(pipeline, data.n)
+        out = []
+        for start in range(0, replicates, chunk):
+            indices = range(start, min(replicates, start + chunk))
+            out += pipeline.estimate_resamples(
+                data, [_resample(data.n, seed, r) for r in indices],
+                [_fold_seed(seed, r + 1) for r in indices],
+            )
+        return [type(res).__name__ if isinstance(res, CbIndexError) else res for res in out]
+
+    def assert_matches(self, got, reference):
+        assert [isinstance(res, str) and res for res in got] == [
+            isinstance(res, str) and res for res in reference
+        ]
+        for res, ref in zip(got, reference):
+            if isinstance(ref, str):
+                continue
+            chosen = int(np.flatnonzero(res.cv.lambda_grid == res.cv.chosen_lambda)[0])
+            assert ref.cv.lambda_grid[chosen] == ref.cv.chosen_lambda
+            np.testing.assert_allclose(res.cv.lambda_grid, ref.cv.lambda_grid, rtol=1e-12)
+            assert res.model.scaling.means.tolist() == pytest.approx(
+                ref.model.scaling.means.tolist(), rel=1e-12)
+            for kind in ("parametric", "semiparametric"):
+                expected = ref.cb_value(kind)
+                if expected is None:
+                    assert res.cb_value(kind) is None
+                else:
+                    assert res.cb_value(kind) == pytest.approx(expected, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("replicates, pipeline", [
+        pytest.param(12, ridge_pipeline(), id="4-folds-final"),
+        pytest.param(13, quick_pipeline(), id="3-folds-relaxed"),
+        pytest.param(8, BenefitPipeline(cv_folds=10, lambda_grid_size=5, cv_loss="deviance"),
+                     id="10-folds-deviance"),
+    ])
+    def test_replicates_equal_their_own_pipeline_runs(self, small_trial, replicates, pipeline):
+        seed = 4
+        chunk = inference._chunk_size(pipeline, small_trial.n)
+        # several replicates share a batch, and the last chunk is not full
+        assert 1 < chunk < replicates and replicates % chunk
+        reference = self.per_replicate(small_trial, pipeline, seed, replicates)
+        self.assert_matches(self.batched(small_trial, pipeline, seed, replicates), reference)
+        # copies of one subject land in different folds
+        draw = _resample(small_trial.n, seed, 0)
+        fold_id = nbglm._stratified_folds(small_trial.subset(draw).treatment, pipeline.cv_folds,
+                                          _fold_seed(seed, 1))
+        _, held = nbglm._fold_weights(fold_id, pipeline.cv_folds, draw, small_trial.n)
+        assert np.any((held > 0).sum(axis=0) > 1)
+
+    def test_intervals_equal_their_own_pipeline_runs(self, small_trial):
+        pipeline, cfg = ridge_pipeline(), BootstrapConfig(replicates=12, seed=4)
+        reference = self.per_replicate(small_trial, pipeline, cfg.seed, cfg.replicates)
+        for kind, values in replicate_values(small_trial, pipeline, cfg).items():
+            for value, ref in zip(values, reference):
+                expected = None if isinstance(ref, str) else ref.cb_value(kind)
+                if expected is None:
+                    assert value is None
+                else:
+                    assert value == pytest.approx(expected, rel=1e-9, abs=0)
+
+    def test_unfoldable_and_constant_resamples_fail_alone(self, small_trial):
+        # three treated subjects and one subject with x2 = 1: some
+        # resamples draw fewer than two treated (no folds), some miss the
+        # x2 subject (a constant covariate)
+        treatment = np.zeros(small_trial.n, dtype=int)
+        treatment[:3] = 1
+        covariates = small_trial.covariates.copy()
+        covariates[:, 1] = 0.0
+        covariates[5, 1] = 1.0
+        data = make_dataset(treatment, small_trial.events, small_trial.time, covariates)
+        pipeline = ridge_pipeline()
+        reference = self.per_replicate(data, pipeline, 3, 12)
+        failed = {res for res in reference if isinstance(res, str)}
+        assert {"FoldingError", "DegenerateCovariateError"} <= failed
+        assert sum(not isinstance(res, str) for res in reference) >= 2
+        self.assert_matches(self.batched(data, pipeline, 3, 12), reference)
+
+    def test_eventless_resamples_fail_alone(self, small_trial):
+        # events on one subject only: a resample that misses it has none,
+        # and one that holds it in a single fold leaves a training split
+        # with none
+        events = np.zeros(small_trial.n, dtype=int)
+        events[0] = 3
+        data = make_dataset(small_trial.treatment, events, small_trial.time,
+                            small_trial.covariates)
+        pipeline = ridge_pipeline()
+        reference = self.per_replicate(data, pipeline, 3, 12)
+        eventless = [_resample(data.n, 3, r).min() > 0 for r in range(12)]
+        assert any(eventless) and sum(not isinstance(res, str) for res in reference) >= 2
+        assert {reference[r] for r in range(12) if eventless[r]} == {"DispersionError"}
+        self.assert_matches(self.batched(data, pipeline, 3, 12), reference)
+
+    def test_singular_solve_fails_its_replicate_only(self, small_trial, monkeypatch):
+        pipeline, cfg = ridge_pipeline(), BootstrapConfig(replicates=12, seed=6)
+        chunk = inference._chunk_size(pipeline, small_trial.n)
+        clean = replicate_values(small_trial, pipeline, cfg)
+        broken = 7  # a member of a chunk of several
+        counts = np.bincount(_resample(small_trial.n, cfg.seed, broken), minlength=small_trial.n)
+        solve = nbglm._Batch._solve
+
+        def singular_for_one_resample(self, lam, members):
+            # its folds' training weights and its final fit's counts
+            if any(np.all(row <= counts) for row in self.weights):
+                raise NumericalError("singular penalized system (forced)")
+            return solve(self, lam, members)
+
+        monkeypatch.setattr(nbglm._Batch, "_solve", singular_for_one_resample)
+        for kind, values in replicate_values(small_trial, pipeline, cfg).items():
+            assert clean[kind][broken] is not None and values[broken] is None
+            assert sum(v is None for v in values) == sum(v is None for v in clean[kind]) + 1
+            for r, (value, before) in enumerate(zip(values, clean[kind])):
+                if r == broken or before is None:
+                    continue
+                if r // chunk == broken // chunk:
                     # refitted one at a time: only rounding differs
                     assert value == pytest.approx(before, rel=1e-9, abs=0)
                 else:

@@ -661,6 +661,56 @@ class TestCrossValidation:
         np.testing.assert_allclose(res.cv_error, cv_error, rtol=1e-10, atol=0)
         np.testing.assert_allclose(res.cv_se, cv_se, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("loss", ["squared", "deviance"])
+    def test_resamples_in_own_coordinates_equal_cv_on_each_resample(self, loss):
+        """A batch of resamples, each fold a count-weighted member over the
+        original design in its resample's own coordinates, gives each
+        resample's own grid and cross-validation."""
+        coefs = np.array([0.3, -0.5, 0.4, -0.3, 0.2, 0.25, -0.2, 0.1])
+        d = simulate_trial(coefs, n=300, seed=31, theta=0.8, m=3, fixed_time=False)
+        design = design_from(d)
+        rng = np.random.default_rng(5)
+        draws = [rng.integers(0, d.n, d.n) for _ in range(3)]
+        references, scalings, train, held = [], [], [], []
+        for r, draw in enumerate(draws):
+            sample = d.subset(draw)
+            std, scaling = standardize(sample)
+            own = build_design_matrix(std, scaling=scaling)
+            grid = default_lambda_grid(own, size=8, min_ratio=1e-3)
+            references.append(cross_validate_lambda(own, folds=4, grid=grid, seed=r, loss=loss))
+            scalings.append(scaling)
+            fold_id = _stratified_folds(sample.treatment, 4, r)
+            weights = nbglm._fold_weights(fold_id, 4, draw, d.n)
+            train.append(weights[0])
+            held.append(weights[1])
+            # copies of one subject are held out by different folds
+            assert np.any((weights[1] > 0).sum(axis=0) > 1)
+        counts = np.array([np.bincount(draw, minlength=d.n) for draw in draws], dtype=np.float64)
+        grids = nbglm._lambda_grids(design, counts, 8, 1e-3, scalings)
+        results = nbglm._cross_validate(design, np.array(train), np.array(held), grids, loss,
+                                        [0, 1, 2], scalings)
+        for res, ref in zip(results, references):
+            np.testing.assert_allclose(res.lambda_grid, ref.lambda_grid, rtol=1e-12, atol=0)
+            assert np.argmin(res.cv_error) == np.argmin(ref.cv_error)
+            np.testing.assert_allclose(res.cv_error, ref.cv_error, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(res.cv_se, ref.cv_se, rtol=1e-12, atol=0)
+
+    def test_resample_fit_in_own_coordinates_equals_fit_of_the_resample(self):
+        d = simulate_trial(np.array([0.2, -0.4, 0.5, -0.3, 0.25, 0.15]), n=250, seed=32, m=2)
+        design = design_from(d)
+        rng = np.random.default_rng(6)
+        draws = [rng.integers(0, d.n, d.n) for _ in range(2)]
+        scalings = [standardize(d.subset(draw))[1] for draw in draws]
+        counts = np.array([np.bincount(draw, minlength=d.n) for draw in draws], dtype=np.float64)
+        lam = np.array([0.7, 3.0])
+        members = fit_weighted(design, counts, lam, scalings=scalings)
+        for member, draw, penalty, scaling in zip(members, draws, lam, scalings):
+            ref = fit_alternating(design_from(d.subset(draw)), penalty)
+            assert member.penalty == penalty and member.scaling is scaling
+            np.testing.assert_allclose(member.coefficients, ref.coefficients, rtol=1e-10,
+                                       atol=1e-10 * np.max(np.abs(ref.coefficients)))
+            assert abs(member.dispersion - ref.dispersion) <= 1e-10 * ref.dispersion
+
     def test_deterministic_given_seed(self):
         d = simulate_trial(np.array([0.2, -0.3, 0.5, -0.2, 0.2, 0.1]), n=400, seed=14, m=2)
         design = design_from(d)
