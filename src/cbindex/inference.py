@@ -133,14 +133,10 @@ def _resample(n: int, seed: int, r: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def _chunk_size(pipeline, n: int) -> int:
-    """Replicates per task.  A ``BenefitPipeline`` fits a chunk's
-    resamples as batches (``estimate_resamples``) of one member per
-    replicate for maximum likelihood, and one per cross-validation fold
-    for ridge; any other pipeline runs ``estimate`` on each resample, one
-    replicate per task."""
-    if not isinstance(pipeline, BenefitPipeline):
-        return 1
+def _chunk_size(pipeline: BenefitPipeline, n: int) -> int:
+    """Replicates per task: ``estimate_resamples`` fits a chunk's
+    resamples as batches of one member per replicate for maximum
+    likelihood, and one per cross-validation fold for ridge."""
     members = pipeline.cv_folds if pipeline.model == "ridge" else 1
     return max(1, min(_CHUNK, _BATCH_ROWS // (members * n)))
 
@@ -152,21 +148,8 @@ def _chunk_task(c: int) -> list[dict[str, tuple[float, float | None, bool] | Non
     indices = range(c * chunk, min(replicates, (c + 1) * chunk))
     draws = [_resample(data.n, seed, r) for r in indices]
     seeds = [_fold_seed(seed, r + 1) for r in indices]
-    if isinstance(pipeline, BenefitPipeline):
-        fits = pipeline.estimate_resamples(data, draws, seeds)
-    else:
-        fits = [
-            _estimate_or_error(pipeline, data.subset(draw), fold_seed)
-            for draw, fold_seed in zip(draws, seeds)
-        ]
+    fits = pipeline.estimate_resamples(data, draws, seeds)
     return [_replicate_scores(fitted, pipeline, data, score_original) for fitted in fits]
-
-
-def _estimate_or_error(pipeline, sample: TrialDataset, seed: int) -> PipelineResult | CbIndexError:
-    try:
-        return pipeline.estimate(sample, seed=seed)
-    except CbIndexError as exc:
-        return exc
 
 
 def _replicate_scores(

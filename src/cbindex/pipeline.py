@@ -11,6 +11,7 @@ one-sample case of the same code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ ESTIMATOR_KINDS = ("parametric", "semiparametric")
 # Held-out losses the cross-validation scorer understands; the first is
 # the default.
 CV_LOSSES = ("squared", "deviance")
+# Log of the smallest positive double: below it, a mean has underflowed.
+_LOG_TINY = math.log(math.ulp(0.0))
 
 
 @dataclass
@@ -170,6 +173,8 @@ class BenefitPipeline:
             model, cv = fitted
             try:
                 _require_converged(model)
+                if self.model == "ml":
+                    _require_finite_estimate(model, design, member.draw)
                 out[member.index] = self._evaluate_model(model, samples[member.index])
             except CbIndexError as exc:
                 out[member.index] = exc
@@ -255,6 +260,27 @@ class BenefitPipeline:
 def _require_converged(model: nbglm.FittedBenefitModel) -> None:
     if not model.fit_meta.converged:
         raise ConvergenceError(f"fit did not converge in {model.fit_meta.iterations} iterations")
+
+
+def _require_finite_estimate(
+    model: nbglm.FittedBenefitModel, design: nbglm.DesignMatrix, draw: np.ndarray
+) -> None:
+    """Raise if the fitted mean of a subject in ``draw`` underflows: only
+    coefficients running toward an infinite estimate take a linear
+    predictor below ``_LOG_TINY``.  The coefficients named are those
+    whose term alone does so on such a subject, or else the largest."""
+    underflow = np.bincount(draw, minlength=design.n) > 0
+    underflow &= design.X @ model.coefficients + design.offset < _LOG_TINY
+    if not underflow.any():
+        return
+    terms = np.abs(design.X[underflow] * model.coefficients).max(axis=0)
+    names = [name for name, term in zip(model.coefficient_names, terms)
+             if term >= min(terms.max(), -_LOG_TINY)]
+    raise EstimationError(
+        f"the maximum-likelihood estimate is infinite in {', '.join(names)}: the fitted "
+        f"means of {int(underflow.sum())} subjects underflow to 0; the ridge model gives a "
+        "finite estimate"
+    )
 
 
 def _orientation_failure(exc: OrientationError, data: TrialDataset) -> str:

@@ -211,19 +211,16 @@ class _Block:
 
 
 def _float_or_nan(cell: str) -> float:
-    """``float(cell)``, or NaN for a missing token."""
+    """``float(cell)``, or NaN for a cell that is not a number."""
     try:
         return float(cell)
     except ValueError:
-        if cell.strip().lower() in _MISSING_TOKENS:
-            return math.nan
-        raise
+        return math.nan
 
 
 def _numbers(column: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The column's cells through the ``float`` that ``_parse_float`` uses,
-    and a mask of its missing cells, which hold NaN.  Raises ValueError
-    for a cell that is neither a number nor missing."""
+    NaN for a cell that is not a number, and a mask of its missing cells."""
     try:
         values = np.fromiter(map(float, column), np.float64, len(column))
     except ValueError:  # text, or a missing token other than nan
@@ -234,113 +231,79 @@ def _numbers(column: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return values, missing
 
 
-def _clean_block(rows: list[list[str]], layout: _Layout) -> _Block | None:
-    """``rows`` converted a column at a time, or None when any row has the
-    wrong cell count or a kept row holds a bad cell.
+def _check_row(row: list[str], row_number: int, layout: _Layout) -> None:
+    """Raise the RowParseError of a bad row: a row with the wrong cell
+    count, or a row without missing cells that holds a bad one."""
+    if not any(map(str.strip, row)):
+        return
+    if len(row) != layout.width:
+        raise RowParseError(row_number, "<row>", f"expected {layout.width} cells, got {len(row)}")
+    cells = {name: row[pos].strip() for name, pos in layout.positions.items()}
+    if any(c.lower() in _MISSING_TOKENS for c in cells.values()):
+        return
+    t_col, y_col, time_col = layout.treatment, layout.events, layout.time
+    if _parse_float(cells[t_col], row_number, t_col) not in (0.0, 1.0):
+        raise RowParseError(row_number, t_col, f"arm must be 0 or 1: {cells[t_col]!r}")
+    _parse_count(cells[y_col], row_number, y_col)
+    if _parse_float(cells[time_col], row_number, time_col) <= 0:
+        raise RowParseError(row_number, time_col, f"time must be positive: {cells[time_col]!r}")
+    for c in layout.covariates:
+        _parse_float(cells[c], row_number, c)
 
-    A row with a missing token in a mapped cell is dropped and counted,
-    and a row of blank cells is skipped, as the per-row parser does.
-    Every row check runs once per column on the kept rows, so a block
-    taken here gives what the per-row parser would give.
+
+def _convert_block(rows: list[list[str]], first_row: int, layout: _Layout) -> _Block:
+    """The rows of one block, numbered from ``first_row``, converted a
+    column at a time.
+
+    Blank rows of any width are skipped, and a row with a missing token
+    in a mapped cell is dropped and counted.  Every row check runs once
+    per column, on every row; when one fails, the rows are walked in
+    file order through ``_check_row``, which raises for the first bad one.
     """
+    kept = rows
     if set(map(len, rows)) != {layout.width}:
-        return None
-    cells = list(zip(*rows))  # every row has ``width`` cells, so none is cut
-    names = [layout.treatment, layout.events, layout.time, *layout.covariates]
-    try:
+        kept = [row for row in rows if any(map(str.strip, row))]
+    if kept is rows or set(map(len, kept)) <= {layout.width}:
+        cells = list(zip(*kept)) or [()] * layout.width
+        names = [layout.treatment, layout.events, layout.time, *layout.covariates]
         columns = [_numbers(cells[layout.positions[name]]) for name in names]
-    except ValueError:  # a cell that is neither a number nor missing
-        return None
-    (arm, _), (count, _), (time, _), *x_columns = columns
-    x = np.column_stack([values for values, _ in x_columns])
-    missing = np.logical_or.reduce([mask for _, mask in columns])
-    ids = [] if layout.id is None else list(map(str.strip, cells[layout.positions[layout.id]]))
-    if not _MISSING_TOKENS.isdisjoint(map(str.lower, ids)):
-        missing |= [c.lower() in _MISSING_TOKENS for c in ids]
-
-    n_missing = 0
-    if missing.any():
-        keep = ~missing
-        arm, count, time, x = arm[keep], count[keep], time[keep], x[keep]
-        ids = list(itertools.compress(ids, keep))
-        n_missing = sum(any(c.strip() for c in rows[i]) for i in np.flatnonzero(missing))
-    clean = (
-        np.all((arm == 0) | (arm == 1))
-        and np.all((count >= 0) & (count < 2.0**63) & (count == np.floor(count)))
-        and np.all(np.isfinite(time) & (time > 0))
-        and np.all(np.isfinite(x))
-    )
-    if not clean:
-        return None
-    return _Block(arm.astype(np.int64), count.astype(np.int64), time, x, ids, n_missing)
-
-
-def _parse_rows(rows: list[list[str]], first_row: int, layout: _Layout) -> _Block:
-    """The per-row parser, on the rows of one block numbered from
-    ``first_row``: it skips blank rows, drops and counts rows with missing
-    cells, and alone raises a RowParseError for a bad row."""
-    treatment: list[int] = []
-    events: list[int] = []
-    time: list[float] = []
-    covariates: list[list[float]] = []
-    ids: list[str] = []
-    n_missing = 0
-
+        (arm, _), (count, _), (time, _), *x_columns = columns
+        x = np.column_stack([values for values, _ in x_columns])
+        missing = np.logical_or.reduce([mask for _, mask in columns])
+        ids = [] if layout.id is None else list(map(str.strip, cells[layout.positions[layout.id]]))
+        if not _MISSING_TOKENS.isdisjoint(map(str.lower, ids)):
+            missing |= [c.lower() in _MISSING_TOKENS for c in ids]
+        good = (
+            ((arm == 0) | (arm == 1))
+            & (count >= 0) & (count < 2.0**63) & (count == np.floor(count))
+            & np.isfinite(time) & (time > 0)
+            & np.isfinite(x).all(axis=1)
+        )
+        if (good | missing).all():
+            n_missing = 0
+            if missing.any():
+                keep = ~missing
+                arm, count, time, x = arm[keep], count[keep], time[keep], x[keep]
+                ids = list(itertools.compress(ids, keep))
+                n_missing = sum(any(map(str.strip, kept[i])) for i in np.flatnonzero(missing))
+            return _Block(arm.astype(np.int64), count.astype(np.int64), time, x, ids, n_missing)
     for row_number, row in enumerate(rows, start=first_row):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != layout.width:
-            raise RowParseError(
-                row_number, "<row>", f"expected {layout.width} cells, got {len(row)}"
-            )
-        cells = {name: row[pos].strip() for name, pos in layout.positions.items()}
-        if any(c.lower() in _MISSING_TOKENS for c in cells.values()):
-            n_missing += 1
-            continue
-
-        t_col = layout.treatment
-        arm = _parse_float(cells[t_col], row_number, t_col)
-        if arm not in (0.0, 1.0):
-            raise RowParseError(row_number, t_col, f"arm must be 0 or 1: {cells[t_col]!r}")
-        y_col = layout.events
-        count = _parse_count(cells[y_col], row_number, y_col)
-        time_col = layout.time
-        followup = _parse_float(cells[time_col], row_number, time_col)
-        if followup <= 0:
-            raise RowParseError(row_number, time_col, f"time must be positive: {cells[time_col]!r}")
-        x = [_parse_float(cells[c], row_number, c) for c in layout.covariates]
-
-        treatment.append(int(arm))
-        events.append(count)
-        time.append(followup)
-        covariates.append(x)
-        if layout.id is not None:
-            ids.append(cells[layout.id])
-
-    return _Block(
-        treatment=np.array(treatment, dtype=np.int64),
-        events=np.array(events, dtype=np.int64),
-        time=np.array(time, dtype=np.float64),
-        covariates=np.array(covariates, dtype=np.float64).reshape(
-            len(covariates), len(layout.covariates)
-        ),
-        ids=ids,
-        n_missing=n_missing,
-    )
+        _check_row(row, row_number, layout)
+    raise AssertionError("a block with a bad row passed every row check")
 
 
 def _read_block(
     reader: Iterable[list[str]], first_row: int, layout: _Layout
 ) -> list[list[str]]:
     """The next rows of ``reader``, up to ``_BLOCK_ROWS``.  When the reader
-    fails on a row, the rows read before it are parsed first, so that a
-    bad row earlier in the file is the error raised."""
+    fails on a row, the rows read before it are converted first, so that
+    a bad row earlier in the file is the error raised."""
     rows: list[list[str]] = []
     try:
         for row in itertools.islice(reader, _BLOCK_ROWS):
             rows.append(row)
     except csv.Error:
-        _parse_rows(rows, first_row, layout)
+        _convert_block(rows, first_row, layout)
         raise
     return rows
 
@@ -365,11 +328,11 @@ def load_dataset(
 
     Notes
     -----
-    Rows are read in blocks of ``_BLOCK_ROWS``.  A block in which every
-    row has the header's cell count and every cell is a valid value or
-    missing is converted a column at a time; any other block goes through
-    the per-row parser, which raises for the first bad row.  Blocks are
-    read in file order, so an error names the first bad row of the file.
+    Rows are read in blocks of ``_BLOCK_ROWS`` and converted a column at
+    a time.  A block that holds a row of the wrong cell count or a bad
+    cell is walked row by row only to raise the error of its first bad
+    row.  Blocks are read in file order, so an error names the first bad
+    row of the file.
 
     Raises
     ------
@@ -427,8 +390,7 @@ def load_dataset(
         blocks: list[_Block] = []
         first_row = 1
         while rows := _read_block(reader, first_row, layout):
-            block = _clean_block(rows, layout)
-            blocks.append(block if block is not None else _parse_rows(rows, first_row, layout))
+            blocks.append(_convert_block(rows, first_row, layout))
             first_row += len(rows)
     finally:
         if close:

@@ -31,6 +31,21 @@ def simulate_trial(
     return make_dataset(a, y, t, x)
 
 
+def separated_trial(seed, with_events=0):
+    """300 subjects, a binary ``x1`` and a normal ``x2``, NB counts (theta
+    2), in which only the first ``with_events`` treated subjects with
+    ``x1 = 1`` have events: the ML estimate is infinite on a sample that
+    holds none of them."""
+    rng = np.random.default_rng(seed)
+    a, x1, x2 = rng.integers(0, 2, 300), rng.integers(0, 2, 300), rng.standard_normal(300)
+    mu = np.exp(0.3 - 0.3 * a + 0.4 * x1 + 0.2 * x2)
+    y = rng.negative_binomial(2.0, 2.0 / (2.0 + mu))
+    subgroup = np.flatnonzero((a == 1) & (x1 == 1))
+    y[subgroup[:with_events]] = np.maximum(y[subgroup[:with_events]], 1)
+    y[subgroup[with_events:]] = 0
+    return make_dataset(a, y, np.ones(300), np.column_stack([x1, x2]))
+
+
 @pytest.fixture
 def small_trial():
     """Mild two-covariate trial, quick to fit."""

@@ -17,7 +17,7 @@ from cbindex.cli import RunConfig, main
 from cbindex.nbglm import FitMeta, FittedBenefitModel
 from cbindex.trial_data import ScalingParams
 
-from conftest import simulate_trial
+from conftest import separated_trial, simulate_trial
 
 
 def write_trial_csv(path, n=150, seed=42, only_arm=None):
@@ -423,6 +423,30 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert "no events in the treated arm" in err and "infinite" in err
         assert "no events in the treated arm" in json.loads((out / "report.json").read_text())["error"]
+
+    def test_ml_with_an_infinite_estimate_exits_three_naming_it(self, workspace, tmp_path,
+                                                                 capsys):
+        """Every treated subject with the binary ``x1`` = 1 has zero events:
+        the ML treatment and treatment:x1 coefficients run off until the
+        fitted means of that subgroup underflow to 0."""
+        tmp, _, config = workspace
+        d = separated_trial(2)
+        csv = tmp_path / "separated.csv"
+        csv.write_text("id,arm,y,t,x1,x2\n" + "".join(
+            f"s{i},{d.treatment[i]},{d.events[i]},1.0,{d.covariates[i, 0]},"
+            f"{float(d.covariates[i, 1])!r}\n" for i in range(d.n)))
+        message = ("the maximum-likelihood estimate is infinite in treatment, treatment:x1: "
+                   "the fitted means of 71 subjects underflow to 0; the ridge model gives a "
+                   "finite estimate")
+        out = tmp / "infinite"
+        code = run_cli(["estimate", "--input", csv, "--config", config,
+                        "--model", "ml", "--seed", "3", "--out", out])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["error"] == message
+        code = run_cli(["estimate", "--input", csv, "--config", config,
+                        "--model", "ridge", "--seed", "3", "--out", tmp / "ridge"])
+        assert code == 0
 
     def test_overflowing_benefit_exits_three_naming_the_subject(self, workspace, tmp_path,
                                                                 capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from cbindex.inference import (
 from cbindex.pipeline import BenefitPipeline, PipelineResult
 from cbindex.simulation import SIM_PIPELINE
 
-from conftest import simulate_trial
+from conftest import separated_trial, simulate_trial
 
 MILD = np.array([0.3, -0.5, 0.4, -0.3, 0.3, -0.2])
 
@@ -49,6 +51,16 @@ class ConstantPredictionPipeline:
 
     def evaluate(self, fitted, data):
         return self.estimate(data)
+
+    def estimate_resamples(self, data, draws, seeds):
+        """``estimate`` of each resample, or the error that ended it."""
+        out = []
+        for draw, seed in zip(draws, seeds):
+            try:
+                out.append(self.estimate(data.subset(draw), seed))
+            except CbIndexError as exc:
+                out.append(exc)
+        return out
 
 
 class TestPercentileRule:
@@ -317,6 +329,38 @@ class TestMaximumLikelihoodBatches:
             assert sum(v is None for v in values) == 1
             self.assert_matches(values, reference, kind, 1e-8)
 
+    def test_underflowing_fit_fails_its_replicate_only(self):
+        """A resample that misses both subgroup subjects with events has an
+        infinite ML estimate.  A member whose fitted means underflow on the
+        way there fails alone, with the error naming the diverging
+        coefficients, and is counted; its chunk-mates with finite
+        estimates equal their own pipeline runs."""
+        data = separated_trial(4, with_events=2)
+        pipeline = BenefitPipeline(model="ml")
+        cfg = BootstrapConfig(replicates=20, seed=4)
+        draws = [_resample(data.n, cfg.seed, r) for r in range(cfg.replicates)]
+        with_events = np.flatnonzero(
+            (data.treatment == 1) & (data.covariates[:, 0] == 1) & (data.events > 0))
+        infinite = [not np.isin(with_events, draw).any() for draw in draws]
+        reference = self.per_replicate(data, pipeline, cfg.seed, cfg.replicates)
+        chunks = range(0, cfg.replicates, inference._CHUNK)
+        results = [res for c in chunks
+                   for res in pipeline.estimate_resamples(data, draws[c:c + inference._CHUNK])]
+        failed = [r for r, res in enumerate(results) if isinstance(res, CbIndexError)]
+        assert failed
+        for r in failed:
+            start = r - r % inference._CHUNK
+            assert infinite[r] and not all(infinite[start:start + inference._CHUNK])
+            assert re.fullmatch(r"the maximum-likelihood estimate is infinite in treatment, "
+                                r"treatment:x1: the fitted means of \d+ subjects underflow to 0; "
+                                r"the ridge model gives a finite estimate", str(results[r]))
+        for res, ref, diverges in zip(results, reference, infinite):
+            if not diverges:
+                for kind in ("parametric", "semiparametric"):
+                    assert res.cb_value(kind) == pytest.approx(ref[kind], rel=1e-8, abs=0)
+        for iv in bootstrap_intervals(data, pipeline, cfg).values():
+            assert iv.n_failed == len(failed)
+
     def test_singular_solve_fails_its_replicate_only(self, small_trial, monkeypatch):
         pipeline = BenefitPipeline(model="ml")
         cfg = BootstrapConfig(replicates=12, seed=6)
@@ -351,7 +395,7 @@ def test_chunk_rule():
     assert inference._chunk_size(SIM_PIPELINE, 400) == 10  # 4 folds x 400 rows
     assert inference._chunk_size(BenefitPipeline(model="ml"), 1000) == inference._CHUNK
     assert inference._chunk_size(BenefitPipeline(cv_folds=5), 10_000) == 1
-    assert inference._chunk_size(ConstantPredictionPipeline(), 1000) == 1
+    assert inference._chunk_size(ConstantPredictionPipeline(), 1000) == inference._CHUNK  # ml
 
 
 def ridge_pipeline():

@@ -292,8 +292,8 @@ class TestLoadDataset:
                         == _outcome(reference_load, text, schema)), (line, at)
 
     def test_block_with_missing_and_blank_rows_is_read_whole(self, monkeypatch):
-        """Rows with missing cells and rows of blank cells do not send their
-        block to the per-row parser: the block reader drops and counts
+        """Rows with missing cells and blank rows of any width do not send
+        their block to the row checker: the block reader drops and counts
         the former and skips the latter, as the reference does."""
         schema = dict(SCHEMA, covariates=["x1", "x2"])
         valid = ["s1", "1", "3", "1.0", "0.25", "-1.5", "n"]
@@ -302,12 +302,14 @@ class TestLoadDataset:
                                          (5, " nUlL ")]):
             rows[2 * at] = ",".join(valid[:j] + [token] + valid[j + 1:])
         rows[3] = _BLANK_LINES[1]
+        rows[5] = ""
+        rows[7] = _BLANK_LINES[0]
         text = "\n".join([_HEADER, *rows]) + "\n"
 
-        def per_row(*args):
-            raise AssertionError("block sent to the per-row parser")
+        def check_row(*args):
+            raise AssertionError("block sent to the row checker")
 
-        monkeypatch.setattr(trial_data, "_parse_rows", per_row)
+        monkeypatch.setattr(trial_data, "_check_row", check_row)
         assert _outcome(load_dataset, text, schema) == _outcome(reference_load, text, schema)
         assert load_dataset(io.StringIO(text), schema).n_missing_excluded == 5
 
