@@ -31,6 +31,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -273,7 +274,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
         print(f"estimation degenerate: {exc}", file=sys.stderr)
         return 3
 
-    model = result.model
+    model, cv = result.model, result.cv
+    # the choice's place on the descending grid
+    index = None if cv is None else int(np.flatnonzero(cv.lambda_grid == cv.chosen_lambda)[0])
     report["model"] = {
         "kind": cfg.pipeline.model,
         "lambda": model.penalty,
@@ -285,11 +288,13 @@ def cmd_estimate(cfg: RunConfig) -> int:
             for name, v in zip(model.coefficient_names, model.coefficients)
         ],
         "cv": None
-        if result.cv is None
+        if cv is None
         else {
-            "folds": result.cv.folds,
-            "grid_size": int(result.cv.lambda_grid.size),
-            "chosen_lambda": result.cv.chosen_lambda,
+            "folds": cv.folds,
+            "grid_size": int(cv.lambda_grid.size),
+            "chosen_lambda": cv.chosen_lambda,
+            "chosen_index": index,
+            "at_grid_edge": index in (0, cv.lambda_grid.size - 1),
         },
     }
     report["estimates"] = {
@@ -299,7 +304,11 @@ def cmd_estimate(cfg: RunConfig) -> int:
     degenerate = [k for k in kinds if k not in result.estimates]
 
     if cfg.bootstrap is not None and not degenerate:
-        intervals = bootstrap_intervals(data, cfg.pipeline, cfg.bootstrap, original=result)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            intervals = bootstrap_intervals(data, cfg.pipeline, cfg.bootstrap, original=result)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         report["intervals"] = {}
         for kind in kinds:
             iv = intervals.get(kind)
@@ -393,12 +402,7 @@ def cmd_curve(cfg: RunConfig) -> int:
             )
         bv = bn.predicted_benefit(model, data)
     else:
-        try:
-            result = cfg.pipeline.estimate(data, seed=cfg.seed)
-        except EstimationError as exc:
-            print(f"estimation degenerate: {exc}", file=sys.stderr)
-            return 3
-        bv = result.benefit
+        bv = cfg.pipeline.estimate(data, seed=cfg.seed).benefit
 
     if cfg.p_values:
         grid = np.asarray(cfg.p_values, dtype=np.float64)

@@ -15,9 +15,9 @@ by Newton steps on log(theta), and the two updates are alternated to a joint
 fixed point.  One kernel fits many members at once, each a weighting of the
 design's rows with its own penalty: cross-validation training splits,
 bootstrap resamples as subject counts (and a resample's training splits as
-the counts outside a fold), or a single fit.  A resample's ridge members
-work in the coordinates of the resample's own standardization through a
-p x p basis over the original design.
+the counts outside a fold), or a single fit.  A member standardized
+unlike the design works in its own coordinates through a p x p basis
+over the design.
 """
 
 from __future__ import annotations
@@ -205,7 +205,6 @@ class CvResult:
     cv_se: np.ndarray
     chosen_lambda: float
     folds: int
-    seed: int
 
     def __post_init__(self):
         grid = np.asarray(self.lambda_grid, dtype=np.float64)
@@ -473,9 +472,8 @@ def estimate_dispersion(design: DesignMatrix, coefficients: np.ndarray) -> float
 
     Maximizes the likelihood in theta over [1e-3, 1e8] by Newton steps on
     the log scale, from theta=1 to the ``"final"`` step tolerance.  A
-    likelihood still
-    climbing at the upper bound (no overdispersion beyond Poisson)
-    returns the bound itself.
+    likelihood still climbing at the upper bound (no overdispersion beyond
+    Poisson) returns the bound itself.
 
     Raises
     ------
@@ -486,11 +484,8 @@ def estimate_dispersion(design: DesignMatrix, coefficients: np.ndarray) -> float
         If a fitted mean overflows, the profile is not finite where the
         search evaluates it, or the search reaches its step cap.
     """
-    eta_full = design.X @ np.asarray(coefficients, dtype=np.float64) + design.offset
-    with np.errstate(over="ignore"):
-        mu = np.exp(eta_full)
-    profiles = _Profiles(design.response, np.ones((1, design.n)), eta_full[None], mu[None])
-    return float(_search_dispersion(profiles, np.array([_THETA_INIT]), PRECISIONS["final"][2])[0])
+    batch = _Batch(design, np.ones((1, design.n)), [_THETA_INIT], coefficients)
+    return float(batch.profile(slice(None), PRECISIONS["final"][2])[0])
 
 
 def default_lambda_grid(
@@ -508,24 +503,19 @@ def default_lambda_grid(
 
 def _lambda_grids(design, weights, size, min_ratio, scalings=None) -> np.ndarray:
     """``default_lambda_grid`` of every row of the (R, n) ``weights``, one
-    grid per row: row r's subject counts give its intercept-only fit, its
-    dispersion (1 for a row with no events) and its score, taken in the
-    coordinates of ``scalings[r]`` when given (see ``_basis``)."""
-    beta0 = _start_coefficients(design, weights)
-    eta_full = _product(beta0, design.X.T) + design.offset
-    with np.errstate(over="ignore"):
-        mu0 = np.exp(eta_full)
-    theta0 = np.ones((weights.shape[0], 1))
-    events = weights @ design.response > 0
-    if events.any():
-        profiles = _Profiles(design.response, weights[events], eta_full[events], mu0[events])
-        theta0[events, 0] = _search_dispersion(
-            profiles, np.full(int(events.sum()), _THETA_INIT), PRECISIONS["final"][2]
-        )
+    grid per row: row r's subject counts give its intercept-only fit (a
+    batch's start), its dispersion (1 for a row with no events) and its
+    score, taken in the coordinates of ``scalings[r]`` when given (see
+    ``_basis``)."""
+    batch = _Batch(design, weights, np.full(weights.shape[0], _THETA_INIT), scalings=scalings)
+    events = np.flatnonzero(weights @ design.response > 0)
+    if events.size:
+        batch.theta[events] = batch.profile(events, PRECISIONS["final"][2])
+    theta0, mu0 = batch.theta[:, None], batch.mu
     resid = (design.response - mu0) * theta0 / (theta0 + mu0)
     score = _product(weights * resid, design.X)
-    if scalings is not None:
-        score = np.matmul(score[:, None, :], _bases(design, scalings))[:, 0, :]
+    if batch.basis is not None:
+        score = np.matmul(score[:, None, :], batch.basis)[:, 0, :]
     lam_max = np.maximum(np.abs(score[:, 1:]).max(axis=1), 1e-8)
     return np.array([np.geomspace(top, top * min_ratio, size) for top in lam_max])
 
@@ -544,8 +534,11 @@ def _basis(origin: ScalingParams, own: ScalingParams) -> np.ndarray:
     return basis
 
 
-def _bases(design: DesignMatrix, scalings: Sequence[ScalingParams]) -> np.ndarray:
-    return np.array([_basis(design.scaling, own) for own in scalings])
+def _bases(design: DesignMatrix, scalings: Sequence[ScalingParams]) -> np.ndarray | None:
+    """The basis of each of ``scalings`` over ``design``, or None when every
+    one is the identity (every scaling is the design's) and none is needed."""
+    bases = np.array([_basis(design.scaling, own) for own in scalings])
+    return None if np.all(bases == np.eye(design.p)) else bases
 
 
 def _held_out_loss(y, mu, theta, kind):
@@ -594,15 +587,16 @@ class _Batch:
     accepted step into the next iteration, the dispersion profile and
     the held-out loss.
 
-    Given ``scalings``, member k works in the coordinates of its own
-    standardization, ``scalings[k]``, through the basis T_k of ``_basis``:
-    its linear predictor is X (T_k beta), its Gram matrix T_k' G T_k and
-    its right-hand side T_k' X'z.  The penalty, the start, the step
-    halving and the stop tests all stay in its own coordinates, and
-    Newton's method is affine-invariant, so the member takes the steps
-    of a fit of the design standardized its own way, up to rounding.
-    Ridge is not equivariant under standardization; this lets a
-    resample's fit run over the original sample's design.
+    Member k works in the coordinates of its own standardization,
+    ``scalings[k]`` (the design's by default).  Unless every member's is
+    the design's, it does so through the basis T_k of ``_basis``: its
+    linear predictor is X (T_k beta), its Gram matrix T_k' G T_k and its
+    right-hand side T_k' X'z.  The penalty, the start, the step halving
+    and the stop tests all stay in its own coordinates, and Newton's
+    method is affine-invariant, so the member takes the steps of a fit of
+    the design standardized its own way, up to rounding.  Ridge is not
+    equivariant under standardization; this lets a resample's fit run
+    over the original sample's design.
     """
 
     def __init__(
@@ -618,8 +612,8 @@ class _Batch:
         self.weights = weights
         self.theta = np.array(theta, dtype=np.float64)
         self.lam = np.zeros(size)
-        self.scalings = scalings
-        self.basis = None if scalings is None else _bases(design, scalings)
+        self.scalings = [design.scaling] * size if scalings is None else scalings
+        self.basis = _bases(design, self.scalings)
         if beta is None:
             self.beta = _start_coefficients(design, weights)
         else:
@@ -783,22 +777,28 @@ class _Batch:
         dispersion searches of a round run as one, each warm-started from
         the member's current theta."""
         _, theta_rtol, xatol = PRECISIONS[precision]
-        y, offset = self.design.response, self.design.offset
         size = self.theta.size
         active = np.arange(size)
         for rounds in range(1, _MAX_ROUNDS + 1):
             self.irls(lam, precision, active)
             self.rounds[active] = rounds
             theta = self.theta[active]
-            sel = slice(None) if active.size == size else active
-            profiles = _Profiles(y, self.weights[sel], self.eta[sel] + offset, self.mu[sel])
-            theta_new = _search_dispersion(profiles, theta, xatol)
+            theta_new = self.profile(slice(None) if active.size == size else active, xatol)
             done = np.abs(theta_new - theta) <= theta_rtol * theta
             self.theta[active] = theta_new
             active = active[~done]
             if active.size == 0:
                 break
         self.converged[active] = False
+
+    def profile(self, members, xatol: float) -> np.ndarray:
+        """The dispersion that maximizes each of ``members``' profile at its
+        current means, searched from its current theta to step tolerance
+        ``xatol`` (see ``_Profiles`` and ``_search_dispersion``)."""
+        design = self.design
+        profiles = _Profiles(design.response, self.weights[members],
+                             self.eta[members] + design.offset, self.mu[members])
+        return _search_dispersion(profiles, self.theta[members], xatol)
 
     def model(self, k: int) -> FittedBenefitModel:
         """Member ``k``, described by its last ``irls``, with the scaling of
@@ -813,7 +813,7 @@ class _Batch:
             coefficient_names=list(self.design.column_names),
             dispersion=float(self.theta[k]),
             penalty=float(self.lam[k]),
-            scaling=self.design.scaling if self.scalings is None else self.scalings[k],
+            scaling=self.scalings[k],
             fit_meta=meta,
         )
 
@@ -918,17 +918,6 @@ def _stratified_folds(treatment: np.ndarray, folds: int, seed: int) -> np.ndarra
     return fold_id
 
 
-def _fold_weights(fold_id: np.ndarray, folds: int, draw: np.ndarray, n: int):
-    """Training weights and held-out counts, each (folds, n), of the folds
-    of a resample: the resample's rows are the design rows ``draw`` and
-    carry the labels ``fold_id``, so copies of one subject may sit in
-    different folds.  Row k counts each subject's copies outside fold k,
-    and inside it."""
-    held = np.bincount(fold_id * n + draw, minlength=folds * n).reshape(folds, n)
-    held = held.astype(np.float64)
-    return np.bincount(draw, minlength=n) - held, held
-
-
 def cross_validate_lambda(
     design: DesignMatrix,
     folds: int,
@@ -962,36 +951,42 @@ def cross_validate_lambda(
         raise ValueError("penalties must be positive")
 
     fold_id = _stratified_folds(design.treatment.astype(np.int64), folds, seed)
-    train, held = _fold_weights(fold_id, folds, np.arange(design.n), design.n)
-    return _cross_validate(design, train[None], held[None], grid[None], loss, [seed])[0]
+    return _cross_validate(
+        design, [np.arange(design.n)], [fold_id], folds, grid[None], loss, [design.scaling]
+    )[0]
 
 
 def _cross_validate(
     design: DesignMatrix,
-    train: np.ndarray,
-    held: np.ndarray,
+    draws: Sequence[np.ndarray],
+    fold_ids: Sequence[np.ndarray],
+    folds: int,
     grids: np.ndarray,
     loss: str,
-    seeds: Sequence[int],
-    scalings: Sequence[ScalingParams] | None = None,
+    scalings: Sequence[ScalingParams],
 ) -> list[CvResult]:
-    """``cross_validate_lambda`` of R samples at once, sample r with the
-    (K, n) fold weights ``train[r]`` and held-out counts ``held[r]`` of
-    ``_fold_weights``, its descending grid ``grids[r]``, its fold seed
-    (recorded only) and, given ``scalings``, its own coordinates.
+    """``cross_validate_lambda`` of R samples at once: sample r is the
+    design rows ``draws[r]`` with fold labels ``fold_ids[r]``, its
+    descending grid ``grids[r]`` and its coordinates ``scalings[r]``.
 
     Every fold of every sample is a member of one batch with its own
-    penalty path.  A subject held out by fold k counts as many times as
-    it has copies there, and only such (member, subject) pairs are
-    scored, at most n per sample.
+    penalty path, weighing each subject by its copies outside the fold
+    (copies of one subject may sit in different folds).  A subject held
+    out by the fold counts as many times as it has copies there, and
+    only such (member, subject) pairs are scored, at most n per sample.
     """
-    samples, folds, n = train.shape
+    n, samples = design.n, len(draws)
     members = samples * folds
+    held = np.array([
+        np.bincount(fold_id * n + draw, minlength=folds * n).reshape(folds, n)
+        for draw, fold_id in zip(draws, fold_ids)
+    ], dtype=np.float64)
+    train = np.array([np.bincount(draw, minlength=n) for draw in draws])[:, None, :] - held
     batch = _Batch(
         design,
         train.reshape(members, n),
         np.full(members, _THETA_INIT),
-        scalings=None if scalings is None else [s for s in scalings for _ in range(folds)],
+        scalings=[s for s in scalings for _ in range(folds)],
     )
     lam = np.repeat(grids, folds, axis=0)
     # Dispersion is profiled on each training split once, at the top of
@@ -1018,7 +1013,6 @@ def _cross_validate(
             cv_se=cv_se[r],
             chosen_lambda=float(grids[r][int(np.argmin(cv_error[r]))]),
             folds=folds,
-            seed=seeds[r],
         )
         for r in range(samples)
     ]

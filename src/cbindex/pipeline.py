@@ -58,13 +58,12 @@ class PipelineResult:
 class _Member:
     """A sample that passed ``estimate``'s checks: its place among the
     draws, its rows of the original data, its own scaling and, for
-    ridge, its fold labels and fold seed."""
+    ridge, its fold labels."""
 
     index: int
     draw: np.ndarray
-    scaling: ScalingParams | None
+    scaling: ScalingParams
     fold_id: np.ndarray | None
-    seed: int | None
 
 
 @dataclass(frozen=True)
@@ -112,8 +111,6 @@ class BenefitPipeline:
         one-sample case of ``estimate_resamples``: all-ones counts, in the
         sample's own coordinates.
         """
-        if self.model == "ridge" and seed is None:
-            raise ValueError("ridge pipeline needs a seed for fold assignment")
         (result,) = self._estimate(data, None, [seed])
         if isinstance(result, CbIndexError):
             raise result
@@ -133,14 +130,19 @@ class BenefitPipeline:
         materialized resample before it joins.  The estimators run on
         each materialized resample.
         """
-        return self._estimate(data, draws, seeds or [None] * len(draws))
+        return self._estimate(data, draws, seeds)
 
     def _estimate(
-        self, data: TrialDataset, draws: list[np.ndarray] | None, seeds: list[int | None]
+        self, data: TrialDataset, draws: list[np.ndarray] | None, seeds: list[int | None] | None
     ) -> list[PipelineResult | CbIndexError]:
         """``estimate_resamples``, or ``estimate`` of ``data`` itself when
         ``draws`` is None."""
         samples = [data] if draws is None else [data.subset(draw) for draw in draws]
+        if seeds is not None and len(seeds) != len(samples):
+            raise ValueError(f"{len(seeds)} fold seeds given for {len(samples)} draws")
+        if self.model == "ridge" and (seeds is None or None in seeds):
+            raise ValueError("ridge pipeline needs a seed for fold assignment")
+        draws = [np.arange(data.n)] if draws is None else draws
         out: list[PipelineResult | CbIndexError] = []
         group = []
         for i, sample in enumerate(samples):
@@ -156,14 +158,10 @@ class BenefitPipeline:
                 out.append(exc)
                 continue
             out.append(None)
-            if draws is None:
-                # the one sample is ``data``: its design is in its own coordinates
-                group.append(_Member(i, np.arange(data.n), None, fold_id, seeds[i]))
-            else:
-                group.append(_Member(i, draws[i], scaling, fold_id, seeds[i]))
+            group.append(_Member(i, draws[i], scaling, fold_id))
         if not group:
             return out
-        if draws is not None:
+        if samples[0] is not data:  # else ``std`` is ``data``'s, from the loop
             std, scaling = standardize(data)
         design = nbglm.build_design_matrix(std, scaling=scaling)
         for member, fitted in zip(group, self._fit(design, group)):
@@ -211,21 +209,17 @@ class BenefitPipeline:
         if self.model == "ml":
             models = nbglm.fit_weighted(design, counts, 0.0, self.precision)
             return [(model, None) for model in models]
-        # None for ``data`` itself, which is in the design's coordinates
-        scalings = None if group[0].scaling is None else [m.scaling for m in group]
+        scalings = [m.scaling for m in group]
         grids = nbglm._lambda_grids(
             design, counts, self.lambda_grid_size, self.lambda_min_ratio, scalings
         )
-        folds = [
-            nbglm._fold_weights(m.fold_id, self.cv_folds, m.draw, design.n) for m in group
-        ]
         cvs = nbglm._cross_validate(
             design,
-            np.array([train for train, _ in folds]),
-            np.array([held for _, held in folds]),
+            [m.draw for m in group],
+            [m.fold_id for m in group],
+            self.cv_folds,
             grids,
             self.cv_loss,
-            [int(m.seed) for m in group],
             scalings,
         )
         lam = np.array([cv.chosen_lambda for cv in cvs])

@@ -385,6 +385,44 @@ class TestEstimateCommand:
                 report = json.loads((out / "report.json").read_text())
                 assert f"no subjects in the {missing}" in report["error"]
 
+    @pytest.mark.parametrize("trial_seed, fold_seed, index, edge", [
+        pytest.param(42, 31, 1, False, id="inside"),
+        pytest.param(42, 11, 0, True, id="top-edge"),
+        pytest.param(2, 11, 3, True, id="bottom-edge"),
+    ])
+    def test_report_places_the_cv_choice_on_its_grid(self, workspace, tmp_path, trial_seed,
+                                                     fold_seed, index, edge):
+        tmp, _, config = workspace
+        csv = write_trial_csv(tmp_path / f"trial_{trial_seed}.csv", seed=trial_seed)
+        out = tmp / f"cv_{trial_seed}_{fold_seed}"
+        assert run_cli(["estimate", "--input", csv, "--config", config, "--model", "ridge",
+                        "--seed", fold_seed, "--out", out]) == 0
+        cv = json.loads((out / "report.json").read_text())["model"]["cv"]
+        assert (cv["chosen_index"], cv["at_grid_edge"]) == (index, edge)
+        data = cbindex.load_dataset(str(csv), json.loads(config.read_text())["columns"])
+        pipeline = cbindex.BenefitPipeline(cv_folds=3, lambda_grid_size=4, lambda_min_ratio=0.01)
+        grid = pipeline.estimate(data, seed=fold_seed).cv.lambda_grid
+        assert cv["grid_size"] == grid.size and cv["chosen_lambda"] == grid[index]
+
+    def test_unreliable_interval_warns_on_one_stderr_line(self, workspace, tmp_path):
+        # criterion 8's estimate run: 5 of 16 replicates fail the parametric estimator
+        tmp, _, config = workspace
+        csv = write_trial_csv(tmp_path / "trial_88.csv", n=150, seed=88)
+        out = tmp / "unreliable"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cbindex", "estimate", "--input", str(csv),
+             "--config", str(config), "--model", "ridge", "--seed", "31",
+             "--bootstrap", "16", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            "warning: 5/16 bootstrap replicates degenerate for the parametric estimator; "
+            "interval may be unreliable\n"
+        )
+        report = json.loads((out / "report.json").read_text())
+        assert report["intervals"]["parametric"]["unreliable"] is True
+
     @pytest.mark.parametrize("n", [12, 5])
     def test_too_few_subjects_for_the_folds_exits_three_naming_the_arms(
         self, workspace, tmp_path, capsys, n
@@ -646,6 +684,18 @@ class TestCurveCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+    def test_single_arm_dataset_exits_three_with_diagnostic(self, workspace, tmp_path,
+                                                            capsys):
+        tmp, _, config = workspace
+        csv = write_trial_csv(tmp_path / "only_treated.csv", only_arm=1)
+        out = tmp / "one_arm_curve"
+        code = run_cli(["curve", "--input", csv, "--config", config, "--model", "ml",
+                        "--seed", "2", "--out", out])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "estimation degenerate: no subjects in the control arm (treatment=0)")
+        assert not (out / "curve.csv").exists()
 
     def test_integral_matches_half_pair_max(self, workspace):
         tmp, csv, config = workspace

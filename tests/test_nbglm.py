@@ -671,7 +671,7 @@ class TestCrossValidation:
         design = design_from(d)
         rng = np.random.default_rng(5)
         draws = [rng.integers(0, d.n, d.n) for _ in range(3)]
-        references, scalings, train, held = [], [], [], []
+        references, scalings, fold_ids = [], [], []
         for r, draw in enumerate(draws):
             sample = d.subset(draw)
             std, scaling = standardize(sample)
@@ -679,16 +679,13 @@ class TestCrossValidation:
             grid = default_lambda_grid(own, size=8, min_ratio=1e-3)
             references.append(cross_validate_lambda(own, folds=4, grid=grid, seed=r, loss=loss))
             scalings.append(scaling)
-            fold_id = _stratified_folds(sample.treatment, 4, r)
-            weights = nbglm._fold_weights(fold_id, 4, draw, d.n)
-            train.append(weights[0])
-            held.append(weights[1])
+            fold_ids.append(_stratified_folds(sample.treatment, 4, r))
             # copies of one subject are held out by different folds
-            assert np.any((weights[1] > 0).sum(axis=0) > 1)
+            subject_folds = np.unique(np.column_stack([draw, fold_ids[r]]), axis=0)
+            assert np.any(np.bincount(subject_folds[:, 0]) > 1)
         counts = np.array([np.bincount(draw, minlength=d.n) for draw in draws], dtype=np.float64)
         grids = nbglm._lambda_grids(design, counts, 8, 1e-3, scalings)
-        results = nbglm._cross_validate(design, np.array(train), np.array(held), grids, loss,
-                                        [0, 1, 2], scalings)
+        results = nbglm._cross_validate(design, draws, fold_ids, 4, grids, loss, scalings)
         for res, ref in zip(results, references):
             np.testing.assert_allclose(res.lambda_grid, ref.lambda_grid, rtol=1e-12, atol=0)
             assert np.argmin(res.cv_error) == np.argmin(ref.cv_error)

@@ -14,8 +14,42 @@ MILD = np.array([0.3, -0.5, 0.4, -0.3, 0.3, -0.2])
 
 class TestBenefitPipeline:
     def test_ridge_needs_seed(self, small_trial):
-        with pytest.raises(ValueError, match="seed"):
-            BenefitPipeline(model="ridge").estimate(small_trial)
+        ridge, draws = BenefitPipeline(model="ridge"), [np.arange(small_trial.n)] * 2
+        for run in (lambda: ridge.estimate(small_trial),
+                    lambda: ridge.estimate_resamples(small_trial, draws),
+                    lambda: ridge.estimate_resamples(small_trial, draws, [1, None])):
+            with pytest.raises(ValueError, match="ridge pipeline needs a seed for fold assignment"):
+                run()
+
+    def test_resamples_need_one_seed_per_draw(self, small_trial):
+        draws = [np.arange(small_trial.n)] * 2
+        for model in ("ridge", "ml"):
+            with pytest.raises(ValueError, match="1 fold seeds given for 2 draws"):
+                BenefitPipeline(model=model).estimate_resamples(small_trial, draws, [1])
+
+    @pytest.mark.parametrize("pipeline", [
+        BenefitPipeline(model="ridge", cv_folds=3, lambda_grid_size=6, lambda_min_ratio=1e-2),
+        BenefitPipeline(model="ml"),
+    ], ids=["ridge", "ml"])
+    def test_one_sample_run_is_the_identity_draw(self, small_trial, monkeypatch, pipeline):
+        """``estimate`` equals, bit for bit, the resample run of the draw
+        of every subject once, whose scaling is the design's: its members
+        run without a basis."""
+        alone = pipeline.estimate(small_trial, seed=7)
+        bases, bases_of = [], nbglm._bases
+
+        def recorded(*args):
+            bases.append(bases_of(*args))
+            return bases[-1]
+
+        monkeypatch.setattr(nbglm, "_bases", recorded)
+        (drawn,) = pipeline.estimate_resamples(small_trial, [np.arange(small_trial.n)], [7])
+        assert bases and all(basis is None for basis in bases)
+        assert np.array_equal(drawn.model.coefficients, alone.model.coefficients)
+        assert drawn.model.penalty == alone.model.penalty
+        assert drawn.model.dispersion == alone.model.dispersion
+        for kind in ("parametric", "semiparametric"):
+            assert drawn.cb_value(kind) == alone.cb_value(kind) is not None
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
