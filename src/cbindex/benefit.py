@@ -36,7 +36,7 @@ from .errors import (
     OrientationError,
 )
 from .nbglm import FittedBenefitModel
-from .trial_data import TrialDataset
+from .trial_data import TrialDataset, _unit_columns
 
 __all__ = [
     "BenefitVector",
@@ -225,12 +225,11 @@ def _unit_scaled(bv: BenefitVector) -> tuple[BenefitVector, int]:
     (subnormal benefits) or overflowing.  k is 0 for benefits of ordinary
     size, which are returned unchanged.
     """
-    amax = float(np.max(np.abs(bv.values))) if bv.n else 0.0
-    if amax == 0 or 2.0**-500 < amax < 2.0**500:
+    values, k = _unit_columns(bv.values[:, None])
+    if k[0] == 0:
         return bv, 0
-    k = -math.frexp(amax)[1]
-    return BenefitVector(values=np.ldexp(bv.values, k), order=bv.order,
-                         subject_ids=bv.subject_ids), k
+    return BenefitVector(values=values[:, 0], order=bv.order,
+                         subject_ids=bv.subject_ids), int(k[0])
 
 
 def gini_b(bv: BenefitVector) -> float:

@@ -210,8 +210,8 @@ class CvResult:
         grid = np.asarray(self.lambda_grid, dtype=np.float64)
         if np.any(grid <= 0) or np.any(np.diff(grid) >= 0):
             raise ValueError("lambda grid must be positive and strictly descending")
-        if not np.all(np.isfinite(self.cv_error)):
-            raise ValueError("cv errors must be finite")
+        if np.any(np.isnan(self.cv_error)):
+            raise ValueError("cv errors must not be NaN")
         if self.chosen_lambda not in grid:
             raise ValueError("chosen lambda must come from the grid")
 
@@ -489,24 +489,17 @@ def estimate_dispersion(design: DesignMatrix, coefficients: np.ndarray) -> float
 
 
 def default_lambda_grid(
-    design: DesignMatrix, size: int = 100, min_ratio: float = 1e-4
+    design: DesignMatrix, weights: np.ndarray, size: int, min_ratio: float,
+    scalings: Sequence[ScalingParams] | None = None,
 ) -> np.ndarray:
-    """Descending log-spaced penalty grid anchored at the null-model score.
-
-    The top of the grid is the largest absolute component of the
-    unpenalized score at the intercept-only fit, the scale at which all
-    penalized coefficients are crushed toward zero; the grid descends by
-    ``min_ratio`` over ``size`` log-spaced values.
-    """
-    return _lambda_grids(design, np.ones((1, design.n)), size, min_ratio)[0]
-
-
-def _lambda_grids(design, weights, size, min_ratio, scalings=None) -> np.ndarray:
-    """``default_lambda_grid`` of every row of the (R, n) ``weights``, one
-    grid per row: row r's subject counts give its intercept-only fit (a
-    batch's start), its dispersion (1 for a row with no events) and its
-    score, taken in the coordinates of ``scalings[r]`` when given (see
-    ``_basis``)."""
+    """One descending log-spaced penalty grid per row of the (R, n)
+    ``weights``, anchored at the null-model score: row r's subject counts
+    give its intercept-only fit, its dispersion (1 for a row with no
+    events) and its unpenalized score there, in the coordinates of
+    ``scalings[r]`` when given (see ``_basis``).  The grid's top is the
+    score's largest penalized component in absolute value, where every
+    penalized coefficient is crushed toward zero, and it descends by
+    ``min_ratio`` over ``size`` values."""
     batch = _Batch(design, weights, np.full(weights.shape[0], _THETA_INIT), scalings=scalings)
     events = np.flatnonzero(weights @ design.response > 0)
     if events.size:
@@ -543,12 +536,12 @@ def _bases(design: DesignMatrix, scalings: Sequence[ScalingParams]) -> np.ndarra
 
 def _held_out_loss(y, mu, theta, kind):
     """Per-subject prediction loss of means ``mu`` (dispersion ``theta``,
-    one per subject) against the observed counts ``y``."""
+    one per subject) against the observed counts ``y``; inf or NaN where
+    it overflows, under the caller's ``np.errstate``."""
     if kind == "squared":
         return (y - mu) ** 2
     if kind == "deviance":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0) / mu), 0.0)
+        term = np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0) / mu), 0.0)
         return 2.0 * (term - (y + theta) * np.log((y + theta) / (mu + theta)))
     raise ValueError(f"unknown cv loss {kind!r}")
 
@@ -666,6 +659,12 @@ class _Batch:
         loglik = y * eta_full - (y + theta) * np.log1p(mu / theta)
         return -(self.weights[members] * loglik).sum(axis=1)
 
+    def _penalized(self, nll, beta, lam):
+        """Each member's objective, ``nll`` plus its penalty: inf or NaN for
+        coefficients too large to square, which the descent test rejects."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return nll + lam * ((beta * beta) @ self.pen)
+
     def _solve(self, lam, members):
         """Penalized Newton (observed information) update of each member
         from its current means, at its entry of ``lam``.
@@ -715,7 +714,7 @@ class _Batch:
         beta = self.beta[active]
         with np.errstate(invalid="ignore"):
             nll = self._nll(self.eta[active] + self.design.offset, self.mu[active], active)
-        obj[active] = nll + self.lam[active] * ((beta * beta) @ self.pen)
+        obj[active] = self._penalized(nll, beta, self.lam[active])
         if not np.all(np.isfinite(obj[active])):
             raise NumericalError("starting point has non-finite objective")
         self.converged[active] = False
@@ -730,7 +729,7 @@ class _Batch:
             candidate = self._solve(lam, sel)
             direction = candidate - beta
             cand_eta, cand_mu, cand_nll = self._evaluate(candidate, sel)
-            cand_obj = cand_nll + lam * ((candidate * candidate) @ self.pen)
+            cand_obj = self._penalized(cand_nll, candidate, lam)
             # not "cand_obj > obj": a NaN objective must count as worse
             worse = ~(cand_obj <= obj[sel])
             # Near the optimum Newton converges quadratically, and a step
@@ -749,7 +748,7 @@ class _Batch:
                 h = np.flatnonzero(worse)
                 candidate[h] = beta[h] + step * direction[h]
                 cand_eta[h], cand_mu[h], cand_nll = self._evaluate(candidate[h], active[h])
-                cand_obj[h] = cand_nll + lam[h] * ((candidate[h] * candidate[h]) @ self.pen)
+                cand_obj[h] = self._penalized(cand_nll, candidate[h], lam[h])
                 worse[h] = ~(cand_obj[h] <= obj[active[h]])
                 any_worse = worse.any()
             done = np.abs(candidate - beta).max(axis=1) < tol
@@ -920,44 +919,6 @@ def _stratified_folds(treatment: np.ndarray, folds: int, seed: int) -> np.ndarra
 
 def cross_validate_lambda(
     design: DesignMatrix,
-    folds: int,
-    grid: Sequence[float] | np.ndarray,
-    seed: int,
-    loss: str = "squared",
-) -> CvResult:
-    """Pick the penalty that minimizes off-sample prediction loss.
-
-    Folds are assigned by a seeded permutation stratified by arm.  For
-    each penalty, the model (dispersion re-profiled on the training
-    folds) is fitted on the other K-1 folds and scored on the held-out
-    subjects; the per-penalty error is the mean over all held-out
-    subjects and its SE comes from the spread of fold means.  Ties break
-    toward the larger penalty.  The folds are fitted together, at the
-    ``"relaxed"`` precision: each is a 0/1 weight row over the full
-    design, and one batched IRLS walks all of them down the grid.  This
-    is the one-sample case of ``_cross_validate``.
-
-    Raises
-    ------
-    FoldingError
-        Before any fit, if the arms are too small for ``folds`` folds.
-    """
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
-    grid = np.sort(np.asarray(grid, dtype=np.float64))[::-1]
-    if grid.size == 0:
-        raise ValueError("empty penalty grid")
-    if np.any(grid <= 0):
-        raise ValueError("penalties must be positive")
-
-    fold_id = _stratified_folds(design.treatment.astype(np.int64), folds, seed)
-    return _cross_validate(
-        design, [np.arange(design.n)], [fold_id], folds, grid[None], loss, [design.scaling]
-    )[0]
-
-
-def _cross_validate(
-    design: DesignMatrix,
     draws: Sequence[np.ndarray],
     fold_ids: Sequence[np.ndarray],
     folds: int,
@@ -965,15 +926,25 @@ def _cross_validate(
     loss: str,
     scalings: Sequence[ScalingParams],
 ) -> list[CvResult]:
-    """``cross_validate_lambda`` of R samples at once: sample r is the
-    design rows ``draws[r]`` with fold labels ``fold_ids[r]``, its
-    descending grid ``grids[r]`` and its coordinates ``scalings[r]``.
+    """Pick the penalty of each of R samples by off-sample prediction loss:
+    sample r is the design rows ``draws[r]`` with fold labels
+    ``fold_ids[r]``, its descending grid ``grids[r]`` and its coordinates
+    ``scalings[r]``.  Each penalty's error is the mean loss over the
+    held-out subjects of fits on the other K-1 folds (dispersion profiled
+    at the top of the grid), its SE the spread of the fold means.  A
+    penalty whose error is not finite scores ``inf``; ties break toward
+    the larger penalty.
 
     Every fold of every sample is a member of one batch with its own
-    penalty path, weighing each subject by its copies outside the fold
-    (copies of one subject may sit in different folds).  A subject held
-    out by the fold counts as many times as it has copies there, and
-    only such (member, subject) pairs are scored, at most n per sample.
+    penalty path, at the ``"relaxed"`` precision, weighing each subject
+    by its copies outside the fold (copies of one subject may sit in
+    different folds).  A subject held out by the fold counts as many
+    times as it has copies there.
+
+    Raises
+    ------
+    NumericalError
+        If no penalty on some sample's grid has a finite error.
     """
     n, samples = design.n, len(draws)
     members = samples * folds
@@ -1000,12 +971,20 @@ def _cross_validate(
     for g in range(grids.shape[1]):
         if g > 0:
             batch.irls(lam[:, g], "relaxed")
-        losses = _held_out_loss(y, batch.mu[member, subject], batch.theta[member], loss)
-        fold_sums[:, g] = np.bincount(member, weights=copies * losses, minlength=members)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            losses = _held_out_loss(y, batch.mu[member, subject], batch.theta[member], loss)
+            fold_sums[:, g] = np.bincount(member, weights=copies * losses, minlength=members)
     fold_sums = fold_sums.reshape(samples, folds, -1)
     sizes = held.sum(axis=2)
-    cv_error = fold_sums.sum(axis=1) / sizes.sum(axis=1)[:, None]
-    cv_se = (fold_sums / sizes[:, :, None]).std(axis=1, ddof=1) / math.sqrt(folds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cv_error = fold_sums.sum(axis=1) / sizes.sum(axis=1)[:, None]
+        cv_se = (fold_sums / sizes[:, :, None]).std(axis=1, ddof=1) / math.sqrt(folds)
+    cv_error[~np.isfinite(cv_error)] = np.inf
+    if np.any(np.isinf(cv_error).all(axis=1)):
+        raise NumericalError(
+            "cross-validation cannot choose a penalty: the held-out loss is not finite at "
+            f"any of the {grids.shape[1]} penalties on the grid"
+        )
     return [
         CvResult(
             lambda_grid=grids[r],

@@ -210,10 +210,10 @@ class BenefitPipeline:
             models = nbglm.fit_weighted(design, counts, 0.0, self.precision)
             return [(model, None) for model in models]
         scalings = [m.scaling for m in group]
-        grids = nbglm._lambda_grids(
+        grids = nbglm.default_lambda_grid(
             design, counts, self.lambda_grid_size, self.lambda_min_ratio, scalings
         )
-        cvs = nbglm._cross_validate(
+        cvs = nbglm.cross_validate_lambda(
             design,
             [m.draw for m in group],
             [m.fold_id for m in group],

@@ -409,6 +409,22 @@ def load_dataset(
     )
 
 
+def _unit_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` with column j times 2**k[j], and k: k[j] brings a column whose
+    largest magnitude lies outside (2**-500, 2**500), where its squares or
+    sums would underflow or overflow, near unit size, and is 0 otherwise.
+    A power-of-two rescale is exact.  ``x`` itself when every k[j] is 0."""
+    with np.errstate(over="ignore"):
+        squares = np.einsum("ij,ij->j", x, x)
+    # A sum of squares in (n * 2**-1000, 2**1000) puts the largest magnitude
+    # inside (2**-500, 2**500), at a fraction of the cost of the passes below.
+    if np.all((squares > x.shape[0] * 2.0**-1000) & (squares < 2.0**1000)):
+        return x, np.zeros(x.shape[1], dtype=np.intp)
+    amax = np.maximum(x.max(axis=0, initial=0.0), -x.min(axis=0, initial=0.0))
+    k = np.where((amax > 0) & ((amax <= 2.0**-500) | (amax >= 2.0**500)), -np.frexp(amax)[1], 0)
+    return (np.ldexp(x, k) if k.any() else x), k
+
+
 def standardize(d: TrialDataset) -> tuple[TrialDataset, ScalingParams]:
     """Scale every covariate column to sample mean 0 and sample SD 1.
 
@@ -421,14 +437,14 @@ def standardize(d: TrialDataset) -> tuple[TrialDataset, ScalingParams]:
     DegenerateCovariateError
         If any covariate column is constant.
     """
-    x = d.covariates
+    x, k = _unit_columns(d.covariates)
     means = x.mean(axis=0)
     sds = x.std(axis=0, ddof=1) if d.n > 1 else np.zeros(d.m)
     for j, sd in enumerate(sds):
         if sd == 0 or not np.isfinite(sd):
             raise DegenerateCovariateError(d.covariate_names[j])
     scaled = (x - means) / sds
-    params = ScalingParams(means=means, sds=sds)
+    params = ScalingParams(means=np.ldexp(means, -k), sds=np.ldexp(sds, -k))
     return replace(d, covariates=scaled), params
 
 
@@ -464,7 +480,8 @@ def balance_check(d: TrialDataset, threshold: float = 0.05) -> BalanceResult:
         raise ValueError("balance check needs both arms present")
     mask0 = d.treatment == 0
     mask1 = ~mask0
-    x0, x1 = d.covariates[mask0], d.covariates[mask1]
+    x, _ = _unit_columns(d.covariates)
+    x0, x1 = x[mask0], x[mask1]
     smd = np.full(d.m, np.nan)
     for j in range(d.m):
         diff = abs(x1[:, j].mean() - x0[:, j].mean())
@@ -472,7 +489,7 @@ def balance_check(d: TrialDataset, threshold: float = 0.05) -> BalanceResult:
         s1 = x1[:, j].std(ddof=1) if mask1.sum() > 1 else 0.0
         pooled = math.sqrt((s0**2 + s1**2) / 2)
         if pooled == 0:
-            pooled = d.covariates[:, j].std(ddof=1)
+            pooled = x[:, j].std(ddof=1)
         if pooled > 0:
             smd[j] = diff / pooled
     flagged = [

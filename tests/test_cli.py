@@ -54,6 +54,41 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def edit_rows(csv, edit):
+    """The text of the trial CSV ``csv`` with ``edit`` applied to its rows,
+    each a list of cells [id, arm, y, t, x1, x2]."""
+    header, *lines = csv.read_text().splitlines()
+    rows = edit([line.split(",") for line in lines])
+    return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+
+
+def set_cell(row, column, value):
+    def edit(rows):
+        rows[row][column] = value
+        return rows
+    return edit
+
+
+def scale_covariates(power):
+    return lambda rows: [r[:4] + [repr(math.ldexp(float(v), power)) for v in r[4:]]
+                         for r in rows]
+
+
+# Inputs at the edge of the arithmetic, each a row edit for ``edit_rows``.
+PATHOLOGICAL = {
+    "cell-1e3": set_cell(0, 4, "1000.0"),
+    "cell-1e200": set_cell(0, 4, "1e200"),
+    "covariates-times-2^-700": scale_covariates(-700),
+    "time-1e300": set_cell(0, 3, "1e300"),
+    "time-1e-300": set_cell(0, 3, "1e-300"),
+    "count-1e15": set_cell(0, 2, str(10**15)),
+    "x2-equals-x1": lambda rows: [r[:5] + [r[4]] for r in rows],
+    "x2-affine-in-x1": lambda rows: [r[:5] + [repr(2 * float(r[4]) + 1)] for r in rows],
+    "6-subjects": lambda rows: rows[:6],
+    "no-events": lambda rows: [r[:2] + ["0"] + r[3:] for r in rows],
+}
+
+
 def constant_model(b0):
     """A model whose only treatment term halves the rate: constant
     benefit exp(b0)/2 for every subject."""
@@ -539,6 +574,42 @@ class TestEstimateCommand:
         report = json.loads((out / "report.json").read_text())
         assert "semiparametric" in report["optimism"]
         assert "adjusted" in report["optimism"]["semiparametric"]
+
+    @pytest.mark.parametrize("model", ["ridge", "ml"])
+    @pytest.mark.parametrize("power", [-700, 700])
+    def test_covariates_scaled_by_a_power_of_two_give_the_same_report(self, workspace,
+                                                                     model, power):
+        """Squares of covariates of size 2**-700 underflow and of 2**700
+        overflow: the spreads are taken after an exact rescale."""
+        tmp, csv, config = workspace
+        scaled = tmp / f"scaled_{power}.csv"
+        scaled.write_text(edit_rows(csv, scale_covariates(power)))
+        reports = []
+        for name, data in (("plain", csv), ("scaled", scaled)):
+            out = tmp / f"{name}_{model}_{power}"
+            assert run_cli(["estimate", "--input", data, "--config", config, "--model", model,
+                            "--seed", "3", "--out", out]) == 0
+            report = json.loads((out / "report.json").read_text())
+            del report["config_digest"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model", ["ridge", "ml"])
+    @pytest.mark.parametrize("edit", PATHOLOGICAL.values(), ids=PATHOLOGICAL.keys())
+    def test_pathological_input_exits_zero_or_three_with_a_report(self, workspace, model, edit):
+        tmp, csv, config = workspace
+        settings = json.loads(config.read_text())
+        settings["cv"]["grid_size"] = 6
+        config = tmp / "grid6.json"
+        config.write_text(json.dumps(settings))
+        data = tmp / "pathological.csv"
+        data.write_text(edit_rows(csv, edit))
+        out = tmp / f"pathological_{model}"
+        code = run_cli(["estimate", "--input", data, "--config", config, "--model", model,
+                        "--seed", "3", "--out", out])
+        assert code in (0, 3)
+        assert (out / "report.json").is_file()
 
 
 class TestSimulateCommand:

@@ -46,6 +46,21 @@ def design_from(dataset):
     return build_design_matrix(std, scaling=scaling)
 
 
+def lambda_grid(design, size, min_ratio):
+    """The penalty grid of the whole design: all-ones counts."""
+    return default_lambda_grid(design, np.ones((1, design.n)), size, min_ratio)[0]
+
+
+def cross_validate(design, folds, grid, seed, loss="squared"):
+    """Cross-validation of the whole design along ``grid``, sorted
+    descending, with folds dealt from ``seed``."""
+    grid = np.sort(np.asarray(grid, dtype=np.float64))[::-1]
+    fold_id = _stratified_folds(design.treatment.astype(np.int64), folds, seed)
+    return cross_validate_lambda(
+        design, [np.arange(design.n)], [fold_id], folds, grid[None], loss, [design.scaling]
+    )[0]
+
+
 def reference_fit(design, lam, theta, beta_start=None, tol=1e-8, max_iter=100, max_halvings=40):
     """Penalized Fisher scoring on one design, written independently of
     the package's batched kernel.  It weighs subjects by the expected
@@ -634,7 +649,7 @@ class TestCrossValidation:
         coefs[2:] *= effects
         d = simulate_trial(coefs, n=n, seed=data_seed, theta=theta, m=3, fixed_time=False)
         design = design_from(d)
-        grid = default_lambda_grid(design, size=15, min_ratio=1e-3)
+        grid = lambda_grid(design, size=15, min_ratio=1e-3)
         if slopes is not None:
             # every member of both paths starts from these slopes
             start = nbglm._start_coefficients
@@ -651,7 +666,7 @@ class TestCrossValidation:
         # the cases cover unequal folds that converge at different speeds
         assert np.unique(np.bincount(fold_id)).size > 1
         assert np.any(iterations.min(axis=0) != iterations.max(axis=0))
-        res = cross_validate_lambda(design, folds=folds, grid=grid, seed=7, loss=loss)
+        res = cross_validate(design, folds=folds, grid=grid, seed=7, loss=loss)
         assert res.chosen_lambda == chosen
         # Near the Poisson limit the dispersion profile is flat.  The
         # Newton search stops where the score's root is, whatever rounding
@@ -676,16 +691,16 @@ class TestCrossValidation:
             sample = d.subset(draw)
             std, scaling = standardize(sample)
             own = build_design_matrix(std, scaling=scaling)
-            grid = default_lambda_grid(own, size=8, min_ratio=1e-3)
-            references.append(cross_validate_lambda(own, folds=4, grid=grid, seed=r, loss=loss))
+            grid = lambda_grid(own, size=8, min_ratio=1e-3)
+            references.append(cross_validate(own, folds=4, grid=grid, seed=r, loss=loss))
             scalings.append(scaling)
             fold_ids.append(_stratified_folds(sample.treatment, 4, r))
             # copies of one subject are held out by different folds
             subject_folds = np.unique(np.column_stack([draw, fold_ids[r]]), axis=0)
             assert np.any(np.bincount(subject_folds[:, 0]) > 1)
         counts = np.array([np.bincount(draw, minlength=d.n) for draw in draws], dtype=np.float64)
-        grids = nbglm._lambda_grids(design, counts, 8, 1e-3, scalings)
-        results = nbglm._cross_validate(design, draws, fold_ids, 4, grids, loss, scalings)
+        grids = default_lambda_grid(design, counts, 8, 1e-3, scalings)
+        results = cross_validate_lambda(design, draws, fold_ids, 4, grids, loss, scalings)
         for res, ref in zip(results, references):
             np.testing.assert_allclose(res.lambda_grid, ref.lambda_grid, rtol=1e-12, atol=0)
             assert np.argmin(res.cv_error) == np.argmin(ref.cv_error)
@@ -712,28 +727,28 @@ class TestCrossValidation:
         d = simulate_trial(np.array([0.2, -0.3, 0.5, -0.2, 0.2, 0.1]), n=400, seed=14, m=2)
         design = design_from(d)
         grid = np.geomspace(10, 0.01, 6)
-        a = cross_validate_lambda(design, folds=4, grid=grid, seed=99)
-        b = cross_validate_lambda(design, folds=4, grid=grid, seed=99)
+        a = cross_validate(design, folds=4, grid=grid, seed=99)
+        b = cross_validate(design, folds=4, grid=grid, seed=99)
         assert a.chosen_lambda == b.chosen_lambda
         np.testing.assert_array_equal(a.cv_error, b.cv_error)
 
     def test_single_value_grid(self):
         d = simulate_trial(np.array([0.2, -0.3, 0.5, -0.2, 0.2, 0.1]), n=200, seed=15, m=2)
-        res = cross_validate_lambda(design_from(d), folds=4, grid=[0.7], seed=1)
+        res = cross_validate(design_from(d), folds=4, grid=[0.7], seed=1)
         assert res.chosen_lambda == 0.7
 
     def test_large_sample_prefers_weak_penalty(self):
         # strong log-scale interactions, n=5000: little shrinkage needed
         d = simulate_trial(np.array(ML_COEFFICIENTS), n=5000, seed=16, theta=1.0, m=6)
         design = design_from(d)
-        grid = default_lambda_grid(design, size=12, min_ratio=1e-3)
-        res = cross_validate_lambda(design, folds=5, grid=grid, seed=21)
+        grid = lambda_grid(design, size=12, min_ratio=1e-3)
+        res = cross_validate(design, folds=5, grid=grid, seed=21)
         assert res.chosen_lambda < np.median(res.lambda_grid)
 
     def test_deviance_loss_available(self):
         d = simulate_trial(np.array([0.2, -0.3, 0.5, -0.2, 0.2, 0.1]), n=300, seed=17, m=2)
-        res = cross_validate_lambda(design_from(d), folds=3, grid=[5.0, 0.5], seed=2,
-                                    loss="deviance")
+        res = cross_validate(design_from(d), folds=3, grid=[5.0, 0.5], seed=2,
+                             loss="deviance")
         assert np.all(np.isfinite(res.cv_error))
 
     def test_unfoldable_arm_errors_after_retries(self):
@@ -745,7 +760,7 @@ class TestCrossValidation:
         a[0] = 1
         d = make_dataset(a, rng.integers(0, 3, n), np.ones(n), rng.normal(0, 1, (n, 1)))
         with pytest.raises(FoldingError, match="from 29 control and 1 treated subjects"):
-            cross_validate_lambda(design_from(d), folds=3, grid=[1.0], seed=4)
+            cross_validate(design_from(d), folds=3, grid=[1.0], seed=4)
 
     @pytest.mark.parametrize("control, treated, folds", [
         (0, 5, 2), (1, 7, 3), (2, 2, 3), (3, 9, 10), (2, 2, 2), (2, 3, 3), (9, 10, 10),

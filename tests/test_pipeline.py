@@ -3,8 +3,8 @@ import pytest
 
 from cbindex import nbglm
 from cbindex.benefit import mean_benefit, observed_mean_benefit
-from cbindex.errors import EstimationError
-from cbindex.pipeline import BenefitPipeline
+from cbindex.errors import EstimationError, NumericalError
+from cbindex.pipeline import BenefitPipeline, PipelineResult
 from cbindex.trial_data import make_dataset
 
 from conftest import simulate_trial
@@ -79,6 +79,60 @@ class TestBenefitPipeline:
         result = pipe.estimate(small_trial, seed=5)
         assert result.cv is not None
         assert result.model.penalty == result.cv.chosen_lambda
+
+    @pytest.mark.parametrize("model, calls", [("ridge", 1), ("ml", 0)])
+    def test_each_ridge_batch_runs_the_kernel_grid_and_cv_once(self, small_trial, monkeypatch,
+                                                                model, calls):
+        """The benchmark's layer table times these two kernel functions by
+        name: one sample or a batch of resamples calls each once, and
+        maximum likelihood neither."""
+        counts = {}
+        for name in ("default_lambda_grid", "cross_validate_lambda"):
+            counts[name] = 0
+
+            def counted(*args, _name=name, _run=getattr(nbglm, name)):
+                counts[_name] += 1
+                return _run(*args)
+
+            monkeypatch.setattr(nbglm, name, counted)
+        pipe = BenefitPipeline(model=model, cv_folds=3, lambda_grid_size=4, lambda_min_ratio=1e-2)
+        pipe.estimate(small_trial, seed=5)
+        assert set(counts.values()) == {calls}
+        rng = np.random.default_rng(8)
+        draws = [rng.integers(0, small_trial.n, small_trial.n) for _ in range(3)]
+        results = pipe.estimate_resamples(small_trial, draws, [1, 2, 3])
+        assert all(isinstance(r, PipelineResult) for r in results)
+        assert set(counts.values()) == {2 * calls}
+
+    def test_penalties_whose_held_out_loss_overflows_cannot_be_chosen(self):
+        d = simulate_trial(MILD, n=300, seed=0, m=2)
+        x = d.covariates.copy()
+        x[0, 0] = 1e3
+        cv = BenefitPipeline().estimate(make_dataset(d.treatment, d.events, d.time, x),
+                                        seed=1).cv
+        overflowed = np.isinf(cv.cv_error)
+        assert 0 < overflowed.sum() < overflowed.size
+        assert cv.chosen_lambda == cv.lambda_grid[np.argmin(cv.cv_error)]
+        assert not overflowed[cv.lambda_grid == cv.chosen_lambda].any()
+
+    def test_a_grid_with_no_finite_held_out_loss_is_a_numerical_error(self):
+        d = simulate_trial(MILD, n=300, seed=0, m=2)
+        time = d.time.copy()
+        time[0] = 1e300
+        with pytest.raises(NumericalError,
+                           match="held-out loss is not finite at any of the 100 penalties"):
+            BenefitPipeline().estimate(make_dataset(d.treatment, d.events, time, d.covariates),
+                                       seed=1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ml_steps_too_large_to_square_are_rejected_without_a_warning(self):
+        d = simulate_trial(MILD, n=150, seed=42, theta=2.0, m=2)
+        time = d.time.copy()
+        time[1] = 1e300
+        result = BenefitPipeline(model="ml").estimate(
+            make_dataset(d.treatment, d.events, time, d.covariates)
+        )
+        assert np.all(np.isfinite(result.model.coefficients))
 
     def test_evaluate_reuses_model(self):
         train = simulate_trial(MILD, n=400, seed=51, theta=2.0, m=2)

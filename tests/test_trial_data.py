@@ -386,6 +386,30 @@ class TestStandardize:
         s2, _ = standardize(d2)
         np.testing.assert_array_equal(s1.covariates, s2.covariates)
 
+    def test_columns_far_from_unit_size_are_rescaled_exactly(self):
+        """Squares of covariates of size 2**-700 underflow and of 2**700
+        overflow; an exact power-of-two rescale gives the spreads of the
+        unscaled columns."""
+        rng = np.random.default_rng(6)
+        x, a, powers = rng.normal(0, 1, (40, 3)), np.repeat([0, 1], 20), [-700, 700, 0]
+        plain = make_dataset(a, np.zeros(40, dtype=int), np.ones(40), x)
+        far = make_dataset(a, np.zeros(40, dtype=int), np.ones(40), np.ldexp(x, powers))
+        (s0, p0), (s1, p1) = standardize(plain), standardize(far)
+        np.testing.assert_array_equal(s1.covariates, s0.covariates)
+        np.testing.assert_array_equal(p1.means, np.ldexp(p0.means, powers))
+        np.testing.assert_array_equal(p1.sds, np.ldexp(p0.sds, powers))
+        np.testing.assert_array_equal(balance_check(far).smd, balance_check(plain).smd)
+
+    @pytest.mark.parametrize("power", [-1060, -600, -503, -502, -501, -300, 0, 300, 497, 498,
+                                       499, 600])
+    def test_rescale_exponents_follow_the_largest_magnitude(self, power):
+        """The sum-of-squares shortcut gives the exponents of the max-abs rule."""
+        x = np.ldexp(np.random.default_rng(7).normal(0, 1, (50, 3)), power)
+        amax = np.abs(x).max(axis=0)
+        far = (amax > 0) & ((amax <= 2.0**-500) | (amax >= 2.0**500))
+        expected = np.where(far, -np.frexp(amax)[1], 0)
+        np.testing.assert_array_equal(trial_data._unit_columns(x)[1], expected)
+
 
 class TestBalanceCheck:
     def test_identical_arms_zero_smd(self):
