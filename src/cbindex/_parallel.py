@@ -8,6 +8,7 @@ worker through the pool initializer rather than per task.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Sequence
 
@@ -32,9 +33,12 @@ def run_indexed(
     """Run ``task(i)`` for each index, in order, with ``shared`` visible
     to the task via :func:`shared_state`.
 
-    ``workers <= 1`` runs in-process; otherwise a process pool is used
-    and ``shared`` must be picklable.
+    ``workers`` is capped at the task count and the usable CPUs, since a
+    pool starts all its processes at once.  One worker runs in-process;
+    more use a process pool, and ``shared`` must be picklable.
     """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(indices), cpus or 1)
     if workers <= 1:
         previous = _SHARED
         _init_shared(shared)

@@ -232,6 +232,17 @@ def _unit_scaled(bv: BenefitVector) -> tuple[BenefitVector, int]:
                          subject_ids=bv.subject_ids), int(k[0])
 
 
+def _gini(mean: float, pair_max: float) -> float:
+    """The Gini from the mean benefit and the pairwise maximum: their
+    difference over the mean, 0 without spread and ``inf`` at a zero mean."""
+    d = pair_max - mean
+    if d == 0:
+        return 0.0
+    if mean == 0:
+        return math.inf
+    return d / mean
+
+
 def gini_b(bv: BenefitVector) -> float:
     """Mean absolute pairwise difference over twice the mean benefit.
 
@@ -240,13 +251,8 @@ def gini_b(bv: BenefitVector) -> float:
     signs it may exceed 1.
     """
     bv, _ = _unit_scaled(bv)
-    d = delta_b(bv)
-    if d == 0:
-        return 0.0
-    m = mean_benefit(bv)
-    if m == 0:
-        return math.inf
-    return d / m
+    pm = pair_max_parametric(bv)
+    return _gini(mean_benefit(bv), pm)
 
 
 def cb_parametric(bv: BenefitVector) -> CbEstimate:
@@ -274,7 +280,7 @@ def cb_parametric(bv: BenefitVector) -> CbEstimate:
             "pairwise maximum benefit is non-positive; index undefined"
         )
     cb = 1.0 - m / pm
-    g = gini_b(bv)
+    g = _gini(m, pm)
     if math.isfinite(g):
         check = g / (1.0 + g)
         if abs(cb - check) > 1e-12 * max(1.0, abs(cb)):
@@ -358,26 +364,20 @@ def cb_semiparametric(d: TrialDataset, bv: BenefitVector) -> CbEstimate:
         If the estimated pairwise maximum is non-positive, leaving the
         index undefined.
     """
-    if not d.has_both_arms:
-        raise EstimatorUndefinedError(
-            "semi-parametric estimator needs subjects in both arms"
-        )
     n = d.n
-    e_b = observed_mean_benefit(d)
     curve = semiparametric_partial_sums(d, bv)
+    e_b = observed_mean_benefit(d)
     pair_max = 2.0 * curve.sum() / n**2 - e_b / n
     if pair_max <= 0:
         raise DegenerateEstimateError(
             f"semi-parametric pairwise maximum {pair_max:.6g} is non-positive"
         )
     cb = 1.0 - e_b / pair_max
-    dlt = pair_max - e_b
-    gini = 0.0 if dlt == 0 else (math.inf if e_b == 0 else dlt / e_b)
     return CbEstimate(
         mean_benefit=e_b,
         pair_max=pair_max,
-        delta_b=dlt,
-        gini_b=gini,
+        delta_b=pair_max - e_b,
+        gini_b=_gini(e_b, pair_max),
         cb=cb,
         estimator_kind="semiparametric",
         out_of_range=not 0.0 <= cb <= 1.0,

@@ -39,7 +39,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import benefit as bn
-from .errors import CbIndexError, ConfigError, DataError, EstimationError
+from .errors import ConfigError, DataError, EstimationError
 from .inference import BootstrapConfig, bootstrap_intervals, optimism_adjust_all
 from .nbglm import FittedBenefitModel
 from .pipeline import ESTIMATOR_KINDS, BenefitPipeline
@@ -268,78 +268,69 @@ def cmd_estimate(cfg: RunConfig) -> int:
     kinds = list(ESTIMATOR_KINDS) if cfg.estimator == "both" else [cfg.estimator]
     try:
         result = cfg.pipeline.estimate(data, seed=cfg.seed)
+        model, cv = result.model, result.cv
+        model_payload = model.to_dict()
+        report["model"] = {
+            "kind": cfg.pipeline.model,
+            "lambda": model.penalty,
+            "theta": model.dispersion,
+            "converged": model.fit_meta.converged,
+            "iterations": model.fit_meta.iterations,
+            "coefficients": model_payload["coefficients"],
+            "cv": None
+            if cv is None
+            else {
+                "folds": cv.folds,
+                "grid_size": int(cv.lambda_grid.size),
+                "chosen_lambda": cv.chosen_lambda,
+                "chosen_index": cv.chosen_index,
+                "at_grid_edge": cv.chosen_index in (0, cv.lambda_grid.size - 1),
+            },
+        }
+        report["estimates"] = {
+            kind: _cb_block(result.estimates, result.failures, kind) for kind in kinds
+        }
+
+        degenerate = [k for k in kinds if k not in result.estimates]
+
+        if cfg.bootstrap is not None and not degenerate:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UserWarning)
+                intervals = bootstrap_intervals(data, cfg.pipeline, cfg.bootstrap, original=result)
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+            report["intervals"] = {}
+            for kind in kinds:
+                iv = intervals[kind]  # every kind asked for has a point estimate
+                report["intervals"][kind] = {
+                    "level": iv.level,
+                    "lower": iv.lower,
+                    "upper": iv.upper,
+                    "replicates": cfg.bootstrap.replicates,
+                    "failed": iv.n_failed,
+                    "unreliable": iv.unreliable,
+                }
+                _write_csv(cfg.out_dir / f"bootstrap_{kind}.csv", _meta_lines(cfg), ["value"],
+                           ((v,) for v in iv.replicate_values.tolist()))
+
+        if cfg.optimism is not None and not degenerate:
+            adjusted = optimism_adjust_all(data, cfg.pipeline, cfg.optimism, original=result)
+            report["optimism"] = {
+                kind: {
+                    "replicates": cfg.optimism.replicates,
+                    "optimism": adj.optimism,
+                    "adjusted": adj.adjusted,
+                    "failed": adj.n_failed,
+                }
+                for kind, adj in adjusted.items()
+                if kind in kinds
+            }
     except EstimationError as exc:
         report["error"] = str(exc)
         _write_json(cfg.out_dir / "report.json", report)
-        print(f"estimation degenerate: {exc}", file=sys.stderr)
-        return 3
-
-    model, cv = result.model, result.cv
-    # the choice's place on the descending grid
-    index = None if cv is None else int(np.flatnonzero(cv.lambda_grid == cv.chosen_lambda)[0])
-    report["model"] = {
-        "kind": cfg.pipeline.model,
-        "lambda": model.penalty,
-        "theta": model.dispersion,
-        "converged": model.fit_meta.converged,
-        "iterations": model.fit_meta.iterations,
-        "coefficients": [
-            {"name": name, "value": float(v)}
-            for name, v in zip(model.coefficient_names, model.coefficients)
-        ],
-        "cv": None
-        if cv is None
-        else {
-            "folds": cv.folds,
-            "grid_size": int(cv.lambda_grid.size),
-            "chosen_lambda": cv.chosen_lambda,
-            "chosen_index": index,
-            "at_grid_edge": index in (0, cv.lambda_grid.size - 1),
-        },
-    }
-    report["estimates"] = {
-        kind: _cb_block(result.estimates, result.failures, kind) for kind in kinds
-    }
-
-    degenerate = [k for k in kinds if k not in result.estimates]
-
-    if cfg.bootstrap is not None and not degenerate:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", UserWarning)
-            intervals = bootstrap_intervals(data, cfg.pipeline, cfg.bootstrap, original=result)
-        for warning in caught:
-            print(f"warning: {warning.message}", file=sys.stderr)
-        report["intervals"] = {}
-        for kind in kinds:
-            iv = intervals.get(kind)
-            if iv is None:
-                continue
-            report["intervals"][kind] = {
-                "level": iv.level,
-                "lower": iv.lower,
-                "upper": iv.upper,
-                "replicates": cfg.bootstrap.replicates,
-                "failed": iv.n_failed,
-                "unreliable": iv.unreliable,
-            }
-            _write_csv(cfg.out_dir / f"bootstrap_{kind}.csv", _meta_lines(cfg), ["value"],
-                       ((v,) for v in iv.replicate_values.tolist()))
-
-    if cfg.optimism is not None and not degenerate:
-        adjusted = optimism_adjust_all(data, cfg.pipeline, cfg.optimism, original=result)
-        report["optimism"] = {
-            kind: {
-                "replicates": cfg.optimism.replicates,
-                "optimism": adj.optimism,
-                "adjusted": adj.adjusted,
-                "failed": adj.n_failed,
-            }
-            for kind, adj in adjusted.items()
-            if kind in kinds
-        }
+        raise
 
     _write_json(cfg.out_dir / "report.json", report)
-    model_payload = model.to_dict()
     model_payload.update(
         {"schema_version": SCHEMA_VERSION, "config_digest": cfg.digest, "seed": cfg.seed}
     )
@@ -354,9 +345,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
                zip(par_curve.k.tolist(), par_curve.values.tolist(), semi_curve.values.tolist()))
 
     if degenerate:
-        msgs = "; ".join(f"{k}: {result.failures.get(k, 'unavailable')}" for k in degenerate)
-        print(f"estimation degenerate: {msgs}", file=sys.stderr)
-        return 3
+        raise EstimationError(
+            "; ".join(f"{k}: {result.failures.get(k, 'unavailable')}" for k in degenerate)
+        )
     return 0
 
 
@@ -568,9 +559,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except EstimationError as exc:
         print(f"estimation degenerate: {exc}", file=sys.stderr)
-        return 3
-    except CbIndexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

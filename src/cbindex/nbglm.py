@@ -203,7 +203,7 @@ class CvResult:
     lambda_grid: np.ndarray
     cv_error: np.ndarray
     cv_se: np.ndarray
-    chosen_lambda: float
+    chosen_index: int
     folds: int
 
     def __post_init__(self):
@@ -212,8 +212,10 @@ class CvResult:
             raise ValueError("lambda grid must be positive and strictly descending")
         if np.any(np.isnan(self.cv_error)):
             raise ValueError("cv errors must not be NaN")
-        if self.chosen_lambda not in grid:
-            raise ValueError("chosen lambda must come from the grid")
+
+    @property
+    def chosen_lambda(self) -> float:
+        return float(self.lambda_grid[self.chosen_index])
 
 
 def build_design_matrix(
@@ -990,7 +992,7 @@ def cross_validate_lambda(
             lambda_grid=grids[r],
             cv_error=cv_error[r],
             cv_se=cv_se[r],
-            chosen_lambda=float(grids[r][int(np.argmin(cv_error[r]))]),
+            chosen_index=int(np.argmin(cv_error[r])),
             folds=folds,
         )
         for r in range(samples)

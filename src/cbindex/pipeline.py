@@ -252,8 +252,12 @@ class BenefitPipeline:
 
 
 def _require_converged(model: nbglm.FittedBenefitModel) -> None:
-    if not model.fit_meta.converged:
-        raise ConvergenceError(f"fit did not converge in {model.fit_meta.iterations} iterations")
+    meta = model.fit_meta
+    if meta.converged:
+        return
+    if meta.dispersion_rounds >= nbglm._MAX_ROUNDS:
+        raise ConvergenceError(f"the dispersion did not settle in {meta.dispersion_rounds} rounds")
+    raise ConvergenceError(f"fit did not converge in {meta.iterations} iterations")
 
 
 def _require_finite_estimate(

@@ -230,6 +230,7 @@ def reports():
     return out
 
 
+@pytest.mark.slow
 class TestCriterion7SimulationPatterns:
     REPLICATES = REPLICATES_7
     N_VALUES = N_VALUES_7
@@ -319,6 +320,7 @@ class TestCriterion8Determinism:
                    "and across 1 vs 8 workers")
 
 
+@pytest.mark.slow
 class TestCriterion9BootstrapCoverage:
     OUTER = 100
     BOOT = 200

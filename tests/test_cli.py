@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cbindex
-from cbindex import inference
+from cbindex import inference, nbglm
 from cbindex.cli import RunConfig, main
 from cbindex.nbglm import FitMeta, FittedBenefitModel
 from cbindex.trial_data import ScalingParams
@@ -48,6 +48,14 @@ def workspace(tmp_path):
         "cv": {"folds": 3, "grid_size": 4, "min_ratio": 0.01},
     }))
     return tmp_path, csv, config
+
+
+def write_dataset_csv(path, d):
+    """``d``, a two-covariate TrialDataset, as a trial CSV."""
+    path.write_text("id,arm,y,t,x1,x2\n" + "".join(
+        f"s{i},{d.treatment[i]},{d.events[i]},{float(d.time[i])!r},"
+        f"{float(d.covariates[i, 0])!r},{float(d.covariates[i, 1])!r}\n" for i in range(d.n)))
+    return path
 
 
 def run_cli(args):
@@ -503,11 +511,7 @@ class TestEstimateCommand:
         the ML treatment and treatment:x1 coefficients run off until the
         fitted means of that subgroup underflow to 0."""
         tmp, _, config = workspace
-        d = separated_trial(2)
-        csv = tmp_path / "separated.csv"
-        csv.write_text("id,arm,y,t,x1,x2\n" + "".join(
-            f"s{i},{d.treatment[i]},{d.events[i]},1.0,{d.covariates[i, 0]},"
-            f"{float(d.covariates[i, 1])!r}\n" for i in range(d.n)))
+        csv = write_dataset_csv(tmp_path / "separated.csv", separated_trial(2))
         message = ("the maximum-likelihood estimate is infinite in treatment, treatment:x1: "
                    "the fitted means of 71 subjects underflow to 0; the ridge model gives a "
                    "finite estimate")
@@ -520,6 +524,46 @@ class TestEstimateCommand:
         code = run_cli(["estimate", "--input", csv, "--config", config,
                         "--model", "ridge", "--seed", "3", "--out", tmp / "ridge"])
         assert code == 0
+
+    @pytest.mark.parametrize("cap, message", [
+        ("_MAX_ROUNDS", "the dispersion did not settle in 1 rounds"),
+        ("_MAX_ITER", "fit did not converge in 1 iterations"),
+    ])
+    @pytest.mark.parametrize("model", ["ml", "ridge"])
+    def test_a_fit_stopped_at_its_cap_exits_three_naming_the_loop(
+        self, workspace, capsys, monkeypatch, cap, message, model
+    ):
+        tmp, csv, config = workspace
+        monkeypatch.setattr(nbglm, cap, 1)
+        out = tmp / f"capped_{model}"
+        code = run_cli(["estimate", "--input", csv, "--config", config,
+                        "--model", model, "--seed", "3", "--out", out])
+        assert code == 3
+        assert capsys.readouterr().err == f"estimation degenerate: {message}\n"
+        assert json.loads((out / "report.json").read_text())["error"] == message
+
+    @pytest.mark.parametrize("flag, seed", [("--bootstrap", 20), ("--optimism", 19)])
+    def test_every_resample_failing_exits_three_with_a_report(
+        self, workspace, tmp_path, capsys, small_trial, flag, seed
+    ):
+        """One treated subject has events: a resample without it has an
+        eventless treated arm.  The optimism resamples of seed 19 are the
+        bootstrap resamples of seed 20, and both of them miss it."""
+        tmp, _, config = workspace
+        events = small_trial.events.copy()
+        events[np.flatnonzero((small_trial.treatment == 1) & (events > 0))[1:]] = 0
+        csv = write_dataset_csv(tmp_path / "one_treated_event.csv",
+                                replace(small_trial, events=events))
+        out = tmp / f"resampling{flag}"
+        code = run_cli(["estimate", "--input", csv, "--config", config, "--model", "ml",
+                        flag, 2, "--seed", seed, "--out", out])
+        assert code == 3
+        kind = flag.strip("-")
+        message = f"every {kind} replicate failed for the parametric estimator"
+        assert capsys.readouterr().err == f"estimation degenerate: {message}\n"
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"] == message
+        assert report["model"]["converged"] and report["estimates"]["parametric"]["cb"] > 0
 
     def test_overflowing_benefit_exits_three_naming_the_subject(self, workspace, tmp_path,
                                                                 capsys):

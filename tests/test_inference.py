@@ -1,9 +1,10 @@
+import os
 import re
 
 import numpy as np
 import pytest
 
-from cbindex import inference, make_dataset, nbglm
+from cbindex import _parallel, inference, make_dataset, nbglm
 from cbindex.benefit import BenefitVector, CbEstimate
 from cbindex.cli import _write_csv
 from cbindex.errors import CbIndexError, EstimationError, NumericalError
@@ -386,6 +387,40 @@ class TestMaximumLikelihoodBatches:
                     assert value == pytest.approx(before, rel=1e-9, abs=0)
                 else:
                     assert value == before
+
+
+def _shared_plus(i):
+    return _parallel.shared_state() + i
+
+
+@pytest.mark.parametrize("cpus, tasks, pools", [(64, 3, [3]), (2, 3, [2]), (64, 1, [])])
+def test_the_pool_is_capped_at_the_tasks_and_the_cpus(monkeypatch, cpus, tasks, pools):
+    """A pool starts all its processes at once: a huge worker count gets
+    one per task and per CPU, and one task runs in-process.  A stand-in
+    pool records its size and runs the tasks here."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            made.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, task, indices, chunksize):
+            return map(task, indices)
+
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_parallel, "_SHARED", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert _parallel.run_indexed(_shared_plus, range(tasks), 10**6, 100) == [
+        100 + i for i in range(tasks)]
+    assert made == pools
 
 
 def test_chunk_rule():

@@ -79,6 +79,7 @@ class TestBenefitPipeline:
         result = pipe.estimate(small_trial, seed=5)
         assert result.cv is not None
         assert result.model.penalty == result.cv.chosen_lambda
+        assert result.cv.chosen_index == np.argmin(result.cv.cv_error)
 
     @pytest.mark.parametrize("model, calls", [("ridge", 1), ("ml", 0)])
     def test_each_ridge_batch_runs_the_kernel_grid_and_cv_once(self, small_trial, monkeypatch,
