@@ -292,11 +292,16 @@ def cmd_estimate(cfg: RunConfig) -> int:
         }
 
         degenerate = [k for k in kinds if k not in result.estimates]
+        # Resampling estimates only the kinds asked for, so that no other
+        # kind's failure can end the run.
+        asked = dataclasses.replace(
+            result, estimates={k: v for k, v in result.estimates.items() if k in kinds}
+        )
 
         if cfg.bootstrap is not None and not degenerate:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", UserWarning)
-                intervals = bootstrap_intervals(data, cfg.pipeline, cfg.bootstrap, original=result)
+                intervals = bootstrap_intervals(data, cfg.pipeline, cfg.bootstrap, original=asked)
             for warning in caught:
                 print(f"warning: {warning.message}", file=sys.stderr)
             report["intervals"] = {}
@@ -314,7 +319,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
                            ((v,) for v in iv.replicate_values.tolist()))
 
         if cfg.optimism is not None and not degenerate:
-            adjusted = optimism_adjust_all(data, cfg.pipeline, cfg.optimism, original=result)
+            adjusted = optimism_adjust_all(data, cfg.pipeline, cfg.optimism, original=asked)
             report["optimism"] = {
                 kind: {
                     "replicates": cfg.optimism.replicates,
@@ -323,7 +328,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
                     "failed": adj.n_failed,
                 }
                 for kind, adj in adjusted.items()
-                if kind in kinds
             }
     except EstimationError as exc:
         report["error"] = str(exc)

@@ -224,14 +224,17 @@ def bootstrap_intervals(
     cfg: BootstrapConfig,
     original: PipelineResult | None = None,
 ) -> dict[str, IntervalEstimate]:
-    """Percentile bootstrap intervals for both estimator kinds at once.
+    """Percentile bootstrap intervals for every estimator kind with a
+    point estimate, at once.
 
     The point estimates come from ``original``, the pipeline's result on
     ``data``; omitted, the pipeline is first run on the original data (a
-    failure there is a hard error).  Replicates that fail an estimator
-    are dropped from that estimator's interval and counted; raw values
-    out of range are kept.  More than 20% drops triggers a reliability
-    warning and marks the interval.
+    failure there is a hard error).  A kind with no point estimate there
+    gets no interval and cannot fail the run; one that has one fails it
+    (``EstimationError``) when every replicate fails it.  Replicates
+    that fail an estimator are dropped from that estimator's interval
+    and counted; raw values out of range are kept.  More than 20% drops
+    triggers a reliability warning and marks the interval.
     """
     alpha = (1.0 - CI_LEVEL) / 2.0
     out: dict[str, IntervalEstimate] = {}
@@ -268,7 +271,8 @@ def optimism_adjust_all(
     cfg: BootstrapConfig,
     original: PipelineResult | None = None,
 ) -> dict[str, OptimismResult]:
-    """Optimism correction for both estimator kinds.
+    """Optimism correction for every estimator kind with a point estimate
+    in ``original`` (see ``bootstrap_intervals``).
 
     Per replicate: refit the full pipeline on a bootstrap sample, score
     the concentration index within that sample and again by applying the

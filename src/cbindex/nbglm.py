@@ -60,10 +60,16 @@ _MAX_HALVINGS = 40
 # times the sum of its terms' sizes (a 3e-8 step of a 300-subject fit
 # passed the descent test in one summation order and failed it in another).
 _UNTESTED_STEP = 1e-6
+# Newton converges quadratically (Nocedal & Wright 2006, Thm 3.5): a full
+# step d is followed by one of about C*d^2, with C below 3.8 over the test
+# suite's fits, so a full step below sqrt(tol/_NEWTON_RATE) certifies tol.
+_NEWTON_RATE = 4.0
 _MAX_ROUNDS = 50
 _THETA_INIT = 1.0
 # Fit precision -> (coefficient tolerance, relative dispersion change that
 # ends the alternation, dispersion search step tolerance on log theta).
+# A fit also ends on a full step below sqrt(tol/_NEWTON_RATE), 5e-5 at
+# "final" and 5e-4 at "relaxed": the next step would be below tol.
 # Penalty selection and Monte Carlo studies need no final-fit precision.
 PRECISIONS = {"final": (1e-8, 1e-4, 1e-6), "relaxed": (1e-6, 1e-2, 5e-4)}
 
@@ -577,10 +583,13 @@ class _Batch:
     weights mark a cross-validation training split, counts a bootstrap
     resample, and a resample's training split holds its subjects' counts
     outside the fold.  ``irls`` holds each member to the rules ``fit``
-    documents, and a stall or the iteration cap ends that member only.
-    Each member's linear predictor and means are carried from its
-    accepted step into the next iteration, the dispersion profile and
-    the held-out loss.
+    documents, and a certified stop, a stall or the iteration cap ends
+    that member only.  Each member's linear predictor and means are
+    carried from its accepted step into the next iteration, the
+    dispersion profile and the held-out loss; its negative
+    log-likelihood is carried into its next ``irls`` (down a penalty
+    path, only the penalty term changes) and recomputed only when the
+    alternation moves its dispersion.
 
     Member k works in the coordinates of its own standardization,
     ``scalings[k]`` (the design's by default).  Unless every member's is
@@ -633,7 +642,7 @@ class _Batch:
             square = np.empty((design.p, design.p), dtype=np.intp)
             square[iu, ju] = square[ju, iu] = np.arange(iu.size)
             self.square = square.ravel()
-        self.eta, self.mu, _ = self._evaluate(self.beta, slice(None))
+        self.eta, self.mu, self.nll = self._evaluate(self.beta, slice(None))
         self.iterations = np.zeros(size, dtype=np.int64)
         self.rounds = np.zeros(size, dtype=np.int64)
         self.converged = np.zeros(size, dtype=bool)
@@ -713,10 +722,7 @@ class _Batch:
         active = np.arange(size) if members is None else members
         self.lam[active] = np.broadcast_to(lam, (size,))[active]
         obj = np.empty(size)
-        beta = self.beta[active]
-        with np.errstate(invalid="ignore"):
-            nll = self._nll(self.eta[active] + self.design.offset, self.mu[active], active)
-        obj[active] = self._penalized(nll, beta, self.lam[active])
+        obj[active] = self._penalized(self.nll[active], self.beta[active], self.lam[active])
         if not np.all(np.isfinite(obj[active])):
             raise NumericalError("starting point has non-finite objective")
         self.converged[active] = False
@@ -741,6 +747,7 @@ class _Batch:
             # finite, so a batch and a lone member stop at the same step.
             small = np.abs(direction).max(axis=1) < max(tol, _UNTESTED_STEP)
             worse &= ~(small & np.isfinite(cand_obj))
+            full = ~worse
             any_worse = worse.any()
             step = 1.0
             for _ in range(_MAX_HALVINGS):
@@ -749,18 +756,23 @@ class _Batch:
                 step *= 0.5
                 h = np.flatnonzero(worse)
                 candidate[h] = beta[h] + step * direction[h]
-                cand_eta[h], cand_mu[h], cand_nll = self._evaluate(candidate[h], active[h])
-                cand_obj[h] = self._penalized(cand_nll, candidate[h], lam[h])
+                cand_eta[h], cand_mu[h], cand_nll[h] = self._evaluate(candidate[h], active[h])
+                cand_obj[h] = self._penalized(cand_nll[h], candidate[h], lam[h])
                 worse[h] = ~(cand_obj[h] <= obj[active[h]])
                 any_worse = worse.any()
-            done = np.abs(candidate - beta).max(axis=1) < tol
+            # A full step below sqrt(tol/_NEWTON_RATE) certifies the
+            # tolerance; not written d*d, which overflows on a diverging step.
+            change = np.abs(candidate - beta).max(axis=1)
+            done = (change < tol) | (full & (change < math.sqrt(tol / _NEWTON_RATE)))
             if any_worse:
                 # Still worse after every halving: no descent direction is
                 # left at fp resolution, and the member stops where it is.
                 candidate[worse], cand_obj[worse] = beta[worse], obj[sel][worse]
                 cand_eta[worse], cand_mu[worse] = self.eta[sel][worse], self.mu[sel][worse]
+                cand_nll[worse] = self.nll[sel][worse]
                 done |= worse
             self.beta[sel], self.eta[sel], self.mu[sel] = candidate, cand_eta, cand_mu
+            self.nll[sel] = cand_nll
             obj[sel] = cand_obj
             for k, value in zip(active.tolist(), cand_obj.tolist()):
                 self.paths[k].append(value)
@@ -787,6 +799,11 @@ class _Batch:
             theta_new = self.profile(slice(None) if active.size == size else active, xatol)
             done = np.abs(theta_new - theta) <= theta_rtol * theta
             self.theta[active] = theta_new
+            # the objective of each member at its new theta, for the next ``irls``
+            moved = active[theta_new != theta]
+            with np.errstate(invalid="ignore"):
+                self.nll[moved] = self._nll(self.eta[moved] + self.design.offset,
+                                            self.mu[moved], moved)
             active = active[~done]
             if active.size == 0:
                 break
@@ -834,9 +851,12 @@ def fit(
     ``_UNTESTED_STEP`` (or the tolerance of ``precision``, if larger), and
     so too small for that test to judge, is taken without it unless its
     objective is not finite.  Convergence is declared when the largest
-    absolute coefficient change falls below the tolerance, or when no
-    descent is left at fp resolution; otherwise the model is returned
-    flagged non-converged after ``_MAX_ITER`` iterations.
+    absolute coefficient change falls below the tolerance; when a full
+    (not halved) step's falls below sqrt(tol/_NEWTON_RATE), since Newton
+    converges quadratically and the next step would then be below the
+    tolerance (see ``_NEWTON_RATE``); or when no descent is left at fp
+    resolution.  Otherwise the model is returned flagged non-converged
+    after ``_MAX_ITER`` iterations.
 
     Raises
     ------

@@ -533,7 +533,12 @@ class TestEstimateCommand:
     def test_a_fit_stopped_at_its_cap_exits_three_naming_the_loop(
         self, workspace, capsys, monkeypatch, cap, message, model
     ):
-        tmp, csv, config = workspace
+        """Poisson counts: the ML dispersion settles on its upper bound in
+        three rounds, too few single Newton steps for the last one to
+        certify the tolerance."""
+        tmp, _, config = workspace
+        csv = write_dataset_csv(tmp / "poisson.csv", simulate_trial(
+            np.array([0.3, -0.5, 0.4, -0.3, 0.3, -0.2]), n=150, seed=42, theta=1e8, m=2))
         monkeypatch.setattr(nbglm, cap, 1)
         out = tmp / f"capped_{model}"
         code = run_cli(["estimate", "--input", csv, "--config", config,
@@ -564,6 +569,30 @@ class TestEstimateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["error"] == message
         assert report["model"]["converged"] and report["estimates"]["parametric"]["cb"] > 0
+
+    @pytest.mark.parametrize("flag, seed", [("--bootstrap", 1), ("--optimism", 17)])
+    @pytest.mark.parametrize("estimator", ["semiparametric", "parametric", "both"])
+    def test_only_an_estimator_asked_for_can_fail_the_resampling(
+        self, workspace, tmp_path, capsys, flag, seed, estimator
+    ):
+        """Criterion 8's trial: at these seeds every replicate fails the
+        parametric estimator and none fails the semi-parametric one."""
+        tmp, _, config = workspace
+        csv = write_trial_csv(tmp_path / "trial_88.csv", n=150, seed=88)
+        out = tmp / f"{estimator}{flag}"
+        code = run_cli(["estimate", "--input", csv, "--config", config, "--model", "ridge",
+                        "--estimator", estimator, flag, 2, "--seed", seed, "--out", out])
+        report = json.loads((out / "report.json").read_text())
+        block = "intervals" if flag == "--bootstrap" else "optimism"
+        if estimator == "semiparametric":
+            assert code == 0 and capsys.readouterr().err == ""
+            assert list(report[block]) == ["semiparametric"]
+            assert report[block]["semiparametric"]["failed"] == 0
+        else:
+            assert code == 3
+            message = f"every {flag.strip('-')} replicate failed for the parametric estimator"
+            assert capsys.readouterr().err == f"estimation degenerate: {message}\n"
+            assert report["error"] == message and block not in report
 
     def test_overflowing_benefit_exits_three_naming_the_subject(self, workspace, tmp_path,
                                                                 capsys):

@@ -115,6 +115,19 @@ def reference_fit(design, lam, theta, beta_start=None, tol=1e-8, max_iter=100, m
     return beta, iterations
 
 
+def newton_step(design, beta, lam, theta):
+    """The exact Newton step from ``beta`` on the penalized negative
+    log-likelihood at fixed theta, from its closed-form gradient and
+    Hessian (observed information)."""
+    X, y, offset = design.X, design.response, design.offset
+    mu = np.exp(X @ beta + offset)
+    pen = np.r_[0.0, np.ones(design.p - 1)]
+    grad = -X.T @ (theta * (y - mu) / (theta + mu)) + 2.0 * lam * pen * beta
+    info = theta * mu * (y + theta) / (theta + mu) ** 2
+    hess = (X * info[:, None]).T @ X + np.diag(2.0 * lam * pen)
+    return -np.linalg.solve(hess, grad)
+
+
 def reference_designs():
     """Six mild designs of 1-3 covariates, and two with strong effects and
     heavy overdispersion."""
@@ -273,22 +286,56 @@ class TestFit:
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_one_step_is_the_newton_step(self, monkeypatch, lam, theta):
         design = reference_designs()[6]
-        X, y, offset = design.X, design.response, design.offset
+        y, offset = design.response, design.offset
         beta = np.r_[math.log(y.sum() / np.exp(offset).sum()), np.full(design.p - 1, 0.1)]
         monkeypatch.setattr(nbglm, "_MAX_HALVINGS", 0)
         monkeypatch.setattr(nbglm, "_MAX_ITER", 1)
         model = fit(design, lam=lam, theta=theta, beta_start=beta, precision="final")
-        # gradient and Hessian (observed information) of the penalized
-        # negative log-likelihood at beta, for fixed theta
-        mu = np.exp(X @ beta + offset)
-        pen = np.r_[0.0, np.ones(design.p - 1)]
-        grad = -X.T @ (theta * (y - mu) / (theta + mu)) + 2.0 * lam * pen * beta
-        info = theta * mu * (y + theta) / (theta + mu) ** 2
-        hess = (X * info[:, None]).T @ X + np.diag(2.0 * lam * pen)
-        newton = beta - np.linalg.solve(hess, grad)
+        newton = beta + newton_step(design, beta, lam, theta)
         path = model.fit_meta.deviance_path
         assert model.fit_meta.iterations == 1 and path[1] < path[0]
         np.testing.assert_allclose(model.coefficients, newton, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("precision", ["final", "relaxed"])
+    @pytest.mark.parametrize("theta", [0.3, 2.0, 1e8])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 20.0])
+    def test_stop_certifies_the_tolerance(self, lam, theta, precision):
+        """A fit may end on a full Newton step below sqrt(tol/_NEWTON_RATE):
+        Newton converges quadratically, so the step after it, taken here
+        exactly, is below the tolerance tol."""
+        tol = nbglm.PRECISIONS[precision][0]
+        for design, start in itertools.product(reference_designs(), ("default", "far")):
+            beta_start = None if start == "default" else np.r_[0.0, np.ones(design.p - 1)]
+            model = fit(design, lam=lam, theta=theta, beta_start=beta_start, precision=precision)
+            assert model.fit_meta.converged
+            step = newton_step(design, model.coefficients, lam, theta)
+            assert np.max(np.abs(step)) < tol
+
+    def test_carried_objective_is_the_fresh_one(self, monkeypatch):
+        """Each member's objective is carried from its accepted step and
+        recomputed when its dispersion moves: after the alternation of a
+        batch and after a cross-validation path it equals, bit for bit,
+        the objective computed afresh from the member's means."""
+        batches = []
+        init = nbglm._Batch.__init__
+
+        def keep(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            batches.append(self)
+
+        monkeypatch.setattr(nbglm._Batch, "__init__", keep)
+        design = reference_designs()[6]
+        rng = np.random.default_rng(8)
+        counts = np.array([np.bincount(rng.integers(0, design.n, design.n), minlength=design.n)
+                           for _ in range(3)], dtype=np.float64)
+        fit_weighted(design, counts, np.array([0.0, 0.5, 20.0]))
+        grid = lambda_grid(design, size=10, min_ratio=1e-3)
+        cross_validate(design, folds=4, grid=grid, seed=7)
+        alternated, path = batches[0], batches[-1]
+        assert np.all(path.lam == grid[-1]) and path.rounds.min() > 1
+        for batch in (alternated, path):
+            fresh = batch._nll(batch.eta + design.offset, batch.mu, slice(None))
+            np.testing.assert_array_equal(batch.nll, fresh)
 
     def test_sub_tolerance_step_with_nan_objective_is_not_taken(self, monkeypatch):
         design = reference_designs()[0]
@@ -300,8 +347,9 @@ class TestFit:
         evaluate = nbglm._Batch._evaluate
 
         def nan_objective(self, beta, members):
+            # the start keeps its objective, every candidate's is NaN
             eta, mu, nll = evaluate(self, beta, members)
-            return eta, mu, np.full_like(nll, np.nan)
+            return eta, mu, np.where(np.all(beta == start, axis=1), nll, np.nan)
 
         monkeypatch.setattr(nbglm._Batch, "_evaluate", nan_objective)
         model = fit(design, lam=0.5, theta=2.0, beta_start=start)
@@ -631,7 +679,7 @@ class TestCrossValidation:
         pytest.param(3, 301, 0, 0.3, 1.0, None, 2.0, id="3-folds-step-halving"),
         # with halving switched off, a fold whose full step overshoots
         # stops on no descent (3 times here) while the others go on
-        pytest.param(3, 301, 3, 0.3, 1.0, 0, 2.0, id="3-folds-no-descent-stop"),
+        pytest.param(3, 301, 1, 0.3, 1.0, 0, 2.0, id="3-folds-no-descent-stop"),
         pytest.param(4, 258, 4, 0.3, 1.0, None, None, id="4-folds"),
         pytest.param(10, 403, 10, 0.3, 1.0, None, None, id="10-folds"),
         # Poisson-like counts: two folds settle on the Poisson plateau
