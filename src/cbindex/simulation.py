@@ -385,12 +385,13 @@ def _sim_task(r: int) -> dict[str, float | None]:
             replicates=settings.optimism_replicates,
             seed=_seed_int(_replicate_rng(seed, scen_idx, n, r, lane)),
         )
+        # Only the semi-parametric kind is adjusted: a parametric failure must not end it.
+        semi = {"semiparametric": res.estimates["semiparametric"]}
         try:
-            adj = optimism_adjust_all(data, pipe, cfg, original=res)
+            adj = optimism_adjust_all(data, pipe, cfg, original=replace(res, estimates=semi))
         except CbIndexError:
             continue
-        if "semiparametric" in adj:
-            out[f"semi-{tag}-adjusted"] = adj["semiparametric"].adjusted
+        out[f"semi-{tag}-adjusted"] = adj["semiparametric"].adjusted
     return out
 
 

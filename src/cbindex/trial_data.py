@@ -164,25 +164,21 @@ class ScalingParams:
 _BLOCK_ROWS = 4096
 
 
-def _parse_float(raw: str, row: int, column: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise RowParseError(row, column, f"not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise RowParseError(row, column, f"not finite: {raw!r}")
-    return value
-
-
-def _parse_count(raw: str, row: int, column: str) -> int:
-    value = _parse_float(raw, row, column)
-    if value != int(value):
-        raise RowParseError(row, column, f"not an integer count: {raw!r}")
-    if value < 0:
-        raise RowParseError(row, column, f"negative count: {raw!r}")
-    if value >= 2**63:
-        raise RowParseError(row, column, f"count not below 2**63: {raw!r}")
-    return int(value)
+# Each role's rules, in the order a row is judged, after "not a number":
+# the message of a cell that breaks the rule, and the test of the values
+# that keep it.
+_FINITE = ("not finite", np.isfinite)
+_RULES = {
+    "treatment": [_FINITE, ("arm must be 0 or 1", lambda v: (v == 0) | (v == 1))],
+    "events": [
+        _FINITE,
+        ("not an integer count", lambda v: v == np.floor(v)),
+        ("negative count", lambda v: v >= 0),
+        ("count not below 2**63", lambda v: v < 2.0**63),
+    ],
+    "time": [_FINITE, ("time must be positive", lambda v: v > 0)],
+    "covariates": [_FINITE],
+}
 
 
 @dataclass(frozen=True)
@@ -191,10 +187,7 @@ class _Layout:
 
     width: int
     positions: dict[str, int]  # mapped column name -> cell index
-    treatment: str
-    events: str
-    time: str
-    covariates: list[str]
+    roles: list[tuple[str, list]]  # (column, its role's rules), in role order
     id: str | None
 
 
@@ -218,37 +211,22 @@ def _float_or_nan(cell: str) -> float:
         return math.nan
 
 
-def _numbers(column: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The column's cells through the ``float`` that ``_parse_float`` uses,
-    NaN for a cell that is not a number, and a mask of its missing cells."""
+def _numbers(column: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column's cells through ``float``, NaN for a cell that is not a
+    number, with a mask of its missing cells and one of its cells that
+    are not numbers."""
     try:
         values = np.fromiter(map(float, column), np.float64, len(column))
     except ValueError:  # text, or a missing token other than nan
         values = np.fromiter(map(_float_or_nan, column), np.float64, len(column))
     missing = np.zeros(len(column), dtype=bool)
-    for i in np.flatnonzero(np.isnan(values)):  # nan is missing, -nan is not
-        missing[i] = column[i].strip().lower() in _MISSING_TOKENS
-    return values, missing
-
-
-def _check_row(row: list[str], row_number: int, layout: _Layout) -> None:
-    """Raise the RowParseError of a bad row: a row with the wrong cell
-    count, or a row without missing cells that holds a bad one."""
-    if not any(map(str.strip, row)):
-        return
-    if len(row) != layout.width:
-        raise RowParseError(row_number, "<row>", f"expected {layout.width} cells, got {len(row)}")
-    cells = {name: row[pos].strip() for name, pos in layout.positions.items()}
-    if any(c.lower() in _MISSING_TOKENS for c in cells.values()):
-        return
-    t_col, y_col, time_col = layout.treatment, layout.events, layout.time
-    if _parse_float(cells[t_col], row_number, t_col) not in (0.0, 1.0):
-        raise RowParseError(row_number, t_col, f"arm must be 0 or 1: {cells[t_col]!r}")
-    _parse_count(cells[y_col], row_number, y_col)
-    if _parse_float(cells[time_col], row_number, time_col) <= 0:
-        raise RowParseError(row_number, time_col, f"time must be positive: {cells[time_col]!r}")
-    for c in layout.covariates:
-        _parse_float(cells[c], row_number, c)
+    text = np.zeros(len(column), dtype=bool)
+    for i in np.flatnonzero(np.isnan(values)):
+        cell = column[i].strip().lower()
+        missing[i] = cell in _MISSING_TOKENS
+        # Besides the missing token nan, float reads only +nan and -nan as NaN.
+        text[i] = not missing[i] and cell not in ("+nan", "-nan")
+    return values, missing, text
 
 
 def _convert_block(rows: list[list[str]], first_row: int, layout: _Layout) -> _Block:
@@ -256,40 +234,48 @@ def _convert_block(rows: list[list[str]], first_row: int, layout: _Layout) -> _B
     column at a time.
 
     Blank rows of any width are skipped, and a row with a missing token
-    in a mapped cell is dropped and counted.  Every row check runs once
-    per column, on every row; when one fails, the rows are walked in
-    file order through ``_check_row``, which raises for the first bad one.
+    in a mapped cell is dropped and counted.  Each rule of ``_RULES``
+    judges its role's cells of the other rows once, and the first broken
+    (row, role, rule) in file order is the RowParseError raised.  A row
+    of the wrong width ends the block; it is the error when no row
+    before it breaks a rule.
     """
-    kept = rows
+    numbers = range(first_row, first_row + len(rows))
+    width_error = None
     if set(map(len, rows)) != {layout.width}:
-        kept = [row for row in rows if any(map(str.strip, row))]
-    if kept is rows or set(map(len, kept)) <= {layout.width}:
-        cells = list(zip(*kept)) or [()] * layout.width
-        names = [layout.treatment, layout.events, layout.time, *layout.covariates]
-        columns = [_numbers(cells[layout.positions[name]]) for name in names]
-        (arm, _), (count, _), (time, _), *x_columns = columns
-        x = np.column_stack([values for values, _ in x_columns])
-        missing = np.logical_or.reduce([mask for _, mask in columns])
-        ids = [] if layout.id is None else list(map(str.strip, cells[layout.positions[layout.id]]))
-        if not _MISSING_TOKENS.isdisjoint(map(str.lower, ids)):
-            missing |= [c.lower() in _MISSING_TOKENS for c in ids]
-        good = (
-            ((arm == 0) | (arm == 1))
-            & (count >= 0) & (count < 2.0**63) & (count == np.floor(count))
-            & np.isfinite(time) & (time > 0)
-            & np.isfinite(x).all(axis=1)
-        )
-        if (good | missing).all():
-            n_missing = 0
-            if missing.any():
-                keep = ~missing
-                arm, count, time, x = arm[keep], count[keep], time[keep], x[keep]
-                ids = list(itertools.compress(ids, keep))
-                n_missing = sum(any(map(str.strip, kept[i])) for i in np.flatnonzero(missing))
-            return _Block(arm.astype(np.int64), count.astype(np.int64), time, x, ids, n_missing)
-    for row_number, row in enumerate(rows, start=first_row):
-        _check_row(row, row_number, layout)
-    raise AssertionError("a block with a bad row passed every row check")
+        kept = [(n, row) for n, row in zip(numbers, rows) if any(map(str.strip, row))]
+        end = next((j for j, (_, row) in enumerate(kept) if len(row) != layout.width), len(kept))
+        if end < len(kept):
+            n, row = kept[end]
+            width_error = RowParseError(n, "<row>", f"expected {layout.width} cells, got {len(row)}")
+        numbers, rows = [n for n, _ in kept[:end]], [row for _, row in kept[:end]]
+    cells = list(zip(*rows)) or [()] * layout.width
+    columns = [_numbers(cells[layout.positions[name]]) for name, _ in layout.roles]
+    missing = np.logical_or.reduce([mask for _, mask, _ in columns])
+    ids = [] if layout.id is None else list(map(str.strip, cells[layout.positions[layout.id]]))
+    if not _MISSING_TOKENS.isdisjoint(map(str.lower, ids)):
+        missing |= [c.lower() in _MISSING_TOKENS for c in ids]
+    broken = []  # (column, message, the cells that break the rule), in judging order
+    for (name, rules), (values, _, text) in zip(layout.roles, columns):
+        broken.append((name, "not a number", text))
+        broken += [(name, message, ~keeps(values)) for message, keeps in rules]
+    bad = np.array([mask for *_, mask in broken]) & ~missing
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        name, message, _ = broken[int(np.argmax(bad[:, i]))]
+        cell = cells[layout.positions[name]][i].strip()
+        raise RowParseError(numbers[i], name, f"{message}: {cell!r}")
+    if width_error is not None:
+        raise width_error
+    (arm, *_), (count, *_), (time, *_), *x_columns = columns
+    x = np.column_stack([values for values, *_ in x_columns])
+    n_missing = 0
+    if missing.any():
+        keep = ~missing
+        arm, count, time, x = arm[keep], count[keep], time[keep], x[keep]
+        ids = list(itertools.compress(ids, keep))
+        n_missing = sum(any(map(str.strip, rows[i])) for i in np.flatnonzero(missing))
+    return _Block(arm.astype(np.int64), count.astype(np.int64), time, x, ids, n_missing)
 
 
 def _read_block(
@@ -329,10 +315,10 @@ def load_dataset(
     Notes
     -----
     Rows are read in blocks of ``_BLOCK_ROWS`` and converted a column at
-    a time.  A block that holds a row of the wrong cell count or a bad
-    cell is walked row by row only to raise the error of its first bad
-    row.  Blocks are read in file order, so an error names the first bad
-    row of the file.
+    a time.  Each cell is judged once by its role's rules, and a block
+    raises the error of its first bad row, a row of the wrong cell count
+    included.  Blocks are read in file order, so an error names the
+    first bad row of the file.
 
     Raises
     ------
@@ -341,13 +327,14 @@ def load_dataset(
         than once, the mapping is incomplete, or ``covariates`` is not a
         list of column names.
     RowParseError
-        On malformed cells: non-numeric values, negative or non-integer
-        counts, counts of 2**63 or more, non-positive times, arm labels
-        other than 0/1.  Rows with *missing* cells (empty, NA, NaN,
+        On rows of the wrong cell count and on malformed cells: values
+        that are not numbers or not finite, negative or non-integer counts,
+        counts of 2**63 or more, non-positive times, arm labels other
+        than 0/1.  Rows with *missing* cells (empty, NA, NaN,
         null, none) are not errors; they are dropped and counted on
         ``n_missing_excluded``.
     """
-    for key in ("treatment", "events", "time", "covariates"):
+    for key in _RULES:
         if key not in schema:
             raise SchemaError(f"schema is missing the '{key}' role")
     cov_cols = schema["covariates"]
@@ -373,19 +360,17 @@ def load_dataset(
             raise SchemaError("empty input: no header row") from None
         header = [h.strip() for h in header]
         positions: dict[str, int] = {}
-        wanted = [str(schema["treatment"]), str(schema["events"]), str(schema["time"])]
-        wanted += cov_cols
-        id_col = schema.get("id")
-        if id_col is not None:
-            wanted.append(str(id_col))
+        roles = [(str(schema[key]), _RULES[key]) for key in ("treatment", "events", "time")]
+        roles += [(c, _RULES["covariates"]) for c in cov_cols]
+        id_col = None if schema.get("id") is None else str(schema["id"])
+        wanted = [name for name, _ in roles] + ([] if id_col is None else [id_col])
         for name in wanted:
             if name not in header:
                 raise SchemaError(f"column '{name}' not found in header {header}")
             if header.count(name) > 1:
                 raise SchemaError(f"column '{name}' appears more than once in header {header}")
             positions[name] = header.index(name)
-        layout = _Layout(len(header), positions, *wanted[:3], list(cov_cols),
-                         None if id_col is None else str(id_col))
+        layout = _Layout(len(header), positions, roles, id_col)
 
         blocks: list[_Block] = []
         first_row = 1

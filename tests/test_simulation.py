@@ -3,6 +3,7 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 import pytest
 
+from cbindex import inference
 from cbindex.cli import _write_csv
 from cbindex.simulation import (
     COVARIATE_NAMES,
@@ -146,6 +147,20 @@ class TestRunSimulation:
         rep = run_simulation("null", [150, 250], replicates=2, seed=7, settings=FAST)
         keys = {(r.n, r.estimator) for r in rep.rows}
         assert keys == {(n, e) for n in (150, 250) for e in ESTIMATOR_LABELS}
+
+    def test_parametric_optimism_failures_keep_the_semiparametric_adjustment(self, monkeypatch):
+        """The optimism step adjusts only the semi-parametric estimate, so
+        replicates that all fail the parametric estimator do not drop it."""
+        scores = inference._replicate_scores
+
+        def without_parametric(*args):
+            return dict(scores(*args), parametric=None)
+
+        monkeypatch.setattr(inference, "_replicate_scores", without_parametric)
+        rep = run_simulation("strong", 200, replicates=3, seed=11, settings=FAST)
+        for model in ("ridge", "ml"):
+            assert rep.row("strong", 200, f"semi-{model}").n_replicates == 3
+            assert rep.row("strong", 200, f"semi-{model}-adjusted").n_replicates == 3
 
     def test_report_serialization(self, tmp_path):
         rep = run_simulation("weak", 200, replicates=2, seed=9, settings=FAST)

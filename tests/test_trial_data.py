@@ -136,7 +136,7 @@ _BAD = {
     "x": ["abc", "1.2.3", "0x1p3"],
 }
 _MISSING = ["", "NA", " na ", "NaN", " nan", "NULL", "None", " NONE ", "nUlL"]
-_NON_FINITE = ["-nan", "inf", "-Infinity", "1e500", "-1e500"]
+_NON_FINITE = ["-nan", "+nan", "-NaN", "inf", "+inf", "-Infinity", "1e500", "-1e500"]
 _COLUMNS = ["id", "arm", "y", "t", "x", "x"]
 _HEADER = "id,arm,y,t,x1,x2,note"
 _BLANK_LINES = ["   ", " , ,\t, , , , "]
@@ -291,10 +291,9 @@ class TestLoadDataset:
                 assert (_outcome(load_dataset, text, schema)
                         == _outcome(reference_load, text, schema)), (line, at)
 
-    def test_block_with_missing_and_blank_rows_is_read_whole(self, monkeypatch):
-        """Rows with missing cells and blank rows of any width do not send
-        their block to the row checker: the block reader drops and counts
-        the former and skips the latter, as the reference does."""
+    def test_block_with_missing_and_blank_rows_is_read_whole(self):
+        """The block reader drops and counts rows with missing cells and
+        skips blank rows of any width, as the reference does."""
         schema = dict(SCHEMA, covariates=["x1", "x2"])
         valid = ["s1", "1", "3", "1.0", "0.25", "-1.5", "n"]
         rows = [",".join(valid)] * 9
@@ -305,13 +304,29 @@ class TestLoadDataset:
         rows[5] = ""
         rows[7] = _BLANK_LINES[0]
         text = "\n".join([_HEADER, *rows]) + "\n"
-
-        def check_row(*args):
-            raise AssertionError("block sent to the row checker")
-
-        monkeypatch.setattr(trial_data, "_check_row", check_row)
         assert _outcome(load_dataset, text, schema) == _outcome(reference_load, text, schema)
         assert load_dataset(io.StringIO(text), schema).n_missing_excluded == 5
+
+    def test_first_broken_rule_in_file_order_is_the_error(self):
+        """Trouble from row 3 on, in one block: the first troubled row is
+        the error, a row of the wrong width included; in a row, the first
+        column in role order (arm, count, time, x1, x2), which is not the
+        header's order; in a cell, the first rule its role breaks."""
+        schema = dict(SCHEMA, covariates=["x1", "x2"])
+        valid = "0.25,1.0,s1,3,1,-1.5,n"
+        cases = [
+            (["0.25,1.0,s1,3,2,-1.5,n", "0.25,1.0"], "'arm': arm must be 0 or 1: '2'"),
+            (["0.25,1.0", "0.25,1.0,s1,3,2,-1.5,n"], "'<row>': expected 7 cells, got 2"),
+            (["0.25,1.0,s1,3,1,inf,n", "0.25,1.0,s1,3,2,-1.5,n"], "'x1': not finite: 'inf'"),
+            (["abc,0,s1,3,1,-1.5,n"], "'t': time must be positive: '0'"),
+            (["inf,1.0,s1,3,1,x,n"], "'x1': not a number: 'x'"),
+            (["0.25,1.0,s1,-1.5,1,-1.5,n"], "'y': not an integer count: '-1.5'"),
+        ]
+        for lines, message in cases:
+            text = "\n".join(["x2,t,id,y,arm,x1,note", valid, " , ", *lines, valid]) + "\n"
+            expected = (RowParseError, f"row 3, column {message}")
+            assert _outcome(load_dataset, text, schema) == expected, lines
+            assert _outcome(reference_load, text, schema) == expected, lines
 
     def test_bad_row_before_an_unreadable_row_is_the_error(self):
         """A stray quote on row 10 runs the field past the csv module's
