@@ -59,54 +59,44 @@ __all__ = [
 
 @dataclass
 class BenefitVector:
-    """Estimated benefits in subject order plus their descending ranking.
-
-    ``order`` is a permutation such that ``values[order]`` is
-    non-increasing; ties keep original subject order.  ``subject_ids``,
-    when given, labels the subjects in the same order.
-    """
+    """One benefit per subject of a dataset in ``values``, and a sample of
+    those subjects ranked: ``order`` holds the sample's subject indices, a
+    subject once per copy, such that ``values[order]`` is non-increasing."""
 
     values: np.ndarray
     order: np.ndarray
-    subject_ids: list[str] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         self.order = np.asarray(self.order, dtype=np.intp)
         if self.values.ndim != 1:
             raise ValueError("benefit values must be a 1-d vector")
-        n = self.values.size
-        order = self.order
-        if order.shape != (n,) or (
-            n > 0
-            and (order.min() < 0 or order.max() >= n or np.bincount(order, minlength=n).max() > 1)
-        ):
-            raise ValueError("order must be a permutation of subject indices")
-        s = self.values[self.order]
-        if np.any(np.diff(s) > 0):
+        if self.order.ndim != 1 or not np.all((self.order >= 0) & (self.order < self.values.size)):
+            raise ValueError("order must index the benefit values")
+        if np.any(np.diff(self.sorted_values) > 0):
             raise ValueError("order must sort values descending")
-        if self.subject_ids is not None and len(self.subject_ids) != self.values.size:
-            raise ValueError("subject_ids must align with values")
 
     @classmethod
-    def from_values(
-        cls,
-        values: np.ndarray | Sequence[float],
-        subject_ids: Sequence[str] | None = None,
-    ) -> "BenefitVector":
-        """Rank benefits descending, ties by original index."""
+    def from_values(cls, values: np.ndarray | Sequence[float]) -> "BenefitVector":
+        """Every subject once, ranked descending, ties by original index."""
         values = np.asarray(values, dtype=np.float64)
-        order = np.argsort(-values, kind="stable")
-        ids = list(subject_ids) if subject_ids is not None else None
-        return cls(values=values, order=order, subject_ids=ids)
+        return cls(values=values, order=np.argsort(-values, kind="stable"))
 
     @property
     def n(self) -> int:
-        return self.values.size
+        return self.order.size
 
     @property
     def sorted_values(self) -> np.ndarray:
         return self.values[self.order]
+
+
+def _sample_sum(bv: BenefitVector, x: np.ndarray, rows: np.ndarray | bool = True):
+    """Sum of ``x[i]`` over the copies of the subjects i in ``rows`` that
+    ``bv``'s sample holds, in subject order: ``x[rows].sum()`` for all once."""
+    counts = np.bincount(bv.order, minlength=bv.values.size)
+    rows = rows & (counts > 0)
+    return (x[rows] * counts[rows]).sum()
 
 
 @dataclass(frozen=True)
@@ -154,15 +144,18 @@ class BenefitCurve:
         return float(np.trapezoid(v, p))
 
 
-def predicted_benefit(model: FittedBenefitModel, d: TrialDataset) -> BenefitVector:
+def predicted_benefit(
+    model: FittedBenefitModel, d: TrialDataset, draw: np.ndarray | None = None
+) -> BenefitVector:
     """Model-estimated benefit per subject: untreated minus treated rate
-    at one year, on the dataset's raw covariate scale.
+    at one year, on the dataset's raw covariate scale, ranked over the
+    sample ``draw`` (all once by default), ties by position in the draw.
 
     Raises
     ------
     NumericalError
-        If a subject's benefit is not finite (a rate overflows), naming
-        the first such subject and its linear predictors.
+        If a sampled subject's benefit is not finite (a rate overflows),
+        naming the first such subject and its linear predictors.
     """
     if d.m != model.m:
         raise ValueError(f"model expects {model.m} covariates, dataset has {d.m}")
@@ -171,25 +164,26 @@ def predicted_benefit(model: FittedBenefitModel, d: TrialDataset) -> BenefitVect
     eta1 = eta0 + model.treatment_effect + z @ model.interactions
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.exp(eta0) - np.exp(eta1)
-    bad = np.flatnonzero(~np.isfinite(values))
+    sample = values if draw is None else values[draw]
+    bad = np.flatnonzero(~np.isfinite(sample))
     if bad.size:
-        i = int(bad[0])
+        i = int(bad[0] if draw is None else draw[bad[0]])
         raise NumericalError(
             f"benefit of subject {d.ids[i]!r} is not finite: its linear predictors are "
             f"{eta0[i]:.6g} untreated and {eta1[i]:.6g} treated (exp overflows above 709.78)"
         )
-    return BenefitVector.from_values(values, subject_ids=d.ids)
+    order = np.argsort(-sample, kind="stable")
+    return BenefitVector(values=values, order=order if draw is None else draw[order])
 
 
 def mean_benefit(bv: BenefitVector) -> float:
     if bv.n < 1:
         raise InsufficientDataError("mean benefit needs at least one subject")
-    values = bv.values
-    if values[0] == values.min() == values.max():
+    if (top := bv.values[bv.order[0]]) == bv.values[bv.order[-1]]:
         # the mean of n copies of c is c, with no summation rounding;
         # keeps the constant-vector identities (delta 0, index 0) exact
-        return float(values[0])
-    return float(values.mean())
+        return float(top)
+    return float(_sample_sum(bv, bv.values)) / bv.n
 
 
 def pair_max_parametric(bv: BenefitVector) -> float:
@@ -207,8 +201,7 @@ def pair_max_parametric(bv: BenefitVector) -> float:
         # exactly, with no summation rounding
         return float(sorted_values[0])
     sum_s = float(np.cumsum(sorted_values).sum())
-    mean = float(bv.values.mean())
-    return 2.0 * sum_s / n**2 - mean / n
+    return 2.0 * sum_s / n**2 - float(_sample_sum(bv, bv.values)) / n / n
 
 
 def delta_b(bv: BenefitVector) -> float:
@@ -225,11 +218,11 @@ def _unit_scaled(bv: BenefitVector) -> tuple[BenefitVector, int]:
     (subnormal benefits) or overflowing.  k is 0 for benefits of ordinary
     size, which are returned unchanged.
     """
-    values, k = _unit_columns(bv.values[:, None])
+    _, k = _unit_columns(bv.sorted_values[:, None])
     if k[0] == 0:
         return bv, 0
-    return BenefitVector(values=values[:, 0], order=bv.order,
-                         subject_ids=bv.subject_ids), int(k[0])
+    with np.errstate(over="ignore"):  # a subject outside the sample may overflow
+        return BenefitVector(values=np.ldexp(bv.values, k[0]), order=bv.order), int(k[0])
 
 
 def _gini(mean: float, pair_max: float) -> float:
@@ -313,37 +306,36 @@ def semiparametric_partial_sums(d: TrialDataset, bv: BenefitVector) -> PartialSu
 
     Raises
     ------
+    ValueError
+        If ``bv`` does not rank a sample of ``d``'s subjects.
     EstimatorUndefinedError
-        If either arm is absent from the whole dataset.
+        If either arm is absent from the sample.
     """
-    if not d.has_both_arms:
-        raise EstimatorUndefinedError(
-            "semi-parametric estimator needs subjects in both arms"
-        )
+    if bv.values.size != d.n:
+        raise ValueError("the benefits do not index the dataset's subjects")
     order = bv.order
-    a = d.treatment[order]
-    y = d.events[order].astype(np.float64)
-    t = d.time[order]
-    is0 = a == 0
-    cum_y0 = np.cumsum(np.where(is0, y, 0.0))
-    cum_t0 = np.cumsum(np.where(is0, t, 0.0))
-    cum_y1 = np.cumsum(np.where(~is0, y, 0.0))
-    cum_t1 = np.cumsum(np.where(~is0, t, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r0 = np.where(cum_t0 > 0, cum_y0 / np.where(cum_t0 > 0, cum_t0, 1.0), np.nan)
-        r1 = np.where(cum_t1 > 0, cum_y1 / np.where(cum_t1 > 0, cum_t1, 1.0), np.nan)
-    for rates in (r0, r1):
-        defined = np.flatnonzero(~np.isnan(rates))
-        first = defined[0]
-        rates[:first] = rates[first]
-    k = np.arange(1, d.n + 1, dtype=np.float64)
-    return PartialSumCurve(k=k.astype(np.intp), values=k * (r0 - r1), kind="semiparametric")
+    a, y, t = d.treatment[order], d.events[order].astype(np.float64), d.time[order]
+    if a.size == 0 or a.min() == a.max():
+        raise EstimatorUndefinedError("semi-parametric estimator needs subjects in both arms")
+    rates = []
+    for arm in (a == 0, a == 1):
+        cum_y, cum_t = np.cumsum(np.where(arm, y, 0.0)), np.cumsum(np.where(arm, t, 0.0))
+        first = np.argmax(cum_t > 0)  # the arm's first ranked subject
+        cum_y[:first], cum_t[:first] = cum_y[first], cum_t[first]
+        rates.append(cum_y / cum_t)
+    k = np.arange(1, bv.n + 1, dtype=np.float64)
+    return PartialSumCurve(k=k.astype(np.intp), values=k * (rates[0] - rates[1]),
+                           kind="semiparametric")
 
 
-def observed_mean_benefit(d: TrialDataset) -> float:
-    """Observed arm-0 minus arm-1 event rate, in events per unit of
-    follow-up time; ``d`` must hold both arms."""
-    r0, r1 = (d.events[d.treatment == a].sum() / d.time[d.treatment == a].sum() for a in (0, 1))
+def observed_mean_benefit(d: TrialDataset, bv: BenefitVector) -> float:
+    """Observed arm-0 minus arm-1 event rate of the sample ``bv`` ranks, in
+    events per unit of follow-up time; NaN when the sample lacks an arm."""
+    if bv.values.size != d.n:
+        raise ValueError("the benefits do not index the dataset's subjects")
+    with np.errstate(invalid="ignore"):  # 0/0 for an arm the sample lacks
+        r0, r1 = (_sample_sum(bv, d.events, arm) / _sample_sum(bv, d.time, arm)
+                  for arm in (d.treatment == 0, d.treatment == 1))
     return float(r0 - r1)
 
 
@@ -359,14 +351,14 @@ def cb_semiparametric(d: TrialDataset, bv: BenefitVector) -> CbEstimate:
     Raises
     ------
     EstimatorUndefinedError
-        If either arm is absent.
+        If either arm is absent from the sample.
     DegenerateEstimateError
         If the estimated pairwise maximum is non-positive, leaving the
         index undefined.
     """
-    n = d.n
+    n = bv.n
     curve = semiparametric_partial_sums(d, bv)
-    e_b = observed_mean_benefit(d)
+    e_b = observed_mean_benefit(d, bv)
     pair_max = 2.0 * curve.sum() / n**2 - e_b / n
     if pair_max <= 0:
         raise DegenerateEstimateError(

@@ -18,7 +18,8 @@ and an ML replicate uses the original one.  Ridge penalizes the
 standardized coefficients, so a ridge replicate, its cross-validation
 folds included, works in the coordinates of its own standardization:
 it takes its own pipeline's Newton steps, and chooses its penalty, up to
-rounding.
+rounding.  Its checks and estimators read its draw, never a copy of it,
+and rank tied subjects by position in the draw, as the copy would.
 
 A chunk holds a fixed run of replicate indices (see ``_chunk_size``);
 every chunk is a pure function of (data, master seed, chunk index), so

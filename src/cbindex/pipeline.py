@@ -6,7 +6,9 @@ resampling procedures can repeat the *whole* calculation -- including
 penalty selection -- on each replicate, and so a model fitted on one
 sample can be applied unchanged to another.  Resamples are fitted many at
 once, as subject counts over the original design; a single run is the
-one-sample case of the same code.
+one-sample case of the same code.  A resample is its draw of subject
+indices over the original data, never a copy; tied benefits in it rank
+by position in the draw, as in the copy.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     NumericalError,
     OrientationError,
 )
-from .trial_data import ScalingParams, TrialDataset, standardize
+from .trial_data import ScalingParams, TrialDataset, _column_scaling, standardize
 
 __all__ = ["BenefitPipeline", "PipelineResult", "ESTIMATOR_KINDS", "CV_LOSSES"]
 
@@ -57,11 +59,12 @@ class PipelineResult:
 @dataclass(frozen=True)
 class _Member:
     """A sample that passed ``estimate``'s checks: its place among the
-    draws, its rows of the original data, its own scaling and, for
-    ridge, its fold labels."""
+    draws, its rows of the original data, their counts, its own scaling
+    and, for ridge, its fold labels."""
 
     index: int
     draw: np.ndarray
+    counts: np.ndarray
     scaling: ScalingParams
     fold_id: np.ndarray | None
 
@@ -124,45 +127,41 @@ class BenefitPipeline:
         result, or the error that ended that resample.
 
         The resamples are fitted together, as members of batches over the
-        design of ``data`` weighed by their subject counts (see
-        ``_fit``).  Each resample still passes ``estimate``'s checks, its
-        arms, its covariate spread and (ridge) its folds, on the
-        materialized resample before it joins.  The estimators run on
-        each materialized resample.
+        design of ``data`` weighed by their subject counts (see ``_fit``).
+        None is copied: its checks (arms, events, covariate spread, ridge
+        folds) and estimators read its draw, ties ranked as in the copy.
         """
         return self._estimate(data, draws, seeds)
 
     def _estimate(
         self, data: TrialDataset, draws: list[np.ndarray] | None, seeds: list[int | None] | None
     ) -> list[PipelineResult | CbIndexError]:
-        """``estimate_resamples``, or ``estimate`` of ``data`` itself when
-        ``draws`` is None."""
-        samples = [data] if draws is None else [data.subset(draw) for draw in draws]
-        if seeds is not None and len(seeds) != len(samples):
-            raise ValueError(f"{len(seeds)} fold seeds given for {len(samples)} draws")
+        """``estimate_resamples``, or ``estimate`` of ``data`` itself, read
+        without indexing, when ``draws`` is None."""
+        resampled = draws is not None
+        draws = [np.asarray(draw) for draw in draws] if resampled else [np.arange(data.n)]
+        if seeds is not None and len(seeds) != len(draws):
+            raise ValueError(f"{len(seeds)} fold seeds given for {len(draws)} draws")
         if self.model == "ridge" and (seeds is None or None in seeds):
             raise ValueError("ridge pipeline needs a seed for fold assignment")
-        draws = [np.arange(data.n)] if draws is None else draws
         out: list[PipelineResult | CbIndexError] = []
         group = []
-        for i, sample in enumerate(samples):
+        for i, draw in enumerate(draws):
+            rows = draw if resampled else slice(None)
+            counts = np.bincount(draw, minlength=data.n).astype(np.float64)
             try:
-                _reject_unfit_arms(sample, self.model)
-                std, scaling = standardize(sample)
-                fold_id = None
-                if self.model == "ridge":
-                    fold_id = nbglm._stratified_folds(
-                        sample.treatment, self.cv_folds, int(seeds[i])
-                    )
+                _reject_unfit_arms(data, counts, self.model)
+                *_, scaling = _column_scaling(data.covariates[rows], data.covariate_names)
+                fold_id = None if self.model == "ml" else nbglm._stratified_folds(
+                    data.treatment[rows], self.cv_folds, int(seeds[i]))
             except CbIndexError as exc:
                 out.append(exc)
                 continue
             out.append(None)
-            group.append(_Member(i, draws[i], scaling, fold_id))
+            group.append(_Member(i, draw, counts, scaling, fold_id))
         if not group:
             return out
-        if samples[0] is not data:  # else ``std`` is ``data``'s, from the loop
-            std, scaling = standardize(data)
+        std, scaling = standardize(data)
         design = nbglm.build_design_matrix(std, scaling=scaling)
         for member, fitted in zip(group, self._fit(design, group)):
             if isinstance(fitted, CbIndexError):
@@ -172,8 +171,9 @@ class BenefitPipeline:
             try:
                 _require_converged(model)
                 if self.model == "ml":
-                    _require_finite_estimate(model, design, member.draw)
-                out[member.index] = self._evaluate_model(model, samples[member.index])
+                    _require_finite_estimate(model, design, member.counts)
+                draw = member.draw if resampled else None
+                out[member.index] = self._evaluate_model(model, data, draw)
             except CbIndexError as exc:
                 out[member.index] = exc
             else:
@@ -205,7 +205,7 @@ class BenefitPipeline:
 
     def _fit_batch(self, design, group):
         """``_fit`` of the whole group at once; raises if any member fails."""
-        counts = np.array([np.bincount(m.draw, minlength=design.n) for m in group], np.float64)
+        counts = np.array([m.counts for m in group])
         if self.model == "ml":
             models = nbglm.fit_weighted(design, counts, 0.0, self.precision)
             return [(model, None) for model in models]
@@ -233,15 +233,15 @@ class BenefitPipeline:
         return self._evaluate_model(fitted.model, data)
 
     def _evaluate_model(
-        self, model: nbglm.FittedBenefitModel, data: TrialDataset
+        self, model: nbglm.FittedBenefitModel, data: TrialDataset, draw: np.ndarray | None = None
     ) -> PipelineResult:
-        bv = bn.predicted_benefit(model, data)
+        bv = bn.predicted_benefit(model, data, draw)
         estimates: dict[str, bn.CbEstimate] = {}
         failures: dict[str, str] = {}
         try:
             estimates["parametric"] = bn.cb_parametric(bv)
         except OrientationError as exc:
-            failures["parametric"] = _orientation_failure(exc, data)
+            failures["parametric"] = _orientation_failure(exc, data, bv)
         except EstimationError as exc:
             failures["parametric"] = str(exc)
         try:
@@ -261,13 +261,13 @@ def _require_converged(model: nbglm.FittedBenefitModel) -> None:
 
 
 def _require_finite_estimate(
-    model: nbglm.FittedBenefitModel, design: nbglm.DesignMatrix, draw: np.ndarray
+    model: nbglm.FittedBenefitModel, design: nbglm.DesignMatrix, counts: np.ndarray
 ) -> None:
-    """Raise if the fitted mean of a subject in ``draw`` underflows: only
-    coefficients running toward an infinite estimate take a linear
-    predictor below ``_LOG_TINY``.  The coefficients named are those
-    whose term alone does so on such a subject, or else the largest."""
-    underflow = np.bincount(draw, minlength=design.n) > 0
+    """Raise if the fitted mean of a subject with a positive count
+    underflows: only coefficients running toward an infinite estimate take
+    a linear predictor below ``_LOG_TINY``.  The coefficients named are
+    those whose term alone does so on such a subject, or else the largest."""
+    underflow = counts > 0
     underflow &= design.X @ model.coefficients + design.offset < _LOG_TINY
     if not underflow.any():
         return
@@ -281,10 +281,10 @@ def _require_finite_estimate(
     )
 
 
-def _orientation_failure(exc: OrientationError, data: TrialDataset) -> str:
+def _orientation_failure(exc: OrientationError, data: TrialDataset, bv: bn.BenefitVector) -> str:
     """The parametric failure for a negative model mean benefit: flipped
-    labels are blamed only when the observed event rates agree."""
-    if data.has_both_arms and (observed := bn.observed_mean_benefit(data)) >= 0:
+    labels are blamed only when the sample's observed event rates agree."""
+    if (observed := bn.observed_mean_benefit(data, bv)) >= 0:
         return (
             f"model mean benefit {exc.mean_benefit:.6g} is negative, but the observed "
             f"control-minus-treated event rate difference is {observed:+.6g} per unit of "
@@ -294,14 +294,14 @@ def _orientation_failure(exc: OrientationError, data: TrialDataset) -> str:
     return str(exc)
 
 
-def _reject_unfit_arms(data: TrialDataset, model: str) -> None:
-    """Raise before any fit if an arm has no subjects (no treatment term is
-    identifiable), or, for maximum likelihood, if one arm has no events
-    while the other has events: the unpenalized treatment-effect estimate
-    is then infinite, and IRLS would only walk toward it until its
-    iteration cap."""
-    subjects = np.bincount(data.treatment, minlength=2)
-    events = np.bincount(data.treatment, weights=data.events, minlength=2)
+def _reject_unfit_arms(data: TrialDataset, counts: np.ndarray, model: str) -> None:
+    """Raise before any fit if an arm of the sample with ``counts`` has no
+    subjects (no treatment term is identifiable), or, for maximum
+    likelihood, if one arm has no events while the other has events: the
+    unpenalized treatment-effect estimate is then infinite, and IRLS would
+    only walk toward it until its iteration cap."""
+    subjects = np.bincount(data.treatment, weights=counts, minlength=2)
+    events = np.bincount(data.treatment, weights=counts * data.events, minlength=2)
     for arm, name in enumerate(("control", "treated")):
         if subjects[arm] == 0:
             raise EstimatorUndefinedError(

@@ -324,8 +324,8 @@ def load_dataset(
     ------
     SchemaError
         If a mapped column is absent from the header or named in it more
-        than once, the mapping is incomplete, or ``covariates`` is not a
-        list of column names.
+        than once, the mapping is incomplete or names a column twice, or
+        ``covariates`` is not a list of column names.
     RowParseError
         On rows of the wrong cell count and on malformed cells: values
         that are not numbers or not finite, negative or non-integer counts,
@@ -342,6 +342,11 @@ def load_dataset(
         raise SchemaError(f"schema 'covariates' must be a list of column names, got {cov_cols!r}")
     if not cov_cols:
         raise SchemaError("schema must name at least one covariate column")
+    roles = [(str(schema[key]), _RULES[key]) for key in ("treatment", "events", "time")]
+    roles += [(c, _RULES["covariates"]) for c in cov_cols]
+    mapped = [name for name, _ in roles]
+    if twice := [name for i, name in enumerate(mapped) if name in mapped[:i]]:
+        raise SchemaError(f"column '{twice[0]}' is mapped more than once in the schema")
 
     if isinstance(source, (str, bytes)):
         try:
@@ -360,10 +365,8 @@ def load_dataset(
             raise SchemaError("empty input: no header row") from None
         header = [h.strip() for h in header]
         positions: dict[str, int] = {}
-        roles = [(str(schema[key]), _RULES[key]) for key in ("treatment", "events", "time")]
-        roles += [(c, _RULES["covariates"]) for c in cov_cols]
         id_col = None if schema.get("id") is None else str(schema["id"])
-        wanted = [name for name, _ in roles] + ([] if id_col is None else [id_col])
+        wanted = mapped + ([] if id_col is None else [id_col])
         for name in wanted:
             if name not in header:
                 raise SchemaError(f"column '{name}' not found in header {header}")
@@ -410,6 +413,17 @@ def _unit_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.ldexp(x, k) if k.any() else x), k
 
 
+def _column_scaling(x: np.ndarray, names: Sequence[str]) -> tuple:
+    """Covariate rows ``x`` in unit columns, their means and n-1 SDs, and
+    their ``ScalingParams``; a constant column of ``names`` is an error."""
+    x, k = _unit_columns(x)
+    means = x.mean(axis=0)
+    sds = x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.zeros(x.shape[1])
+    if constant := [name for name, sd in zip(names, sds) if not 0 < sd < math.inf]:
+        raise DegenerateCovariateError(constant[0])
+    return x, means, sds, ScalingParams(means=np.ldexp(means, -k), sds=np.ldexp(sds, -k))
+
+
 def standardize(d: TrialDataset) -> tuple[TrialDataset, ScalingParams]:
     """Scale every covariate column to sample mean 0 and sample SD 1.
 
@@ -422,15 +436,8 @@ def standardize(d: TrialDataset) -> tuple[TrialDataset, ScalingParams]:
     DegenerateCovariateError
         If any covariate column is constant.
     """
-    x, k = _unit_columns(d.covariates)
-    means = x.mean(axis=0)
-    sds = x.std(axis=0, ddof=1) if d.n > 1 else np.zeros(d.m)
-    for j, sd in enumerate(sds):
-        if sd == 0 or not np.isfinite(sd):
-            raise DegenerateCovariateError(d.covariate_names[j])
-    scaled = (x - means) / sds
-    params = ScalingParams(means=np.ldexp(means, -k), sds=np.ldexp(sds, -k))
-    return replace(d, covariates=scaled), params
+    x, means, sds, params = _column_scaling(d.covariates, d.covariate_names)
+    return replace(d, covariates=(x - means) / sds), params
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,7 @@ class TestCriterion5SemiparametricWorkedExample:
             time=[1.0, 1.0, 1.0, 1.0],
             covariates=np.array([[4.0], [3.0], [2.0], [1.0]]),
         )
-        v = BenefitVector.from_values([4.0, 3.0, 2.0, 1.0], subject_ids=d.ids)
+        v = BenefitVector.from_values([4.0, 3.0, 2.0, 1.0])
         curve = semiparametric_partial_sums(d, v)
         assert curve.values.tolist() == [2.0, 4.0, 4.5, 4.0]
         est = cb_semiparametric(d, v)

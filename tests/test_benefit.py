@@ -14,6 +14,7 @@ from cbindex.benefit import (
     delta_b,
     gini_b,
     mean_benefit,
+    observed_mean_benefit,
     pair_max_parametric,
     partial_sums_parametric,
     predicted_benefit,
@@ -222,7 +223,7 @@ class TestSemiparametric:
             time=[1.0, 1.0, 1.0, 1.0],
             covariates=np.array([[4.0], [3.0], [2.0], [1.0]]),
         )
-        return d, BenefitVector.from_values([4.0, 3.0, 2.0, 1.0], subject_ids=d.ids)
+        return d, BenefitVector.from_values([4.0, 3.0, 2.0, 1.0])
 
     def test_partial_sums_worked_example(self):
         d, v = self.worked_example()
@@ -243,14 +244,38 @@ class TestSemiparametric:
         a = np.tile([0, 1], n // 2)  # every prefix of even length balanced
         y = rng.integers(0, 5, n)
         d = make_dataset(a, y, np.ones(n), rng.normal(0, 1, (n, 1)))
-        v = BenefitVector.from_values(np.arange(n, 0, -1, dtype=float), subject_ids=d.ids)
+        v = BenefitVector.from_values(np.arange(n, 0, -1, dtype=float))
         curve = semiparametric_partial_sums(d, v)
         expected = n * (y[a == 0].mean() - y[a == 1].mean())
         assert curve.values[-1] == pytest.approx(expected, rel=1e-12)
 
+    def test_sample_matches_its_copy(self):
+        # subjects 1 and 3 tie, and copies tie: both rank by position in the draw
+        d = make_dataset([0, 1, 0, 1, 0], [2, 0, 1, 1, 3], [1.0, 2.0, 1.0, 0.5, 1.5],
+                         np.arange(5.0)[:, None])
+        values = np.array([4.0, 3.0, 2.0, 3.0, 1.0])
+        draw = np.array([3, 0, 1, 3, 4, 1, 2])
+        sample = BenefitVector(values, draw[np.argsort(-values[draw], kind="stable")])
+        copy = BenefitVector.from_values(values[draw])
+        copied = d.subset(draw)
+        np.testing.assert_array_equal(semiparametric_partial_sums(d, sample).values,
+                                      semiparametric_partial_sums(copied, copy).values)
+        assert cb_semiparametric(d, sample) == cb_semiparametric(copied, copy)
+        assert observed_mean_benefit(d, sample) == observed_mean_benefit(copied, copy)
+
+    def test_benefits_of_another_dataset_are_rejected(self):
+        d, v = self.worked_example()
+        for estimator in (semiparametric_partial_sums, cb_semiparametric, observed_mean_benefit):
+            with pytest.raises(ValueError, match="do not index"):
+                estimator(d.subset([0, 1, 2]), v)
+
+    def test_observed_mean_benefit_of_a_one_arm_sample_is_nan(self):
+        d, _ = self.worked_example()
+        assert math.isnan(observed_mean_benefit(d, BenefitVector([4.0, 3.0, 2.0, 1.0], [0, 2])))
+
     def test_single_arm_undefined(self):
         d = make_dataset([1, 1, 1], [1, 0, 2], [1, 1, 1], np.zeros((3, 1)) + [[1], [2], [3]])
-        v = BenefitVector.from_values([3.0, 2.0, 1.0], subject_ids=d.ids)
+        v = BenefitVector.from_values([3.0, 2.0, 1.0])
         with pytest.raises(EstimatorUndefinedError):
             semiparametric_partial_sums(d, v)
         with pytest.raises(EstimatorUndefinedError):
@@ -266,7 +291,7 @@ class TestSemiparametric:
             time=np.ones(6),
             covariates=np.arange(6.0)[::-1][:, None],
         )
-        v = BenefitVector.from_values(np.arange(6.0)[::-1], subject_ids=d.ids)
+        v = BenefitVector.from_values(np.arange(6.0)[::-1])
         curve = semiparametric_partial_sums(d, v)
         np.testing.assert_allclose(curve.values, np.zeros(6), atol=1e-12)
         with pytest.raises(DegenerateEstimateError):
@@ -292,7 +317,7 @@ class TestSemiparametric:
             time=np.ones(4),
             covariates=np.array([[4.0], [3.0], [2.0], [1.0]]),
         )
-        v = BenefitVector.from_values([4.0, 3.0, 2.0, 1.0], subject_ids=d.ids)
+        v = BenefitVector.from_values([4.0, 3.0, 2.0, 1.0])
         est = cb_semiparametric(d, v)
         assert est.mean_benefit == pytest.approx(-0.5)
         assert est.pair_max == pytest.approx(2.6875)
@@ -365,20 +390,27 @@ class TestOrderingAndCurveShape:
         increments = np.diff(curve.values)
         assert np.all(np.diff(increments) <= 1e-12)
 
-    def test_ids_are_optional_and_checked_when_given(self):
-        assert BenefitVector.from_values([2.0, 1.0]).subject_ids is None
-        with pytest.raises(ValueError, match="subject_ids"):
-            BenefitVector.from_values([2.0, 1.0], subject_ids=["a"])
-
     def test_order_breaks_ties_by_index(self):
         v = BenefitVector.from_values([1.0, 2.0, 1.0, 2.0])
         assert v.order.tolist() == [1, 3, 0, 2]
 
-    @pytest.mark.parametrize("order", [[0, 0, 1], [-1, 0, 1], [0, 1, 3], [0, 1], [[0, 1, 2]]])
-    def test_order_must_be_a_permutation(self, order):
-        with pytest.raises(ValueError, match="permutation"):
-            BenefitVector(values=np.array([3.0, 2.0, 1.0]), order=np.array(order),
-                          subject_ids=["a", "b", "c"])
+    def test_order_may_repeat_a_subject(self):
+        # a sample of subjects 0, 0, 2, 2, 2; subject 1 is not read
+        v = BenefitVector(values=np.array([3.0, np.inf, 1.0]), order=np.array([0, 0, 2, 2, 2]))
+        assert v.n == 5
+        assert v.sorted_values.tolist() == [3.0, 3.0, 1.0, 1.0, 1.0]
+        copies = bv([3.0, 3.0, 1.0, 1.0, 1.0])
+        assert mean_benefit(v) == mean_benefit(copies)
+        assert pair_max_parametric(v) == pair_max_parametric(copies)
+        assert cb_parametric(v) == cb_parametric(copies)
+
+    @pytest.mark.parametrize("order, message", [
+        ([-1, 0, 1], "index"), ([0, 1, 3], "index"), ([[0, 1, 2]], "index"),
+        ([1, 0], "descending"), ([2, 2, 1], "descending"),
+    ])
+    def test_order_must_index_the_values_and_sort_them(self, order, message):
+        with pytest.raises(ValueError, match=message):
+            BenefitVector(values=np.array([3.0, 2.0, 1.0]), order=np.array(order))
 
     def test_empty_vector_has_empty_order(self):
         assert BenefitVector.from_values([]).n == 0

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -414,6 +415,30 @@ class TestEstimateCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: column 'x2' appears more than once in header")
+
+    @pytest.mark.parametrize("extra", ["arm", "x1", "y"])
+    def test_column_mapped_twice_is_data_error(self, tmp_path, capsys, extra):
+        """On the benchmark's 1000-row trial at seed 5, before the mapping
+        was checked, ``--model ml`` with ``arm`` added to the covariates
+        exited 0 with unidentified coefficients, with ``x1`` listed twice
+        exited 3 blaming a singular system, and with ``y`` as a covariate
+        exited 3 blaming the orientation."""
+        spec = importlib.util.spec_from_file_location(
+            "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        csv, config = tmp_path / "trial.csv", tmp_path / "config.json"
+        inputs.write_trial_csv(csv, 1000, 5)
+        inputs.write_config(config)
+        payload = json.loads(config.read_text())
+        payload["columns"]["covariates"].append(extra)
+        config.write_text(json.dumps(payload))
+        code = run_cli(["estimate", "--input", csv, "--config", config, "--model", "ml",
+                        "--seed", "5", "--out", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: column '{extra}' is mapped more than once")
+        assert not (tmp_path / "out").exists()
 
     def test_single_arm_dataset_exits_three_with_diagnostic(self, workspace, tmp_path, capsys):
         tmp, _, config = workspace

@@ -38,7 +38,7 @@ class ConstantPredictionPipeline:
 
     def estimate(self, data, seed=None):
         n = data.n
-        bv = BenefitVector.from_values(np.full(n, 0.25), subject_ids=data.ids)
+        bv = BenefitVector.from_values(np.full(n, 0.25))
         est = CbEstimate(
             mean_benefit=0.25, pair_max=0.25, delta_b=0.0, gini_b=0.0,
             cb=0.0, estimator_kind="parametric",

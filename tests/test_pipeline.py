@@ -5,11 +5,24 @@ from cbindex import nbglm
 from cbindex.benefit import mean_benefit, observed_mean_benefit
 from cbindex.errors import EstimationError, NumericalError
 from cbindex.pipeline import BenefitPipeline, PipelineResult
-from cbindex.trial_data import make_dataset
+from cbindex.trial_data import TrialDataset, make_dataset
 
 from conftest import simulate_trial
 
 MILD = np.array([0.3, -0.5, 0.4, -0.3, 0.3, -0.2])
+PIPELINES = [
+    BenefitPipeline(model="ridge", cv_folds=3, lambda_grid_size=4, lambda_min_ratio=1e-2),
+    BenefitPipeline(model="ml"),
+]
+
+
+def binary_trial(n=200, seed=61):
+    """A trial whose two covariates are 0/1: its subjects share four
+    covariate profiles, so distinct subjects tie in benefit."""
+    rng = np.random.default_rng(seed)
+    a, x = rng.integers(0, 2, n), rng.integers(0, 2, (n, 2)).astype(np.float64)
+    mu = np.exp(0.3 - 0.5 * a + x @ [0.4, -0.3] + (a[:, None] * x) @ [-0.6, 0.3])
+    return make_dataset(a, rng.negative_binomial(2.0, 2.0 / (2.0 + mu)), np.ones(n), x)
 
 
 class TestBenefitPipeline:
@@ -50,6 +63,40 @@ class TestBenefitPipeline:
         assert drawn.model.dispersion == alone.model.dispersion
         for kind in ("parametric", "semiparametric"):
             assert drawn.cb_value(kind) == alone.cb_value(kind) is not None
+
+    @pytest.mark.parametrize("pipeline", PIPELINES, ids=["ridge", "ml"])
+    def test_resamples_rank_ties_by_position_in_the_draw(self, pipeline):
+        """A resample's subjects tie across copies and across subjects of
+        one covariate profile; each replicate ranks them as the copied
+        resample does, so both estimators match ``estimate`` of
+        ``data.subset(draw)``."""
+        d = binary_trial()
+        rng = np.random.default_rng(62)
+        draws = [rng.integers(0, d.n, d.n) for _ in range(6)]
+        seeds = list(range(11, 17))
+        for draw, seed, res in zip(draws, seeds, pipeline.estimate_resamples(d, draws, seeds)):
+            ref = pipeline.estimate(d.subset(draw), seed=seed)
+            np.testing.assert_allclose(res.benefit.sorted_values, ref.benefit.sorted_values,
+                                       rtol=1e-12, atol=0)
+            assert np.array_equal(draw[ref.benefit.order], res.benefit.order)
+            for kind in ("parametric", "semiparametric"):
+                assert res.cb_value(kind) == pytest.approx(ref.cb_value(kind), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("pipeline", PIPELINES, ids=["ridge", "ml"])
+    def test_resamples_build_no_dataset(self, small_trial, monkeypatch, pipeline):
+        """A batch of resamples copies no dataset: it reads their draws, and
+        builds one dataset, ``standardize(data)``, for the shared design."""
+        built, subsets = [], []
+        post_init, subset = TrialDataset.__post_init__, TrialDataset.subset
+        monkeypatch.setattr(TrialDataset, "__post_init__",
+                            lambda d: built.append(1) or post_init(d))
+        monkeypatch.setattr(TrialDataset, "subset",
+                            lambda d, idx: subsets.append(1) or subset(d, idx))
+        rng = np.random.default_rng(63)
+        draws = [rng.integers(0, small_trial.n, small_trial.n) for _ in range(10)]
+        results = pipeline.estimate_resamples(small_trial, draws, list(range(10)))
+        assert all(isinstance(r, PipelineResult) for r in results)
+        assert (len(built), len(subsets)) == (1, 0)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
@@ -180,7 +227,7 @@ class TestBenefitPipeline:
         d = simulate_trial(coefs, n=20, seed=seed, theta=2.0, m=6, fixed_time=False)
         result = BenefitPipeline().estimate(d, seed=1)
         model_mean = mean_benefit(result.benefit)
-        observed = observed_mean_benefit(d)
+        observed = observed_mean_benefit(d, result.benefit)
         assert model_mean < 0 and (observed < 0) == labels_reversed
         message = result.failures["parametric"]
         assert f"{model_mean:.6g}" in message

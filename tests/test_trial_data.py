@@ -205,6 +205,15 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match="column 'x1' appears more than once in header"):
             load_dataset(io.StringIO(text), SCHEMA)
 
+    @pytest.mark.parametrize("role, column", [
+        ("covariates", ["x1", "arm"]), ("covariates", ["x1", "x1"]), ("covariates", ["y"]),
+        ("time", "y"), ("events", "arm"),
+    ])
+    def test_column_mapped_twice_is_schema_error(self, role, column):
+        twice = column[-1] if role == "covariates" else column
+        with pytest.raises(SchemaError, match=f"column '{twice}' is mapped more than once"):
+            load_dataset(io.StringIO(CSV_4ROW), {**SCHEMA, role: column})
+
     def test_repeated_unmapped_column_is_allowed(self):
         lines = CSV_4ROW.splitlines()
         text = "\n".join([lines[0] + ",z,z"] + [row + ",7,8" for row in lines[1:]]) + "\n"
