@@ -179,11 +179,12 @@ def predicted_benefit(
 def mean_benefit(bv: BenefitVector) -> float:
     if bv.n < 1:
         raise InsufficientDataError("mean benefit needs at least one subject")
+    bv, k = _unit_scaled(bv)
     if (top := bv.values[bv.order[0]]) == bv.values[bv.order[-1]]:
         # the mean of n copies of c is c, with no summation rounding;
         # keeps the constant-vector identities (delta 0, index 0) exact
-        return float(top)
-    return float(_sample_sum(bv, bv.values)) / bv.n
+        return math.ldexp(top, -k)
+    return math.ldexp(float(_sample_sum(bv, bv.values)) / bv.n, -k)
 
 
 def pair_max_parametric(bv: BenefitVector) -> float:
@@ -195,28 +196,30 @@ def pair_max_parametric(bv: BenefitVector) -> float:
     n = bv.n
     if n < 2:
         raise InsufficientDataError("pairwise maximum needs at least two subjects")
+    bv, k = _unit_scaled(bv)
     sorted_values = bv.sorted_values
     if sorted_values[0] == sorted_values[-1]:
         # constant vector: the maximum of equals is the value itself,
         # exactly, with no summation rounding
-        return float(sorted_values[0])
+        return math.ldexp(sorted_values[0], -k)
     sum_s = float(np.cumsum(sorted_values).sum())
-    return 2.0 * sum_s / n**2 - float(_sample_sum(bv, bv.values)) / n / n
+    return math.ldexp(2.0 * sum_s / n**2 - float(_sample_sum(bv, bv.values)) / n / n, -k)
 
 
 def delta_b(bv: BenefitVector) -> float:
     """Expected gain of treating the better of a random pair instead of
     a random member; equals half the mean absolute pairwise difference."""
-    return pair_max_parametric(bv) - mean_benefit(bv)
+    bv, k = _unit_scaled(bv)
+    return math.ldexp(pair_max_parametric(bv) - mean_benefit(bv), -k)
 
 
 def _unit_scaled(bv: BenefitVector) -> tuple[BenefitVector, int]:
     """``bv`` times 2**k, with k bringing benefits far from unit size near it.
 
-    The index and the Gini are scale-free, and a power-of-two rescale is
-    exact; it keeps their means and partial sums from underflowing
-    (subnormal benefits) or overflowing.  k is 0 for benefits of ordinary
-    size, which are returned unchanged.
+    A power-of-two rescale is exact, so every readout is taken on the
+    rescaled benefits and scaled back; it keeps their means and partial sums
+    from underflowing (subnormal benefits) or overflowing.  k is 0 for
+    benefits of ordinary size, which are returned unchanged.
     """
     _, k = _unit_columns(bv.sorted_values[:, None])
     if k[0] == 0:

@@ -139,10 +139,6 @@ def _json_safe(value):
     if isinstance(value, (np.floating, float)):
         v = float(value)
         return v if math.isfinite(v) else repr(v)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
     return value
 
 

@@ -13,7 +13,6 @@ by position in the draw, as in the copy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,6 @@ ESTIMATOR_KINDS = ("parametric", "semiparametric")
 # Held-out losses the cross-validation scorer understands; the first is
 # the default.
 CV_LOSSES = ("squared", "deviance")
-# Log of the smallest positive double: below it, a mean has underflowed.
-_LOG_TINY = math.log(math.ulp(0.0))
 
 
 @dataclass
@@ -128,8 +125,8 @@ class BenefitPipeline:
 
         The resamples are fitted together, as members of batches over the
         design of ``data`` weighed by their subject counts (see ``_fit``).
-        None is copied: its checks (arms, events, covariate spread, ridge
-        folds) and estimators read its draw, ties ranked as in the copy.
+        None is copied: its checks (arms, covariate spread, ridge folds, ML
+        existence) and estimators read its draw, ties ranked as in the copy.
         """
         return self._estimate(data, draws, seeds)
 
@@ -150,7 +147,7 @@ class BenefitPipeline:
             rows = draw if resampled else slice(None)
             counts = np.bincount(draw, minlength=data.n).astype(np.float64)
             try:
-                _reject_unfit_arms(data, counts, self.model)
+                _reject_unfit_arms(data, counts)
                 *_, scaling = _column_scaling(data.covariates[rows], data.covariate_names)
                 fold_id = None if self.model == "ml" else nbglm._stratified_folds(
                     data.treatment[rows], self.cv_folds, int(seeds[i]))
@@ -163,15 +160,16 @@ class BenefitPipeline:
             return out
         std, scaling = standardize(data)
         design = nbglm.build_design_matrix(std, scaling=scaling)
-        for member, fitted in zip(group, self._fit(design, group)):
+        for member in group if self.model == "ml" else ():
+            out[member.index] = _infinite_estimate(design, member.counts)
+        group = [member for member in group if out[member.index] is None]
+        for member, fitted in zip(group, self._fit(design, group) if group else []):
             if isinstance(fitted, CbIndexError):
                 out[member.index] = fitted
                 continue
             model, cv = fitted
             try:
                 _require_converged(model)
-                if self.model == "ml":
-                    _require_finite_estimate(model, design, member.counts)
                 draw = member.draw if resampled else None
                 out[member.index] = self._evaluate_model(model, data, draw)
             except CbIndexError as exc:
@@ -197,34 +195,30 @@ class BenefitPipeline:
         are fitted as one more batch.
         """
         try:
-            return self._fit_batch(design, group)
+            counts = np.array([m.counts for m in group])
+            if self.model == "ml":
+                models = nbglm.fit_weighted(design, counts, 0.0, self.precision)
+                return [(model, None) for model in models]
+            scalings = [m.scaling for m in group]
+            grids = nbglm.default_lambda_grid(
+                design, counts, self.lambda_grid_size, self.lambda_min_ratio, scalings
+            )
+            cvs = nbglm.cross_validate_lambda(
+                design,
+                [m.draw for m in group],
+                [m.fold_id for m in group],
+                self.cv_folds,
+                grids,
+                self.cv_loss,
+                scalings,
+            )
+            lam = np.array([cv.chosen_lambda for cv in cvs])
+            models = nbglm.fit_weighted(design, counts, lam, self.precision, scalings)
+            return list(zip(models, cvs))
         except (NumericalError, DispersionError) as exc:
             if len(group) == 1:
                 return [exc]
         return [fitted for member in group for fitted in self._fit(design, [member])]
-
-    def _fit_batch(self, design, group):
-        """``_fit`` of the whole group at once; raises if any member fails."""
-        counts = np.array([m.counts for m in group])
-        if self.model == "ml":
-            models = nbglm.fit_weighted(design, counts, 0.0, self.precision)
-            return [(model, None) for model in models]
-        scalings = [m.scaling for m in group]
-        grids = nbglm.default_lambda_grid(
-            design, counts, self.lambda_grid_size, self.lambda_min_ratio, scalings
-        )
-        cvs = nbglm.cross_validate_lambda(
-            design,
-            [m.draw for m in group],
-            [m.fold_id for m in group],
-            self.cv_folds,
-            grids,
-            self.cv_loss,
-            scalings,
-        )
-        lam = np.array([cv.chosen_lambda for cv in cvs])
-        models = nbglm.fit_weighted(design, counts, lam, self.precision, scalings)
-        return list(zip(models, cvs))
 
     def evaluate(self, fitted: PipelineResult, data: TrialDataset) -> PipelineResult:
         """Apply an already-fitted model to a new dataset: no refitting,
@@ -260,27 +254,6 @@ def _require_converged(model: nbglm.FittedBenefitModel) -> None:
     raise ConvergenceError(f"fit did not converge in {meta.iterations} iterations")
 
 
-def _require_finite_estimate(
-    model: nbglm.FittedBenefitModel, design: nbglm.DesignMatrix, counts: np.ndarray
-) -> None:
-    """Raise if the fitted mean of a subject with a positive count
-    underflows: only coefficients running toward an infinite estimate take
-    a linear predictor below ``_LOG_TINY``.  The coefficients named are
-    those whose term alone does so on such a subject, or else the largest."""
-    underflow = counts > 0
-    underflow &= design.X @ model.coefficients + design.offset < _LOG_TINY
-    if not underflow.any():
-        return
-    terms = np.abs(design.X[underflow] * model.coefficients).max(axis=0)
-    names = [name for name, term in zip(model.coefficient_names, terms)
-             if term >= min(terms.max(), -_LOG_TINY)]
-    raise EstimationError(
-        f"the maximum-likelihood estimate is infinite in {', '.join(names)}: the fitted "
-        f"means of {int(underflow.sum())} subjects underflow to 0; the ridge model gives a "
-        "finite estimate"
-    )
-
-
 def _orientation_failure(exc: OrientationError, data: TrialDataset, bv: bn.BenefitVector) -> str:
     """The parametric failure for a negative model mean benefit: flipped
     labels are blamed only when the sample's observed event rates agree."""
@@ -294,22 +267,73 @@ def _orientation_failure(exc: OrientationError, data: TrialDataset, bv: bn.Benef
     return str(exc)
 
 
-def _reject_unfit_arms(data: TrialDataset, counts: np.ndarray, model: str) -> None:
-    """Raise before any fit if an arm of the sample with ``counts`` has no
-    subjects (no treatment term is identifiable), or, for maximum
-    likelihood, if one arm has no events while the other has events: the
-    unpenalized treatment-effect estimate is then infinite, and IRLS would
-    only walk toward it until its iteration cap."""
+def _reject_unfit_arms(data: TrialDataset, counts: np.ndarray) -> None:
+    """Raise before any fit if an arm of the sample with ``counts`` has no subjects."""
     subjects = np.bincount(data.treatment, weights=counts, minlength=2)
-    events = np.bincount(data.treatment, weights=counts * data.events, minlength=2)
     for arm, name in enumerate(("control", "treated")):
         if subjects[arm] == 0:
             raise EstimatorUndefinedError(
                 f"no subjects in the {name} arm (treatment={arm}): the treatment effect "
                 "and its interactions cannot be estimated"
             )
-        if model == "ml" and events[arm] == 0 and events[1 - arm] > 0:
-            raise EstimationError(
-                f"no events in the {name} arm (treatment={arm}): the maximum-likelihood "
-                "treatment effect is infinite; the ridge model gives a finite estimate"
-            )
+
+
+def _infinite_estimate(design: nbglm.DesignMatrix, counts: np.ndarray) -> EstimationError | None:
+    """The error that the maximum-likelihood estimate on the rows ``counts``
+    weighs is infinite, or None: it is when some z = X g is 0 on every row with
+    events and <= 0, not all 0, on the rest (Santos Silva & Tenreyro 2010).  Per
+    arm z = [1, x] N u, N the null space of the rows with events, and no u exists
+    iff -1'B is a nonnegative combination of the rows of B, the eventless rows
+    times N (Stiemke); a nonzero nonnegative least-squares residual is such a u."""
+    mains, treated = np.r_[0, 2:2 + design.m], np.r_[1, 2 + design.m:2 + 2 * design.m]
+    weighed, events = counts > 0, design.response > 0
+    if not (weighed & events).any():
+        return None  # left to the fit
+    for arm, name in enumerate(("control arm (treatment=0)", "treated arm (treatment=1)")):
+        in_arm = weighed & (design.treatment == arm)
+        if not (in_arm & events).any():
+            direction, why = -np.eye(len(mains))[0], f"no events in the {name}"
+        else:
+            event_rows, r = np.flatnonzero(in_arm & events), np.zeros((0, len(mains)))
+            # R of the rows with events, in blocks small enough for one BLAS thread
+            for part in np.array_split(event_rows, event_rows.size * len(mains) // 8192 + 1):
+                r = np.linalg.qr(np.vstack([r, design.X[np.ix_(part, mains)]]), mode="r")
+            _, sigma, vt = np.linalg.svd(r)
+            if not (null := vt[np.sum(sigma > 1e-5 * sigma[0]):].T).size:
+                continue
+            rows, with_events = design.X[np.ix_(in_arm, mains)], events[in_arm]
+            b = rows[~with_events] @ null
+            z = rows @ (direction := null @ _nnls_residual(b.T, -b.sum(axis=0)))
+            tol = 1e-7 * np.abs(z).max()
+            if not tol or z.max() > tol or np.abs(z[with_events]).max() > tol:
+                continue  # no z that holds on the design
+            why = (f"the covariates separate {int(counts[in_arm] @ (z < -tol))} subjects "
+                   f"without events in the {name} from those with events")
+        support = np.abs(direction) > 1e-7 * np.abs(direction).max()
+        named = treated[support] if arm else np.sort(np.r_[mains[support], treated[support]])
+        return EstimationError(f"{why}: the maximum-likelihood estimate is infinite in "
+                               f"{', '.join(design.column_names[j] for j in named)}; "
+                               "the ridge model gives a finite estimate")
+    return None
+
+
+def _nnls_residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b - a v at the v >= 0 of least norm (Lawson & Hanson 1974, ch. 23)."""
+    v, passive, r = np.zeros(a.shape[1]), np.zeros(a.shape[1], dtype=bool), b
+    tol = 1e-10 * np.abs(a).sum(axis=0).max(initial=0) * np.abs(b).max(initial=0)
+    while (gradient := np.where(passive, -np.inf, a.T @ r)).max(initial=0) > tol:
+        passive[gradient.argmax()] = True
+        while True:
+            s = np.zeros_like(v)
+            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if (s[passive] > 0).all():
+                break
+            blocked = np.flatnonzero(passive & (s <= 0))
+            step = v[blocked] / (v[blocked] - s[blocked])
+            v += step.min() * (s - v)
+            passive[blocked[step.argmin()]] = False
+            passive &= v > 0
+        if not np.linalg.norm(b - a @ s) < np.linalg.norm(r):
+            return r  # a step that gains nothing: rounding, at the optimum
+        v, r = s, b - a @ s
+    return r

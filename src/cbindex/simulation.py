@@ -360,35 +360,28 @@ def _sim_task(r: int) -> dict[str, float | None]:
     ml = replace(ridge, model="ml")
     out: dict[str, float | None] = {label: None for label in ESTIMATOR_LABELS}
 
-    results = {}
-    for tag, pipe, lane in (("ridge", ridge, 1), ("ml", ml, 2)):
+    for tag, pipe, fit_lane, optimism_lane in (("ridge", ridge, 1, 3), ("ml", ml, 2, 4)):
         try:
-            res = pipe.estimate(data, seed=_seed_int(_replicate_rng(seed, scen_idx, n, r, lane)))
+            res = pipe.estimate(data, seed=_seed_int(_replicate_rng(seed, scen_idx, n, r, fit_lane)))
         except CbIndexError:
             continue
-        results[tag] = res
         out[f"parametric-{tag}"] = res.cb_value("parametric")
         # Raw semi-parametric values enter the aggregates even outside
         # [0, 1] (excluding those would censor one tail), but values
         # beyond the wide bound are denominator-collapse artifacts and
         # count as failures.
         semi = res.cb_value("semiparametric")
-        if semi is not None and not -SEMI_RAW_BOUND <= semi <= 1.0 + SEMI_RAW_BOUND:
-            semi = None
-        out[f"semi-{tag}"] = semi
-
-    for tag, pipe, lane in (("ridge", ridge, 3), ("ml", ml, 4)):
-        res = results.get(tag)
-        if res is None or out[f"semi-{tag}"] is None:
+        if semi is None or not -SEMI_RAW_BOUND <= semi <= 1.0 + SEMI_RAW_BOUND:
             continue
+        out[f"semi-{tag}"] = semi
         cfg = BootstrapConfig(
             replicates=settings.optimism_replicates,
-            seed=_seed_int(_replicate_rng(seed, scen_idx, n, r, lane)),
+            seed=_seed_int(_replicate_rng(seed, scen_idx, n, r, optimism_lane)),
         )
         # Only the semi-parametric kind is adjusted: a parametric failure must not end it.
-        semi = {"semiparametric": res.estimates["semiparametric"]}
+        original = replace(res, estimates={"semiparametric": res.estimates["semiparametric"]})
         try:
-            adj = optimism_adjust_all(data, pipe, cfg, original=replace(res, estimates=semi))
+            adj = optimism_adjust_all(data, pipe, cfg, original=original)
         except CbIndexError:
             continue
         out[f"semi-{tag}-adjusted"] = adj["semiparametric"].adjusted

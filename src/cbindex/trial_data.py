@@ -48,7 +48,7 @@ class TrialDataset:
     events : (n,) non-negative int array of event counts.
     time : (n,) positive float array of follow-up times in years.
     covariates : (n, m) float array, all entries finite.
-    covariate_names : m column labels.
+    covariate_names : m column labels; x1..xm when omitted.
     ids : optional subject labels; defaults to 1-based row numbers.
     n_missing_excluded : rows dropped during loading for missing cells.
 
@@ -63,7 +63,7 @@ class TrialDataset:
     events: np.ndarray
     time: np.ndarray
     covariates: np.ndarray
-    covariate_names: list[str]
+    covariate_names: list[str] | None = None
     ids: list[str] = field(default_factory=list)
     n_missing_excluded: int = 0
 
@@ -72,6 +72,8 @@ class TrialDataset:
         self.events = np.asarray(self.events, dtype=np.int64)
         self.time = np.asarray(self.time, dtype=np.float64)
         self.covariates = np.atleast_2d(np.asarray(self.covariates, dtype=np.float64))
+        if self.covariate_names is None:
+            self.covariate_names = [f"x{j + 1}" for j in range(self.covariates.shape[1])]
         self.covariate_names = list(self.covariate_names)
         n = self.treatment.shape[0]
         if self.events.shape != (n,) or self.time.shape != (n,):
@@ -497,23 +499,4 @@ def balance_check(d: TrialDataset, threshold: float = 0.05) -> BalanceResult:
     )
 
 
-def make_dataset(
-    treatment: Iterable[int],
-    events: Iterable[int],
-    time: Iterable[float],
-    covariates: np.ndarray,
-    covariate_names: Sequence[str] | None = None,
-    ids: Sequence[str] | None = None,
-) -> TrialDataset:
-    """Build a dataset from plain arrays, naming covariates x1..xm."""
-    covariates = np.atleast_2d(np.asarray(covariates, dtype=np.float64))
-    if covariate_names is None:
-        covariate_names = [f"x{j + 1}" for j in range(covariates.shape[1])]
-    return TrialDataset(
-        treatment=np.asarray(list(treatment)),
-        events=np.asarray(list(events)),
-        time=np.asarray(list(time)),
-        covariates=covariates,
-        covariate_names=list(covariate_names),
-        ids=list(ids) if ids is not None else [],
-    )
+make_dataset = TrialDataset  # the exported name for building a dataset from arrays

@@ -138,6 +138,20 @@ class TestBounds:
         assert est.cb == pytest.approx(cb, abs=1e-12)
         assert est.mean_benefit == pytest.approx(np.mean(np.asarray(values) / 4) * 4)
 
+    @pytest.mark.parametrize("values", [
+        [1.7e308, 1.7e308, 1.0],  # the sums overflow unscaled
+        [5e-324, 0.0],            # the pairwise maximum minus the mean underflows to 0
+    ])
+    def test_readouts_equal_the_estimate_fields_at_the_ends_of_the_range(self, values):
+        """The exported readouts take the rescale the index takes: finite
+        and equal to the estimate's own fields (a RuntimeWarning is an
+        error in this suite)."""
+        v, est = bv(values), cb_parametric(bv(values))
+        assert mean_benefit(v) == est.mean_benefit
+        assert pair_max_parametric(v) == est.pair_max
+        assert delta_b(v) == est.delta_b
+        assert math.isfinite(est.pair_max)
+
     def test_antisymmetric_pair_is_exactly_one(self):
         for a in (0.5, 1.0, 3.75, 1e-4):
             assert cb_parametric(bv([a, -a])).cb == 1.0

@@ -148,6 +148,37 @@ class TestConfigErrors:
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("args, edit, message", [
+        pytest.param(["estimate", "--input", "CSV", "--config", "NOWHERE"], None,
+                     "config file not found: ", id="config-file-missing"),
+        pytest.param(["estimate", "--input", "CSV"], lambda p: "{",
+                     "config file is not valid JSON: ", id="config-not-json"),
+        pytest.param(["estimate", "--input", "CSV"], lambda p: [p],
+                     "config file must hold a JSON object", id="config-not-an-object"),
+        pytest.param(["estimate", "--input", "CSV"], lambda p: {**p, "cv": 3},
+                     "cv must be a JSON object, got 3", id="cv-not-an-object"),
+        pytest.param(["simulate", "--n", "150"], lambda p: {"scenarios": []},
+                     "simulate needs --scenario", id="no-scenarios"),
+        pytest.param(["simulate", "--scenario", "null"], lambda p: {"n_values": []},
+                     "simulate needs --n", id="no-trial-sizes"),
+        pytest.param(["estimate"], None, "estimate needs --input", id="no-input"),
+        pytest.param(["curve", "--input", "CSV"], lambda p: {},
+                     "curve needs a column mapping in the config file", id="no-columns"),
+        pytest.param(["curve", "--input", "CSV", "--p", "abc"], None,
+                     "bad --p list: 'abc'", id="p-not-numbers"),
+    ])
+    def test_unusable_setting_exits_one_naming_it(self, workspace, capsys, args, edit, message):
+        tmp, csv, config = workspace
+        if edit is not None:
+            payload = edit(json.loads(config.read_text()))
+            config.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        args = [{"CSV": csv, "NOWHERE": tmp / "nowhere.json"}.get(a, a) for a in args]
+        if "--config" not in args:
+            args += ["--config", config]
+        code = run_cli(args + ["--seed", "1", "--out", tmp / "out"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
     @pytest.mark.parametrize("key, value", [
         pytest.param("bootstrap", 2.9, id="fractional-bootstrap"),
         pytest.param("bootstrap", "3", id="string-bootstrap"),
@@ -533,13 +564,13 @@ class TestEstimateCommand:
     def test_ml_with_an_infinite_estimate_exits_three_naming_it(self, workspace, tmp_path,
                                                                  capsys):
         """Every treated subject with the binary ``x1`` = 1 has zero events:
-        the ML treatment and treatment:x1 coefficients run off until the
-        fitted means of that subgroup underflow to 0."""
+        the ML treatment and treatment:x1 coefficients are infinite, and
+        the check before the fit names them."""
         tmp, _, config = workspace
-        csv = write_dataset_csv(tmp_path / "separated.csv", separated_trial(2))
-        message = ("the maximum-likelihood estimate is infinite in treatment, treatment:x1: "
-                   "the fitted means of 71 subjects underflow to 0; the ridge model gives a "
-                   "finite estimate")
+        csv = write_dataset_csv(tmp_path / "separated.csv", separated_trial(3))
+        message = ("the covariates separate 84 subjects without events in the treated arm "
+                   "(treatment=1) from those with events: the maximum-likelihood estimate is "
+                   "infinite in treatment, treatment:x1; the ridge model gives a finite estimate")
         out = tmp / "infinite"
         code = run_cli(["estimate", "--input", csv, "--config", config,
                         "--model", "ml", "--seed", "3", "--out", out])

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -7,6 +9,10 @@ from pathlib import Path
 import pytest
 
 import cbindex
+from cbindex import _parallel
+from cbindex.inference import IntervalEstimate, OptimismResult
+from cbindex.nbglm import FitMeta
+from cbindex.trial_data import TrialDataset
 
 # every module of the package
 MODULES = ["cbindex"] + [f"cbindex.{m.name}" for m in pkgutil.iter_modules(cbindex.__path__)]
@@ -30,13 +36,18 @@ def test_every_exported_name_resolves(name):
     assert not missing
 
 
-def test_every_traced_benchmark_target_resolves():
-    """``bench/tracer.py`` patches each ``TARGETS`` entry by name, so a
-    removed or renamed function breaks the traced benchmark (``--trace 1``)."""
+def load_tracer():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_benchmark_target_resolves():
+    """``bench/tracer.py`` patches each ``TARGETS`` entry by name, so a
+    removed or renamed function breaks the traced benchmark (``--trace 1``)."""
+    tracer = load_tracer()
     missing = []
     for module_name, attr in tracer.TARGETS:
         owner = importlib.import_module(module_name)
@@ -46,3 +57,20 @@ def test_every_traced_benchmark_target_resolves():
         if owner is None or name not in vars(owner):
             missing.append(f"{module_name}.{attr}")
     assert tracer.TARGETS and not missing
+
+
+def test_every_attribute_the_tracer_counters_read_exists():
+    """``bench/tracer.py``'s ``COUNTERS`` read these attributes of what the
+    traced functions return, and these parameters of ``run_indexed``; a
+    counter added there adds what it reads here."""
+    assert set(load_tracer().COUNTERS) == {
+        "nbglm.fit", "nbglm.fit_alternating", "trial_data.load_dataset",
+        "inference.bootstrap_intervals", "inference.optimism_adjust_all", "parallel.run_indexed",
+    }
+    fields = {cls: {f.name for f in dataclasses.fields(cls)}
+              for cls in (FitMeta, TrialDataset, IntervalEstimate, OptimismResult)}
+    assert {"iterations", "converged", "dispersion_rounds"} <= fields[FitMeta]
+    assert "n_missing_excluded" in fields[TrialDataset] and isinstance(TrialDataset.n, property)
+    assert {"replicate_values", "n_failed"} <= fields[IntervalEstimate]
+    assert {"n_replicates", "n_failed"} <= fields[OptimismResult]
+    assert {"indices", "shared"} <= set(inspect.signature(_parallel.run_indexed).parameters)

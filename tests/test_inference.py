@@ -332,10 +332,10 @@ class TestMaximumLikelihoodBatches:
 
     def test_underflowing_fit_fails_its_replicate_only(self):
         """A resample that misses both subgroup subjects with events has an
-        infinite ML estimate.  A member whose fitted means underflow on the
-        way there fails alone, with the error naming the diverging
-        coefficients, and is counted; its chunk-mates with finite
-        estimates equal their own pipeline runs."""
+        infinite ML estimate.  Exactly those members fail, before any fit,
+        each as it does alone, with the error naming the diverging
+        coefficients, and are counted; their chunk-mates equal their own
+        pipeline runs."""
         data = separated_trial(4, with_events=2)
         pipeline = BenefitPipeline(model="ml")
         cfg = BootstrapConfig(replicates=20, seed=4)
@@ -348,13 +348,16 @@ class TestMaximumLikelihoodBatches:
         results = [res for c in chunks
                    for res in pipeline.estimate_resamples(data, draws[c:c + inference._CHUNK])]
         failed = [r for r, res in enumerate(results) if isinstance(res, CbIndexError)]
-        assert failed
+        assert failed == [r for r, diverges in enumerate(infinite) if diverges]
         for r in failed:
             start = r - r % inference._CHUNK
-            assert infinite[r] and not all(infinite[start:start + inference._CHUNK])
-            assert re.fullmatch(r"the maximum-likelihood estimate is infinite in treatment, "
-                                r"treatment:x1: the fitted means of \d+ subjects underflow to 0; "
-                                r"the ridge model gives a finite estimate", str(results[r]))
+            assert reference[r] == "EstimationError"
+            assert not all(infinite[start:start + inference._CHUNK])
+            assert re.fullmatch(r"the covariates separate \d+ subjects without events in the "
+                                r"treated arm \(treatment=1\) from those with events: the "
+                                r"maximum-likelihood estimate is infinite in treatment, "
+                                r"treatment:x1; the ridge model gives a finite estimate",
+                                str(results[r]))
         for res, ref, diverges in zip(results, reference, infinite):
             if not diverges:
                 for kind in ("parametric", "semiparametric"):

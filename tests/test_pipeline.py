@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import linprog
+
 from cbindex import nbglm
 from cbindex.benefit import mean_benefit, observed_mean_benefit
 from cbindex.errors import EstimationError, NumericalError
-from cbindex.pipeline import BenefitPipeline, PipelineResult
-from cbindex.trial_data import TrialDataset, make_dataset
+from cbindex.pipeline import BenefitPipeline, PipelineResult, _infinite_estimate
+from cbindex.trial_data import TrialDataset, make_dataset, standardize
 
-from conftest import simulate_trial
+from conftest import separated_trial, simulate_trial
 
 MILD = np.array([0.3, -0.5, 0.4, -0.3, 0.3, -0.2])
 PIPELINES = [
@@ -203,9 +205,63 @@ class TestBenefitPipeline:
         def no_fit(*args, **kwargs):
             raise AssertionError("fit called")
 
-        monkeypatch.setattr(nbglm, "fit", no_fit)
-        with pytest.raises(EstimationError, match=f"no events in the {name} arm.*infinite"):
+        monkeypatch.setattr(nbglm, "fit_weighted", no_fit)
+        names = "treatment" if empty_arm else "intercept, treatment"
+        with pytest.raises(EstimationError, match=f"no events in the {name} arm.*infinite"
+                           f" in {names}; the ridge model gives a finite estimate"):
             BenefitPipeline(model="ml").estimate(separated)
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_ml_names_the_infinite_coefficients_before_fitting(self, monkeypatch, seed):
+        """On every separated trial the estimate is infinite in the same two
+        coefficients; the check names them, and no fit runs."""
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called")
+
+        monkeypatch.setattr(nbglm, "fit_weighted", no_fit)
+        with pytest.raises(EstimationError, match=r"subjects without events in the treated arm "
+                           r"\(treatment=1\) from those with events: the maximum-likelihood "
+                           r"estimate is infinite in treatment, treatment:x1; the ridge model"):
+            BenefitPipeline(model="ml").estimate(separated_trial(seed))
+
+    def test_existence_check_agrees_with_linear_programming(self):
+        """The estimate on the rows a sample weighs is infinite exactly when
+        some z = X g is 0 on the rows with events and <= 0, not all 0, on the
+        rest: when min sum(z) over eventless rows, with -1 <= z <= 0 there and
+        z = 0 on the rows with events, is below 0.  Random small designs mix
+        binary, three-level and normal covariates; half zero the events of a
+        covariate-defined subgroup of one arm, half weigh bootstrap counts."""
+        rng = np.random.default_rng(2026)
+        checked = infinite = 0
+        while checked < 300:
+            n, m = int(rng.integers(8, 81)), int(rng.integers(1, 4))
+            columns = [rng.integers(0, 2, n), rng.integers(0, 3, n), rng.standard_normal(n)]
+            x = np.column_stack([columns[k] for k in rng.integers(0, 3, m)]).astype(np.float64)
+            a, y = rng.integers(0, 2, n), rng.poisson(np.exp(rng.normal(-0.5, 0.7)), n)
+            counts = np.ones(n)
+            if checked % 2:
+                counts = np.bincount(rng.integers(0, n, n), minlength=n).astype(np.float64)
+            else:
+                j = rng.integers(m)
+                cut = rng.choice(x[:, j])
+                y[(a == rng.integers(2)) & ((x[:, j] >= cut) == (rng.random() < 0.5))] = 0
+            weighed = counts > 0
+            if len(set(a[weighed])) < 2 or not y[weighed].any() or np.ptp(x, axis=0).min() == 0:
+                continue
+            std, scaling = standardize(make_dataset(a, y, np.ones(n), x))
+            design = nbglm.build_design_matrix(std, scaling=scaling)
+            X, events = design.X[weighed], y[weighed] > 0
+            eventless = X[~events]
+            lp = linprog(eventless.sum(axis=0), A_ub=np.vstack([eventless, -eventless]),
+                         b_ub=np.r_[np.zeros(len(eventless)), np.ones(len(eventless))],
+                         A_eq=X[events], b_eq=np.zeros(events.sum()), bounds=(None, None),
+                         method="highs")
+            assert lp.status == 0
+            expected = lp.fun < -1e-7
+            assert (_infinite_estimate(design, counts) is not None) == expected, checked
+            checked += 1
+            infinite += expected
+        assert 100 < infinite < 200
 
     def test_ridge_still_fits_an_arm_without_events(self):
         d = simulate_trial(MILD, n=300, seed=53, theta=2.0, m=2)
