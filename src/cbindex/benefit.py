@@ -176,56 +176,52 @@ def predicted_benefit(
     return BenefitVector(values=values, order=order if draw is None else draw[order])
 
 
-def mean_benefit(bv: BenefitVector) -> float:
-    if bv.n < 1:
+def _readout(bv: BenefitVector, pairs: bool = True) -> tuple[float, float, int]:
+    """The mean benefit and the pairwise maximum of ``bv``'s sample, both
+    times 2**k, and k, which brings benefits far from unit size near it: the
+    power-of-two rescale is exact, and keeps the sums from underflowing
+    (subnormal benefits) or overflowing.  The mean sums the sample in subject
+    order; the pairwise maximum averages max(B_i, B_j) over all n^2 ordered
+    pairs including i=j, via the ranked partial sums, the form that agrees
+    exactly with a brute-force pairwise mean.  ``pairs`` asks for two subjects.
+    """
+    n = bv.n
+    if n < 1:
         raise InsufficientDataError("mean benefit needs at least one subject")
-    bv, k = _unit_scaled(bv)
-    if (top := bv.values[bv.order[0]]) == bv.values[bv.order[-1]]:
-        # the mean of n copies of c is c, with no summation rounding;
-        # keeps the constant-vector identities (delta 0, index 0) exact
-        return math.ldexp(top, -k)
-    return math.ldexp(float(_sample_sum(bv, bv.values)) / bv.n, -k)
+    if pairs and n < 2:
+        raise InsufficientDataError("pairwise maximum needs at least two subjects")
+    ranked, k = _unit_columns(bv.sorted_values[:, None])
+    ranked, k = ranked[:, 0], int(k[0])
+    if ranked[0] == ranked[-1]:
+        # n copies of c: the mean and the maximum of equals are c, with no summation
+        # rounding; keeps the constant-vector identities (delta 0, index 0) exact
+        return float(ranked[0]), float(ranked[0]), k
+    with np.errstate(over="ignore"):  # a subject outside the sample may overflow
+        mean = float(_sample_sum(bv, np.ldexp(bv.values, k) if k else bv.values)) / n
+    return mean, _pair_max(float(np.cumsum(ranked).sum()), mean, n), k
+
+
+def _pair_max(partial_sum_total: float, mean: float, n: int) -> float:
+    """E{max(B1, B2)} from the total of the partial sums S(1..n) and the mean."""
+    return 2.0 * partial_sum_total / n**2 - mean / n
+
+
+def mean_benefit(bv: BenefitVector) -> float:
+    mean, _, k = _readout(bv, pairs=False)
+    return math.ldexp(mean, -k)
 
 
 def pair_max_parametric(bv: BenefitVector) -> float:
-    """Mean of max(B_i, B_j) over pairs of subjects, via sorted partial sums.
-
-    Averages over all n^2 ordered pairs including i=j, the form that
-    agrees exactly with a brute-force pairwise mean.
-    """
-    n = bv.n
-    if n < 2:
-        raise InsufficientDataError("pairwise maximum needs at least two subjects")
-    bv, k = _unit_scaled(bv)
-    sorted_values = bv.sorted_values
-    if sorted_values[0] == sorted_values[-1]:
-        # constant vector: the maximum of equals is the value itself,
-        # exactly, with no summation rounding
-        return math.ldexp(sorted_values[0], -k)
-    sum_s = float(np.cumsum(sorted_values).sum())
-    return math.ldexp(2.0 * sum_s / n**2 - float(_sample_sum(bv, bv.values)) / n / n, -k)
+    """Mean of max(B_i, B_j) over all ordered pairs of subjects."""
+    _, pair_max, k = _readout(bv)
+    return math.ldexp(pair_max, -k)
 
 
 def delta_b(bv: BenefitVector) -> float:
     """Expected gain of treating the better of a random pair instead of
     a random member; equals half the mean absolute pairwise difference."""
-    bv, k = _unit_scaled(bv)
-    return math.ldexp(pair_max_parametric(bv) - mean_benefit(bv), -k)
-
-
-def _unit_scaled(bv: BenefitVector) -> tuple[BenefitVector, int]:
-    """``bv`` times 2**k, with k bringing benefits far from unit size near it.
-
-    A power-of-two rescale is exact, so every readout is taken on the
-    rescaled benefits and scaled back; it keeps their means and partial sums
-    from underflowing (subnormal benefits) or overflowing.  k is 0 for
-    benefits of ordinary size, which are returned unchanged.
-    """
-    _, k = _unit_columns(bv.sorted_values[:, None])
-    if k[0] == 0:
-        return bv, 0
-    with np.errstate(over="ignore"):  # a subject outside the sample may overflow
-        return BenefitVector(values=np.ldexp(bv.values, k[0]), order=bv.order), int(k[0])
+    mean, pair_max, k = _readout(bv)
+    return math.ldexp(pair_max - mean, -k)
 
 
 def _gini(mean: float, pair_max: float) -> float:
@@ -246,9 +242,24 @@ def gini_b(bv: BenefitVector) -> float:
     when the mean benefit is exactly zero with any spread; with mixed
     signs it may exceed 1.
     """
-    bv, _ = _unit_scaled(bv)
-    pm = pair_max_parametric(bv)
-    return _gini(mean_benefit(bv), pm)
+    mean, pair_max, _ = _readout(bv)
+    return _gini(mean, pair_max)
+
+
+def _cb_estimate(kind: str, mean: float, pair_max: float, k: int = 0) -> CbEstimate:
+    """The ``kind`` estimate from the mean benefit and a positive pairwise
+    maximum, both times 2**k; a semi-parametric index outside [0, 1] is
+    flagged."""
+    cb = 1.0 - mean / pair_max
+    return CbEstimate(
+        mean_benefit=math.ldexp(mean, -k),
+        pair_max=math.ldexp(pair_max, -k),
+        delta_b=math.ldexp(pair_max - mean, -k),
+        gini_b=_gini(mean, pair_max),
+        cb=cb,
+        estimator_kind=kind,
+        out_of_range=kind == "semiparametric" and not 0.0 <= cb <= 1.0,
+    )
 
 
 def cb_parametric(bv: BenefitVector) -> CbEstimate:
@@ -266,31 +277,19 @@ def cb_parametric(bv: BenefitVector) -> CbEstimate:
         If both the mean and the pairwise maximum are zero (constant
         zero benefit), where the index is undefined.
     """
-    bv, k = _unit_scaled(bv)
-    m = mean_benefit(bv)
-    pm = pair_max_parametric(bv)
-    if m < 0:
-        raise OrientationError(math.ldexp(m, -k))
-    if pm <= 0:
-        raise DegenerateEstimateError(
-            "pairwise maximum benefit is non-positive; index undefined"
-        )
-    cb = 1.0 - m / pm
-    g = _gini(m, pm)
-    if math.isfinite(g):
+    mean, pair_max, k = _readout(bv)
+    if mean < 0:
+        raise OrientationError(math.ldexp(mean, -k))
+    if pair_max <= 0:
+        raise DegenerateEstimateError("pairwise maximum benefit is non-positive; index undefined")
+    est = _cb_estimate("parametric", mean, pair_max, k)
+    if math.isfinite(g := est.gini_b):
         check = g / (1.0 + g)
-        if abs(cb - check) > 1e-12 * max(1.0, abs(cb)):
+        if abs(est.cb - check) > 1e-12 * max(1.0, abs(est.cb)):
             raise ArithmeticError(
-                f"internal identity violated: cb={cb!r} vs gini route {check!r}"
+                f"internal identity violated: cb={est.cb!r} vs gini route {check!r}"
             )
-    return CbEstimate(
-        mean_benefit=math.ldexp(m, -k),
-        pair_max=math.ldexp(pm, -k),
-        delta_b=math.ldexp(pm - m, -k),
-        gini_b=g,
-        cb=cb,
-        estimator_kind="parametric",
-    )
+    return est
 
 
 def partial_sums_parametric(bv: BenefitVector) -> PartialSumCurve:
@@ -359,24 +358,13 @@ def cb_semiparametric(d: TrialDataset, bv: BenefitVector) -> CbEstimate:
         If the estimated pairwise maximum is non-positive, leaving the
         index undefined.
     """
-    n = bv.n
-    curve = semiparametric_partial_sums(d, bv)
-    e_b = observed_mean_benefit(d, bv)
-    pair_max = 2.0 * curve.sum() / n**2 - e_b / n
+    total, mean = semiparametric_partial_sums(d, bv).sum(), observed_mean_benefit(d, bv)
+    pair_max = _pair_max(total, mean, bv.n)
     if pair_max <= 0:
         raise DegenerateEstimateError(
             f"semi-parametric pairwise maximum {pair_max:.6g} is non-positive"
         )
-    cb = 1.0 - e_b / pair_max
-    return CbEstimate(
-        mean_benefit=e_b,
-        pair_max=pair_max,
-        delta_b=pair_max - e_b,
-        gini_b=_gini(e_b, pair_max),
-        cb=cb,
-        estimator_kind="semiparametric",
-        out_of_range=not 0.0 <= cb <= 1.0,
-    )
+    return _cb_estimate("semiparametric", mean, pair_max)
 
 
 def benefit_curve(bv: BenefitVector, grid: Sequence[float] | np.ndarray) -> BenefitCurve:

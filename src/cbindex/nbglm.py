@@ -647,7 +647,7 @@ class _Batch:
         self.rounds = np.zeros(size, dtype=np.int64)
         self.converged = np.zeros(size, dtype=bool)
         # each member's objective path in its last ``irls``, and the theta it used
-        self.paths: list[list[float]] = [[] for _ in range(size)]
+        self.paths = np.empty((size, _MAX_ITER + 1))
         self.path_theta = self.theta.copy()
 
     def _evaluate(self, beta, members):
@@ -698,19 +698,21 @@ class _Batch:
         rhs = _product(z, X)
         if self.basis is not None:
             basis = self.basis[members]
-            A = np.matmul(basis.transpose(0, 2, 1), np.matmul(A, basis))
-            rhs = np.matmul(rhs[:, None, :], basis)[:, 0, :]
+            # A member scaled far from the design (a resample without an
+            # outlying covariate value) can overflow here: named below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                A = np.matmul(basis.transpose(0, 2, 1), np.matmul(A, basis))
+                rhs = np.matmul(rhs[:, None, :], basis)[:, 0, :]
         A += (2.0 * lam)[:, None, None] * self.pen_diag
         try:
             beta_new = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"singular penalized system (cond~{np.max(np.linalg.cond(A)):.3e})"
-            ) from exc
-        if not np.all(np.isfinite(beta_new)):
-            raise NumericalError(
-                f"non-finite update (cond~{np.max(np.linalg.cond(A)):.3e})"
-            )
+        except np.linalg.LinAlgError:
+            beta_new = None
+        if beta_new is None or not np.all(np.isfinite(beta_new)):
+            if not (np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))):
+                raise NumericalError("the penalized system is not finite")
+            failure = "singular penalized system" if beta_new is None else "non-finite update"
+            raise NumericalError(f"{failure} (cond~{np.max(np.linalg.cond(A)):.3e})")
         return beta_new
 
     def irls(self, lam, precision: str, members: np.ndarray | None = None) -> None:
@@ -727,8 +729,7 @@ class _Batch:
             raise NumericalError("starting point has non-finite objective")
         self.converged[active] = False
         self.path_theta[active] = self.theta[active]
-        for k in active.tolist():
-            self.paths[k] = [float(obj[k])]
+        self.paths[active, 0] = obj[active]
         for iteration in range(1, _MAX_ITER + 1):
             # While every member is active a slice reads them without copies.
             sel = slice(None) if active.size == size else active
@@ -773,9 +774,7 @@ class _Batch:
                 done |= worse
             self.beta[sel], self.eta[sel], self.mu[sel] = candidate, cand_eta, cand_mu
             self.nll[sel] = cand_nll
-            obj[sel] = cand_obj
-            for k, value in zip(active.tolist(), cand_obj.tolist()):
-                self.paths[k].append(value)
+            obj[sel] = self.paths[sel, iteration] = cand_obj
             if done.any():
                 self.converged[active[done]] = True
                 active = active[~done]
@@ -822,7 +821,7 @@ class _Batch:
         """Member ``k``, described by its last ``irls``, with the scaling of
         its own coordinates."""
         dev_const = _deviance_constant(self.design.response, self.weights[k], self.path_theta[k])
-        path = tuple(2.0 * v + dev_const for v in self.paths[k])
+        path = tuple(2.0 * v + dev_const for v in self.paths[k, :self.iterations[k] + 1].tolist())
         meta = FitMeta(
             int(self.iterations[k]), bool(self.converged[k]), path[-1], path, int(self.rounds[k])
         )

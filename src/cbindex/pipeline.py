@@ -247,6 +247,12 @@ class BenefitPipeline:
 
 def _require_converged(model: nbglm.FittedBenefitModel) -> None:
     meta = model.fit_meta
+    # At its bound the dispersion search returns exp(log(THETA_MIN)), a rounding above it.
+    if meta.converged and model.dispersion <= nbglm.THETA_MIN * (1.0 + 1e-9):
+        raise ConvergenceError(
+            f"the dispersion ended at its lower bound theta={nbglm.THETA_MIN:g}: "
+            "the fitted means cannot describe the counts"
+        )
     if meta.converged:
         return
     if meta.dispersion_rounds >= nbglm._MAX_ROUNDS:

@@ -44,9 +44,9 @@ class TrialDataset:
 
     Parameters
     ----------
-    treatment : (n,) int array of 0/1 arm labels.
-    events : (n,) non-negative int array of event counts.
-    time : (n,) positive float array of follow-up times in years.
+    treatment : (n,) array of 0/1 arm labels.
+    events : (n,) array of event counts, whole numbers in [0, 2**63).
+    time : (n,) positive finite array of follow-up times in years.
     covariates : (n, m) float array, all entries finite.
     covariate_names : m column labels; x1..xm when omitted.
     ids : optional subject labels; defaults to 1-based row numbers.
@@ -68,26 +68,32 @@ class TrialDataset:
     n_missing_excluded: int = 0
 
     def __post_init__(self):
-        self.treatment = np.asarray(self.treatment, dtype=np.int64)
-        self.events = np.asarray(self.events, dtype=np.int64)
+        # Arms and counts are judged before their cast to integers, which
+        # would truncate 0.5 or 2.5 and turn NaN into garbage; integer
+        # arrays, the loader's, need no test of whole numbers.
+        treatment, events = np.asarray(self.treatment), np.asarray(self.events)
         self.time = np.asarray(self.time, dtype=np.float64)
         self.covariates = np.atleast_2d(np.asarray(self.covariates, dtype=np.float64))
         if self.covariate_names is None:
             self.covariate_names = [f"x{j + 1}" for j in range(self.covariates.shape[1])]
         self.covariate_names = list(self.covariate_names)
-        n = self.treatment.shape[0]
-        if self.events.shape != (n,) or self.time.shape != (n,):
+        n = treatment.shape[0]
+        if events.shape != (n,) or self.time.shape != (n,):
             raise ValueError("treatment, events, and time must share length")
         if self.covariates.shape[0] != n:
             raise ValueError("covariate rows must match the number of subjects")
         if self.covariates.shape[1] != len(self.covariate_names):
             raise ValueError("covariate_names must match covariate columns")
-        if not np.all((self.treatment == 0) | (self.treatment == 1)):
+        if not np.all((treatment == 0) | (treatment == 1)):
             raise ValueError("treatment labels must be 0 or 1")
-        if np.any(self.events < 0):
-            raise ValueError("event counts must be non-negative")
-        if not np.all(self.time > 0):
-            raise ValueError("follow-up times must be positive")
+        whole = events.dtype.kind in "bi" or np.all(
+            (events == np.floor(events)) & (events < 2.0**63))
+        if not (whole and np.all(events >= 0)):
+            raise ValueError("event counts must be non-negative integers below 2**63")
+        self.treatment = treatment.astype(np.int64, copy=False)
+        self.events = events.astype(np.int64, copy=False)
+        if not (np.all(self.time > 0) and self.time.max(initial=1.0) < math.inf):
+            raise ValueError("follow-up times must be positive and finite")
         if not np.all(np.isfinite(self.covariates)):
             raise ValueError("covariates must be finite")
         if not self.ids:

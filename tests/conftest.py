@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cbindex import make_dataset
+
+# Every property test draws the same examples on every run, and no example
+# database carries a failure found in one run into the next.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 def simulate_trial(

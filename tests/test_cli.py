@@ -603,6 +603,42 @@ class TestEstimateCommand:
         assert capsys.readouterr().err == f"estimation degenerate: {message}\n"
         assert json.loads((out / "report.json").read_text())["error"] == message
 
+    @pytest.mark.parametrize("model, message", [
+        ("ml", "the dispersion ended at its lower bound theta=0.001"),
+        ("ridge", "cross-validation cannot choose a penalty"),
+    ])
+    def test_a_fit_ending_on_the_dispersion_bound_exits_three_naming_it(
+        self, workspace, capsys, model, message
+    ):
+        """Subject s1's follow-up of 1e300 is an offset of 690: the ML fit
+        drags the intercept until every other mean underflows, and its
+        dispersion ends on THETA_MIN while the fit reads as converged."""
+        tmp, csv, config = workspace
+        data = tmp / "followup_1e300.csv"
+        data.write_text(edit_rows(csv, set_cell(1, 3, "1e300")))
+        out = tmp / f"bound_{model}"
+        code = run_cli(["estimate", "--input", data, "--config", config,
+                        "--model", model, "--seed", "3", "--out", out])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert message in json.loads((out / "report.json").read_text())["error"]
+
+    def test_a_resample_scaled_far_from_the_sample_fails_alone(self, workspace):
+        """Subject s0's x1 of 1e200 sets the design's scale of x1; a
+        bootstrap resample without s0 has its own, about 1e200 times
+        smaller, and its penalized system overflows in the design's
+        coordinates.  That replicate fails as numerical trouble, with no
+        RuntimeWarning, and the others are kept."""
+        tmp, csv, config = workspace
+        data = tmp / "x1_1e200.csv"
+        data.write_text(edit_rows(csv, set_cell(0, 4, "1e200")))
+        out = tmp / "far"
+        code = run_cli(["estimate", "--input", data, "--config", config, "--model", "ridge",
+                        "--bootstrap", "4", "--seed", "1", "--out", out])
+        assert code == 0
+        intervals = json.loads((out / "report.json").read_text())["intervals"]
+        assert [intervals[kind]["failed"] for kind in ("parametric", "semiparametric")] == [2, 2]
+
     @pytest.mark.parametrize("flag, seed", [("--bootstrap", 20), ("--optimism", 19)])
     def test_every_resample_failing_exits_three_with_a_report(
         self, workspace, tmp_path, capsys, small_trial, flag, seed

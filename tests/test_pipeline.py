@@ -5,7 +5,7 @@ from scipy.optimize import linprog
 
 from cbindex import nbglm
 from cbindex.benefit import mean_benefit, observed_mean_benefit
-from cbindex.errors import EstimationError, NumericalError
+from cbindex.errors import ConvergenceError, EstimationError, NumericalError
 from cbindex.pipeline import BenefitPipeline, PipelineResult, _infinite_estimate
 from cbindex.trial_data import TrialDataset, make_dataset, standardize
 
@@ -176,13 +176,21 @@ class TestBenefitPipeline:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_ml_steps_too_large_to_square_are_rejected_without_a_warning(self):
+        """Subject 1's offset of 690 drags the fit to finite coefficients
+        with every other mean underflowing and the dispersion on its lower
+        bound: the fit ends without a warning, and the pipeline names the
+        bound instead of reporting that fit."""
         d = simulate_trial(MILD, n=150, seed=42, theta=2.0, m=2)
         time = d.time.copy()
         time[1] = 1e300
-        result = BenefitPipeline(model="ml").estimate(
-            make_dataset(d.treatment, d.events, time, d.covariates)
-        )
-        assert np.all(np.isfinite(result.model.coefficients))
+        data = make_dataset(d.treatment, d.events, time, d.covariates)
+        std, scaling = standardize(data)
+        design = nbglm.build_design_matrix(std, scaling=scaling)
+        (model,) = nbglm.fit_weighted(design, np.ones((1, data.n)), 0.0, "final")
+        assert np.all(np.isfinite(model.coefficients))
+        assert model.fit_meta.converged and model.dispersion == pytest.approx(nbglm.THETA_MIN)
+        with pytest.raises(ConvergenceError, match="lower bound theta=0.001"):
+            BenefitPipeline(model="ml").estimate(data)
 
     def test_evaluate_reuses_model(self):
         train = simulate_trial(MILD, n=400, seed=51, theta=2.0, m=2)

@@ -493,6 +493,27 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="0 or 1"):
             make_dataset([0, 2], [0, 0], [1.0, 1.0], np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("arm, events, time, message", [
+        ([0, 1, 0, 1], [2.5, 1, 0.9, 3], [1.0] * 4, "integers"),
+        ([0, 0.5, 0, 1], [0] * 4, [1.0] * 4, "0 or 1"),
+        ([0, 1, 0, 1], [1, math.nan, 0, 2], [1.0] * 4, "integers"),
+        ([0, 1, 0, 1], [1, math.inf, 0, 2], [1.0] * 4, "integers"),
+        ([0, 1, 0, 1], [1, 1e19, 0, 2], [1.0] * 4, "below 2\\*\\*63"),
+        ([0, 1, 0, 1], [0] * 4, [1.0, math.inf, 1.0, 1.0], "positive and finite"),
+        ([0, 1, 0, 1], [0] * 4, [1.0, math.nan, 1.0, 1.0], "positive and finite"),
+    ], ids=["fractional-counts", "fractional-arm", "nan-count", "infinite-count",
+            "count-beyond-int64", "infinite-time", "nan-time"])
+    def test_judges_raw_values_before_the_integer_cast(self, arm, events, time, message):
+        """The loader rejects each of these cells; built directly, the
+        dataset rejects them rather than truncating them to integers."""
+        with pytest.raises(ValueError, match=message):
+            make_dataset(arm, events, time, np.zeros((4, 1)))
+
+    def test_whole_float_counts_and_arms_are_kept(self):
+        d = make_dataset([0.0, 1.0], [3.0, 0.0], [1, 2], np.zeros((2, 1)))
+        assert d.treatment.dtype == d.events.dtype == np.int64
+        assert d.treatment.tolist() == [0, 1] and d.events.tolist() == [3, 0]
+
     def test_rejects_non_finite_covariates(self):
         with pytest.raises(ValueError, match="finite"):
             make_dataset([0, 1], [0, 0], [1.0, 1.0], np.array([[0.0], [np.inf]]))
