@@ -304,7 +304,7 @@ def semiparametric_partial_sums(d: TrialDataset, bv: BenefitVector) -> PartialSu
     S(k) = k * (arm-0 event rate - arm-1 event rate), with rates as
     events per person-year.  While one arm has not yet appeared in the
     prefix, its rate is filled by carrying its first defined value
-    backward.
+    backward.  A rate that overflows is returned as it is.
 
     Raises
     ------
@@ -320,14 +320,15 @@ def semiparametric_partial_sums(d: TrialDataset, bv: BenefitVector) -> PartialSu
     if a.size == 0 or a.min() == a.max():
         raise EstimatorUndefinedError("semi-parametric estimator needs subjects in both arms")
     rates = []
-    for arm in (a == 0, a == 1):
-        cum_y, cum_t = np.cumsum(np.where(arm, y, 0.0)), np.cumsum(np.where(arm, t, 0.0))
-        first = np.argmax(cum_t > 0)  # the arm's first ranked subject
-        cum_y[:first], cum_t[:first] = cum_y[first], cum_t[first]
-        rates.append(cum_y / cum_t)
-    k = np.arange(1, bv.n + 1, dtype=np.float64)
-    return PartialSumCurve(k=k.astype(np.intp), values=k * (rates[0] - rates[1]),
-                           kind="semiparametric")
+    with np.errstate(over="ignore", invalid="ignore"):  # named by ``cb_semiparametric``
+        for arm in (a == 0, a == 1):
+            cum_y, cum_t = np.cumsum(np.where(arm, y, 0.0)), np.cumsum(np.where(arm, t, 0.0))
+            first = np.argmax(cum_t > 0)  # the arm's first ranked subject
+            cum_y[:first], cum_t[:first] = cum_y[first], cum_t[first]
+            rates.append(cum_y / cum_t)
+        k = np.arange(1, bv.n + 1, dtype=np.float64)
+        values = k * (rates[0] - rates[1])
+    return PartialSumCurve(k=k.astype(np.intp), values=values, kind="semiparametric")
 
 
 def observed_mean_benefit(d: TrialDataset, bv: BenefitVector) -> float:
@@ -354,11 +355,19 @@ def cb_semiparametric(d: TrialDataset, bv: BenefitVector) -> CbEstimate:
     ------
     EstimatorUndefinedError
         If either arm is absent from the sample.
+    NumericalError
+        If a partial sum, or their total, is not finite.
     DegenerateEstimateError
         If the estimated pairwise maximum is non-positive, leaving the
         index undefined.
     """
-    total, mean = semiparametric_partial_sums(d, bv).sum(), observed_mean_benefit(d, bv)
+    values = semiparametric_partial_sums(d, bv).values
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not math.isfinite(total := float(values.sum())):
+            k = np.argmax(~np.isfinite(np.cumsum(values))) + 1
+            raise NumericalError(f"semi-parametric partial sums are not finite from k={k}: "
+                                 "the observed event rates of the top-ranked subjects overflow")
+    mean = observed_mean_benefit(d, bv)
     pair_max = _pair_max(total, mean, bv.n)
     if pair_max <= 0:
         raise DegenerateEstimateError(

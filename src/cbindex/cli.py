@@ -42,8 +42,8 @@ from . import benefit as bn
 from .errors import ConfigError, DataError, EstimationError
 from .inference import BootstrapConfig, bootstrap_intervals, optimism_adjust_all
 from .nbglm import FittedBenefitModel
-from .pipeline import ESTIMATOR_KINDS, BenefitPipeline
-from .simulation import SCENARIO_NAMES, SimSettings, Scenario, run_simulation
+from .pipeline import ESTIMATOR_KINDS, MODELS, BenefitPipeline
+from .simulation import FOLLOWUPS, SCENARIO_NAMES, SimSettings, Scenario, run_simulation
 from .trial_data import balance_check, load_dataset
 
 SCHEMA_VERSION = 1
@@ -433,7 +433,7 @@ def _build_parser() -> _Parser:
     est = sub.add_parser("estimate", help="fit a trial and estimate concentration")
     common(est)
     est.add_argument("--input", default=None, help="trial CSV")
-    est.add_argument("--model", choices=("ridge", "ml"), default=None)
+    est.add_argument("--model", choices=MODELS, default=None)
     est.add_argument("--estimator", choices=_TYPES["estimator"], default=None)
     est.add_argument("--bootstrap", type=int, default=None, metavar="N",
                      help="bootstrap replicates for confidence intervals")
@@ -449,14 +449,14 @@ def _build_parser() -> _Parser:
     sim.add_argument("--replicates", type=int, default=None)
     sim.add_argument("--population-size", type=int, default=None)
     sim.add_argument("--theta", type=float, default=None)
-    sim.add_argument("--followup", choices=("fixed", "uniform"), default=None)
+    sim.add_argument("--followup", choices=FOLLOWUPS, default=None)
     sim.add_argument("--optimism", dest="sim_optimism", type=int, default=None, metavar="N",
                      help="inner bootstrap count for adjusted estimators")
 
     cur = sub.add_parser("curve", help="export the benefit(p) curve")
     common(cur)
     cur.add_argument("--input", default=None, help="trial CSV")
-    cur.add_argument("--model", choices=("ridge", "ml"), default=None)
+    cur.add_argument("--model", choices=MODELS, default=None)
     cur.add_argument("--model-file", default=None, help="previously saved model.json")
     cur.add_argument("--grid-size", type=int, default=None)
     cur.add_argument("--p", default=None, help="comma-separated p values in (0,1]")

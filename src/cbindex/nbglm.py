@@ -141,7 +141,16 @@ class FittedBenefitModel:
     fit_meta: FitMeta
 
     def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
+        self.coefficients = c = np.asarray(self.coefficients, dtype=np.float64)
+        if c.ndim != 1 or c.size < 4 or c.size % 2:
+            raise ValueError(f"coefficients must be 2m + 2 values, m >= 1, got shape {c.shape}")
+        if len(self.coefficient_names) != c.size:
+            raise ValueError(f"{len(self.coefficient_names)} names for {c.size} coefficients")
+        if self.scaling.means.size != self.m:
+            raise ValueError(f"scaling of {self.scaling.means.size} covariates for "
+                             f"coefficients of {self.m}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
         if self.dispersion <= 0:
             raise ValueError("dispersion must be positive")
         if self.penalty < 0:

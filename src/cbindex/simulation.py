@@ -44,6 +44,7 @@ __all__ = [
     "STRONG_SCENARIO_COEFFICIENTS",
     "COVARIATE_NAMES",
     "SCENARIO_NAMES",
+    "FOLLOWUPS",
     "SIM_PIPELINE",
     "Scenario",
     "Population",
@@ -111,6 +112,8 @@ _SCENARIOS = {
     "null": (WEAK_SCENARIO_COEFFICIENTS, "constant-benefit"),
 }
 SCENARIO_NAMES = tuple(_SCENARIOS)
+# Follow-up designs: one year for everyone, or U(0.5, 1.0) years.
+FOLLOWUPS = ("fixed", "uniform")
 _SCENARIO_INDEX = {name: i for i, name in enumerate(SCENARIO_NAMES, start=1)}
 
 MIN_POPULATION_SIZE = 1000
@@ -150,7 +153,7 @@ class Scenario:
     # rate estimators stable at n=400 while still exercising the
     # negative-binomial machinery; fully configurable.
     theta: float = 10.0
-    followup: str = "fixed"  # or "uniform" for U(0.5, 1.0) years
+    followup: str = FOLLOWUPS[0]
     kind: str = "interaction"
 
     def __post_init__(self):
@@ -158,8 +161,8 @@ class Scenario:
             raise ValueError("scenario needs 14 coefficients (m=6 layout)")
         if not 0.0 < self.theta < math.inf:
             raise ValueError(f"theta must be finite and positive, got {self.theta!r}")
-        if self.followup not in ("fixed", "uniform"):
-            raise ValueError("followup must be 'fixed' or 'uniform'")
+        if self.followup not in FOLLOWUPS:
+            raise ValueError(f"followup must be one of {', '.join(FOLLOWUPS)}")
         if self.kind not in ("interaction", "constant-benefit"):
             raise ValueError("unknown scenario kind")
 

@@ -311,6 +311,17 @@ class TestSemiparametric:
         with pytest.raises(DegenerateEstimateError):
             cb_semiparametric(d, v)
 
+    def test_an_overflowing_prefix_rate_is_named(self):
+        """Subject 0, ranked first, has 1e15 events over 1e-300 years: the
+        partial sums return its overflowed prefixes as they are, and the
+        estimator names the first, both with no warning."""
+        d = make_dataset([1, 0, 1, 0], [10**15, 1, 2, 1], [1e-300, 1, 1, 1],
+                         [[0.0], [1.0], [2.0], [3.0]])
+        v = BenefitVector.from_values([4.0, 3.0, 2.0, 1.0])
+        np.testing.assert_array_equal(semiparametric_partial_sums(d, v).values[:2], -np.inf)
+        with pytest.raises(NumericalError, match="partial sums are not finite from k=1: "):
+            cb_semiparametric(d, v)
+
     def test_semi_curve_tracks_parametric_on_large_calm_sample(self):
         d = simulate_trial(np.array([0.3, -0.5, 0.4, -0.3, 0.3, -0.2]), n=20_000,
                            seed=25, theta=50.0, m=2)

@@ -14,7 +14,7 @@ import pytest
 
 import cbindex
 from cbindex import inference, nbglm
-from cbindex.cli import RunConfig, main
+from cbindex.cli import _TYPES, RunConfig, main
 from cbindex.nbglm import FitMeta, FittedBenefitModel
 from cbindex.trial_data import ScalingParams
 
@@ -298,6 +298,17 @@ class TestConfigErrors:
                                      meta).group(1))
         assert len(digests) == 1
         assert calls == ["estimate"]
+
+    def test_readme_config_table_lists_every_key(self):
+        """README's table of config-file keys names each key of ``_TYPES``
+        once, and its ``cv`` row each key of the ``cv`` object."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| key | flag | type |\n|---|---|---|\n")[1].split("\n\n")[0]
+        rows = [row.split(" | ") for row in table.splitlines()]
+        keys = [key for row in rows for key in re.findall(r"`(\w+)`", row[0])]
+        assert sorted(keys) == sorted(_TYPES)
+        (cv_type,) = [row[2] for row in rows if row[0] == "| `cv`"]
+        assert set(_TYPES["cv"]) <= set(re.findall(r"`(\w+)`", cv_type))
 
     def test_digest_covers_every_setting_but_paths_and_workers(self, tmp_path):
         cfg = RunConfig(command="estimate", seed=1)
@@ -909,6 +920,31 @@ class TestCurveCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert "expects 2 covariates" in err
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda m: [m[key].append(1.0) for key in ("scaling_means", "scaling_sds")],
+         "scaling of 3 covariates for coefficients of 2"),
+        (lambda m: m["coefficients"][3].update(value=math.nan), "coefficients must be finite"),
+        (lambda m: m["coefficients"].pop(), r"2m \+ 2 values, m >= 1, got shape \(5,\)"),
+    ], ids=["longer-scaling", "nan-coefficient", "dropped-coefficient"])
+    def test_model_file_of_the_wrong_shape_is_data_error(self, workspace, capsys, corrupt,
+                                                           message):
+        """A model file whose scaling, coefficients and names do not agree,
+        or whose coefficients are not finite, is malformed: exit 2 before
+        any prediction."""
+        tmp, csv, config = workspace
+        common = ["--input", csv, "--config", config, "--seed", "6"]
+        assert run_cli(["estimate", *common, "--model", "ml", "--out", tmp / "est"]) == 0
+        model = json.loads((tmp / "est" / "model.json").read_text())
+        corrupt(model)
+        (tmp / "bad.json").write_text(json.dumps(model))
+        capsys.readouterr()
+        code = run_cli(["curve", *common, "--model-file", tmp / "bad.json", "--out", tmp / "c"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: malformed model file {tmp / 'bad.json'}: ValueError(")
+        assert re.search(message, err)
+        assert not (tmp / "c" / "curve.csv").exists()
 
     @pytest.mark.parametrize("flags", [["--grid-size", "0"], ["--p", "1.5"], ["--p", "0.5,0"]],
                              ids=["empty-grid", "p-above-one", "p-zero"])

@@ -1,18 +1,22 @@
-"""``cbindex estimate`` on small generated trials and configs.
+"""``cbindex estimate`` and ``curve`` on small generated trials and configs.
 
 Each example is a trial CSV at the edge of what the program accepts:
 tiny or one-arm samples; constant, collinear, huge, tiny, outlying or
 separating covariates; a covariate column mapped twice; no events or a
 huge count; tiny or huge follow-up times.  Whatever the input, a run ends
 in a documented exit code (0 ok, 1 config, 2 data, 3 degenerate) with no
-traceback and no stray ``RuntimeWarning``, writes ``report.json`` when it
-is degenerate, and never reports a converged fit whose dispersion sits on
-its lower bound.
+traceback and no stray ``RuntimeWarning``.  An estimate writes
+``report.json`` when it is degenerate, and never reports a converged fit
+whose dispersion sits on its lower bound.  Some examples then run
+``curve`` on the same input: fitted again, or from the estimate's
+``model.json``, which a malformed copy (scaling one covariate longer, or
+a NaN coefficient) turns into a data error.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -75,33 +79,62 @@ def runs(draw):
         "cv": {"folds": 3, "grid_size": 4, "min_ratio": 0.01},
     }
     flags = ["--model", draw(st.sampled_from(["ml", "ridge"])), "--seed", "3"]
+    curve = draw(st.sampled_from([None, "fit", "model-file", "model-file"]))
+    if curve is not None:
+        p = draw(st.sampled_from([None, "1", "0.5", "0.1,0.9", "0.25,0.5,0.75,1"]))
+        curve = (curve, [] if p is None else ["--p", p],
+                 draw(st.sampled_from([None, None, "longer-scaling", "nan-coefficient"])))
     resampling = draw(st.sampled_from([None] * 4 + ["--bootstrap", "--optimism"]))
     if resampling is not None:
         flags += [resampling, "3"]
-    return "\n".join(rows) + "\n", config, flags
+    return "\n".join(rows) + "\n", config, flags, curve
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one CLI run, a ``RuntimeWarning`` raised where
+    it happens: ``estimate`` prints the warnings of a bootstrap as
+    "warning:" lines."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([str(arg) for arg in argv])
+    assert code in (0, 1, 2, 3), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    return code, stderr.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
 @given(run=runs())
 def test_generated_input_ends_in_a_documented_exit(run):
-    text, config, flags = run
+    text, config, flags, curve = run
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "trial.csv").write_text(text)
         (tmp / "config.json").write_text(json.dumps(config))
         out = tmp / "out"
-        stderr = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
-            # raised where it happens: ``estimate`` prints the warnings of a
-            # bootstrap as "warning:" lines
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(["estimate", "--input", str(tmp / "trial.csv"),
-                         "--config", str(tmp / "config.json"), *flags, "--out", str(out)])
-        assert code in (0, 1, 2, 3), stderr.getvalue()
-        assert "Traceback" not in stderr.getvalue()
+        inputs = ["--input", tmp / "trial.csv", "--config", tmp / "config.json"]
+        code, _ = run_cli(["estimate", *inputs, *flags, "--out", out])
         if code == 3:
             assert (out / "report.json").is_file()
         if code in (0, 3):
             model = json.loads((out / "report.json").read_text()).get("model")
             if model is not None and model["converged"]:
                 assert model["theta"] > nbglm.THETA_MIN * (1.0 + 1e-9)
+        if curve is None:
+            return
+        source, p, corruption = curve
+        model_file = out / "model.json"
+        if source == "fit":
+            code, _ = run_cli(["curve", *inputs, *flags[:4], *p, "--out", tmp / "curve"])
+        elif model_file.is_file():
+            payload = json.loads(model_file.read_text())
+            if corruption == "longer-scaling":
+                payload["scaling_means"].append(0.0)
+                payload["scaling_sds"].append(1.0)
+            elif corruption == "nan-coefficient":
+                payload["coefficients"][-1]["value"] = math.nan
+            model_file.write_text(json.dumps(payload))
+            code, err = run_cli(["curve", *inputs, "--seed", "3", "--model-file", model_file,
+                                 *p, "--out", tmp / "curve"])
+            if corruption is not None:
+                assert code == 2 and "malformed model file" in err, err

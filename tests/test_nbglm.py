@@ -26,7 +26,7 @@ from cbindex.nbglm import (
     _stratified_folds,
 )
 from cbindex.simulation import ML_COEFFICIENTS
-from cbindex.trial_data import make_dataset, standardize
+from cbindex.trial_data import ScalingParams, make_dataset, standardize
 
 from conftest import simulate_trial
 
@@ -866,3 +866,17 @@ class TestPipelineLevelInvariants:
         np.testing.assert_array_equal(
             predicted_benefit(loaded, d).values, predicted_benefit(model, d).values
         )
+
+    @pytest.mark.parametrize("coefficients, names, m, message", [
+        ([0.1, 0.2, 0.3], 3, 1, r"2m \+ 2 values, m >= 1, got shape \(3,\)"),
+        ([0.1, 0.2], 2, 0, r"2m \+ 2 values, m >= 1, got shape \(2,\)"),
+        ([[0.1, 0.2], [0.3, 0.4]], 4, 1, r"2m \+ 2 values, m >= 1, got shape \(2, 2\)"),
+        ([0.1, 0.2, 0.3, 0.4], 3, 1, "3 names for 4 coefficients"),
+        ([0.1, 0.2, 0.3, 0.4], 4, 2, "scaling of 2 covariates for coefficients of 1"),
+        ([0.1, math.nan, 0.3, 0.4], 4, 1, "coefficients must be finite"),
+        ([0.1, 0.2, math.inf, 0.4], 4, 1, "coefficients must be finite"),
+    ], ids=["odd", "no-covariate", "2-d", "names", "scaling", "nan", "inf"])
+    def test_model_shape_is_checked_on_construction(self, coefficients, names, m, message):
+        with pytest.raises(ValueError, match=message):
+            FittedBenefitModel(coefficients, [f"c{j}" for j in range(names)], 1.0, 0.0,
+                               ScalingParams.identity(m), nbglm.FitMeta(0, True, 0.0, ()))

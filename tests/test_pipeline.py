@@ -5,9 +5,17 @@ from scipy.optimize import linprog
 
 from cbindex import nbglm
 from cbindex.benefit import mean_benefit, observed_mean_benefit
-from cbindex.errors import ConvergenceError, EstimationError, NumericalError
+from cbindex.errors import (
+    ConvergenceError,
+    DegenerateCovariateError,
+    DispersionError,
+    EstimationError,
+    EstimatorUndefinedError,
+    NumericalError,
+)
+from cbindex.nbglm import FitMeta, FittedBenefitModel
 from cbindex.pipeline import BenefitPipeline, PipelineResult, _infinite_estimate
-from cbindex.trial_data import TrialDataset, make_dataset, standardize
+from cbindex.trial_data import ScalingParams, TrialDataset, make_dataset, standardize
 
 from conftest import separated_trial, simulate_trial
 
@@ -99,6 +107,47 @@ class TestBenefitPipeline:
         results = pipeline.estimate_resamples(small_trial, draws, list(range(10)))
         assert all(isinstance(r, PipelineResult) for r in results)
         assert (len(built), len(subsets)) == (1, 0)
+
+    @pytest.mark.parametrize("pipeline", PIPELINES, ids=["ridge", "ml"])
+    def test_an_eventless_resample_fails_alone_before_any_fit(self, small_trial, monkeypatch,
+                                                              pipeline):
+        """A resample that draws no subject with events has no dispersion: it
+        fails before the batch with the kernel's message, and its chunk-mates
+        are fitted by one batch, as if it were absent."""
+        batches, fit_weighted = [], nbglm.fit_weighted
+
+        def recorded(design, counts, *args):
+            batches.append(len(counts))
+            return fit_weighted(design, counts, *args)
+
+        monkeypatch.setattr(nbglm, "fit_weighted", recorded)
+        rng = np.random.default_rng(64)
+        n, eventless = small_trial.n, np.flatnonzero(small_trial.events == 0)
+        draws = [rng.integers(0, n, n), rng.choice(eventless, n), rng.integers(0, n, n)]
+        first, failed, last = pipeline.estimate_resamples(small_trial, draws, [1, 2, 3])
+        assert isinstance(failed, DispersionError)
+        assert str(failed) == "dispersion undefined: all event counts are zero"
+        assert batches == [2]
+        (alone,) = pipeline.estimate_resamples(small_trial, draws[1:2], [2])
+        assert str(alone) == str(failed) and batches == [2]
+        without = pipeline.estimate_resamples(small_trial, draws[::2], [1, 3])
+        for res, ref in zip((first, last), without):
+            assert np.array_equal(res.model.coefficients, ref.model.coefficients)
+
+    @pytest.mark.parametrize("arms, x, error", [
+        ([0, 1] * 10, np.r_[1.0, np.zeros(19)], DispersionError),
+        ([0, 1] * 10, np.ones(20), DegenerateCovariateError),
+        ([1] * 20, np.r_[1.0, np.zeros(19)], EstimatorUndefinedError),
+    ], ids=["no-events", "constant-covariate", "one-arm"])
+    @pytest.mark.parametrize("model", ["ridge", "ml"])
+    def test_a_sample_without_events_fails_after_its_arms_and_covariates(self, monkeypatch,
+                                                                          arms, x, error, model):
+        """The pre-fit checks keep their order: an arm, then the covariates'
+        spread, then the events; none of them fits."""
+        monkeypatch.setattr(nbglm, "fit_weighted", None)
+        d = make_dataset(arms, np.zeros(20, dtype=int), np.ones(20), x[:, None])
+        with pytest.raises(error):
+            BenefitPipeline(model=model, cv_folds=2).estimate(d, seed=1)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
@@ -270,6 +319,23 @@ class TestBenefitPipeline:
             checked += 1
             infinite += expected
         assert 100 < infinite < 200
+
+    def test_an_overflowing_prefix_rate_is_the_semiparametric_failure(self):
+        """Subject 0, ranked first, has 1e15 events over 1e-300 years: the
+        prefix rate at k = 1 overflows, and the evaluation records that as
+        the semi-parametric failure, with no warning."""
+        d = make_dataset([1, 0, 1, 0], [10**15, 1, 2, 1], [1e-300, 1, 1, 1],
+                         [[0.0], [1.0], [2.0], [3.0]])
+        # benefit exp(-x) (1 - exp(-1)) falls with x: subject 0 ranks first
+        model = FittedBenefitModel([0.0, -1.0, -1.0, 0.0], ["intercept", "treatment", "x1",
+                                   "treatment:x1"], 1.0, 0.0, ScalingParams.identity(1),
+                                   FitMeta(0, True, 0.0, ()))
+        pipe = BenefitPipeline(model="ml")
+        applied = pipe.evaluate(PipelineResult(model, None, {}, {}), d)
+        assert applied.failures == {"semiparametric": "semi-parametric partial sums are not "
+                                    "finite from k=1: the observed event rates of the "
+                                    "top-ranked subjects overflow"}
+        assert "parametric" in applied.estimates
 
     def test_ridge_still_fits_an_arm_without_events(self):
         d = simulate_trial(MILD, n=300, seed=53, theta=2.0, m=2)
