@@ -333,13 +333,14 @@ def semiparametric_partial_sums(d: TrialDataset, bv: BenefitVector) -> PartialSu
 
 def observed_mean_benefit(d: TrialDataset, bv: BenefitVector) -> float:
     """Observed arm-0 minus arm-1 event rate of the sample ``bv`` ranks, in
-    events per unit of follow-up time; NaN when the sample lacks an arm."""
+    events per unit of follow-up time; NaN when the sample lacks an arm, and
+    not finite when an arm's events overflow its total follow-up."""
     if bv.values.size != d.n:
         raise ValueError("the benefits do not index the dataset's subjects")
-    with np.errstate(invalid="ignore"):  # 0/0 for an arm the sample lacks
+    with np.errstate(over="ignore", invalid="ignore"):  # 0/0, x/tiny, inf - inf
         r0, r1 = (_sample_sum(bv, d.events, arm) / _sample_sum(bv, d.time, arm)
                   for arm in (d.treatment == 0, d.treatment == 1))
-    return float(r0 - r1)
+        return float(r0 - r1)
 
 
 def cb_semiparametric(d: TrialDataset, bv: BenefitVector) -> CbEstimate:

@@ -490,7 +490,7 @@ def _resolve(args) -> RunConfig:
                  for name in (SCENARIO_NAMES if item == "all" else [item])]
         cfg = dataclasses.replace(
             cfg, **given("n_values", "replicates"),
-            scenarios=[Scenario.by_name(name, **given("theta", "followup")) for name in names],
+            scenarios=[Scenario(name, **given("theta", "followup")) for name in names],
             sim=SimSettings(workers=cfg.workers,
                             **given("population_size", optimism_replicates="sim_optimism")),
         )
@@ -529,11 +529,13 @@ def _resolve(args) -> RunConfig:
     cfg = dataclasses.replace(cfg, **given("grid_size"))
     if cfg.grid_size < 1:
         raise ConfigError("--grid-size must be at least 1")
-    if args.p:
+    if args.p is not None:
         try:
             p_values = sorted(float(v) for v in args.p.split(",") if v.strip())
         except ValueError as exc:
             raise ConfigError(f"bad --p list: {args.p!r}") from exc
+        if not p_values:
+            raise ConfigError(f"--p lists no values: {args.p!r}")
         for p in p_values:
             if not 0.0 < p <= 1.0:
                 raise ConfigError(f"--p values must lie in (0, 1], got {p!r}")

@@ -259,7 +259,14 @@ def _require_converged(model: nbglm.FittedBenefitModel) -> None:
 def _orientation_failure(exc: OrientationError, data: TrialDataset, bv: bn.BenefitVector) -> str:
     """The parametric failure for a negative model mean benefit: flipped
     labels are blamed only when the sample's observed event rates agree."""
-    if (observed := bn.observed_mean_benefit(data, bv)) >= 0:
+    if not np.isfinite(observed := bn.observed_mean_benefit(data, bv)):
+        return (
+            f"model mean benefit {exc.mean_benefit:.6g} is negative, and the observed "
+            f"control-minus-treated event rate difference is {observed}, so the labels "
+            "cannot be checked: an arm of the sample is empty, or its events overflow "
+            "a tiny follow-up"
+        )
+    if observed >= 0:
         return (
             f"model mean benefit {exc.mean_benefit:.6g} is negative, but the observed "
             f"control-minus-treated event rate difference is {observed:+.6g} per unit of "

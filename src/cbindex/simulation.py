@@ -25,7 +25,7 @@ index); reports are identical for any worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -140,7 +140,7 @@ SIM_PIPELINE = BenefitPipeline(
 
 @dataclass(frozen=True)
 class Scenario:
-    """A data-generating mechanism for simulated trials.
+    """A data-generating mechanism for simulated trials, fixed by its name.
 
     ``kind`` is ``interaction`` for the strong/weak scenarios (benefit
     comes from log-scale interactions) or ``constant-benefit`` for the
@@ -148,33 +148,24 @@ class Scenario:
     """
 
     name: str
-    coefficients: tuple[float, ...]
     # Generation dispersion.  Mild overdispersion keeps the person-time
     # rate estimators stable at n=400 while still exercising the
     # negative-binomial machinery; fully configurable.
     theta: float = 10.0
     followup: str = FOLLOWUPS[0]
-    kind: str = "interaction"
+    coefficients: tuple[float, ...] = field(init=False)
+    kind: str = field(init=False)
 
     def __post_init__(self):
-        if len(self.coefficients) != 14:
-            raise ValueError("scenario needs 14 coefficients (m=6 layout)")
+        if self.name not in _SCENARIOS:
+            raise ValueError(f"unknown scenario {self.name!r}")
         if not 0.0 < self.theta < math.inf:
             raise ValueError(f"theta must be finite and positive, got {self.theta!r}")
         if self.followup not in FOLLOWUPS:
             raise ValueError(f"followup must be one of {', '.join(FOLLOWUPS)}")
-        if self.kind not in ("interaction", "constant-benefit"):
-            raise ValueError("unknown scenario kind")
-
-    @classmethod
-    def by_name(cls, name: str, **options) -> "Scenario":
-        """The named scenario; ``options`` (``theta``, ``followup``)
-        override the generation defaults."""
-        try:
-            coefficients, kind = _SCENARIOS[name]
-        except KeyError:
-            raise ValueError(f"unknown scenario {name!r}") from None
-        return cls(name, coefficients, kind=kind, **options)
+        coefficients, kind = _SCENARIOS[self.name]
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "kind", kind)
 
 
 @dataclass
@@ -186,7 +177,6 @@ class Population:
     mu0: np.ndarray
     mu1: np.ndarray
     true_benefit: np.ndarray
-    seed: int
 
     @property
     def size(self) -> int:
@@ -246,7 +236,7 @@ def generate_population(
     benefit on the same covariate draw, making benefit exactly constant.
     """
     if isinstance(scenario, str):
-        scenario = Scenario.by_name(scenario)
+        scenario = Scenario(scenario)
     _check_population_size(size)
     rng = np.random.default_rng(seed)
     x = _draw_covariates(size, rng)
@@ -268,7 +258,6 @@ def generate_population(
         mu0=mu0,
         mu1=mu1,
         true_benefit=benefit,
-        seed=seed,
     )
 
 
@@ -279,18 +268,16 @@ def population_cb(pop: Population) -> float:
 
 @dataclass(frozen=True)
 class SimSettings:
-    """Execution settings for the simulation study: the ridge pipeline
-    every replicate runs (see ``SIM_PIPELINE``), the super-population
-    size, the reduced optimism bootstrap count, and the worker count."""
+    """Execution settings for the simulation study: the super-population
+    size, the reduced optimism bootstrap count, and the worker count.
+    ``pipeline`` is always ``SIM_PIPELINE``; it is kept for the digest."""
 
-    pipeline: BenefitPipeline = SIM_PIPELINE
     population_size: int = POPULATION_SIZE
     optimism_replicates: int = 12
     workers: int = 1
+    pipeline: BenefitPipeline = field(default=SIM_PIPELINE, init=False)
 
     def __post_init__(self):
-        if self.pipeline.model != "ridge":
-            raise ValueError("the simulation pipeline must be the ridge model")
         _check_population_size(self.population_size)
         if self.optimism_replicates < 2:
             raise ValueError("need at least two optimism replicates")
@@ -406,7 +393,7 @@ def run_simulation(
     """
     settings = settings if settings is not None else SimSettings()
     if isinstance(scenario, str):
-        scenario = Scenario.by_name(scenario)
+        scenario = Scenario(scenario)
     if replicates < 2:
         raise ValueError("need at least two replicates")
     scen_idx = _SCENARIO_INDEX[scenario.name]

@@ -16,6 +16,7 @@ import cbindex
 from cbindex import inference, nbglm
 from cbindex.cli import _TYPES, RunConfig, main
 from cbindex.nbglm import FitMeta, FittedBenefitModel
+from cbindex.simulation import Scenario, SimSettings
 from cbindex.trial_data import ScalingParams
 
 from conftest import separated_trial, simulate_trial
@@ -825,6 +826,17 @@ class TestSimulateCommand:
                         "--seed", "5", "--out", tmp_path])
         assert code == 1
 
+    def test_the_study_takes_only_settings_a_flag_sets(self):
+        """Every constructor argument of ``Scenario`` and ``SimSettings`` is a
+        setting of ``_TYPES``: a knob added to either fails here until a flag
+        or config key sets it."""
+        keys = {Scenario: {"name": "scenarios", "theta": "theta", "followup": "followup"},
+                SimSettings: {"population_size": "population_size",
+                              "optimism_replicates": "sim_optimism", "workers": "workers"}}
+        for cls, settings in keys.items():
+            assert {f.name for f in fields(cls) if f.init} == set(settings)
+            assert set(settings.values()) <= set(_TYPES)
+
     def test_same_seed_same_table(self, tmp_path):
         outs = []
         for name in ("s1", "s2"):
@@ -946,8 +958,9 @@ class TestCurveCommand:
         assert re.search(message, err)
         assert not (tmp / "c" / "curve.csv").exists()
 
-    @pytest.mark.parametrize("flags", [["--grid-size", "0"], ["--p", "1.5"], ["--p", "0.5,0"]],
-                             ids=["empty-grid", "p-above-one", "p-zero"])
+    @pytest.mark.parametrize("flags", [["--grid-size", "0"], ["--p", "1.5"], ["--p", "0.5,0"],
+                                       ["--p", " , "], ["--p", ""]],
+                             ids=["empty-grid", "p-above-one", "p-zero", "p-blank", "p-empty"])
     def test_bad_grid_is_config_error_before_fitting(self, workspace, capsys, flags):
         tmp, csv, config = workspace
         out = tmp / "bad_grid"

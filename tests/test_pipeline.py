@@ -4,7 +4,7 @@ import pytest
 from scipy.optimize import linprog
 
 from cbindex import nbglm
-from cbindex.benefit import mean_benefit, observed_mean_benefit
+from cbindex.benefit import BenefitVector, mean_benefit, observed_mean_benefit
 from cbindex.errors import (
     ConvergenceError,
     DegenerateCovariateError,
@@ -12,9 +12,11 @@ from cbindex.errors import (
     EstimationError,
     EstimatorUndefinedError,
     NumericalError,
+    OrientationError,
 )
 from cbindex.nbglm import FitMeta, FittedBenefitModel
-from cbindex.pipeline import BenefitPipeline, PipelineResult, _infinite_estimate
+from cbindex.pipeline import (BenefitPipeline, PipelineResult, _infinite_estimate,
+                              _orientation_failure)
 from cbindex.trial_data import ScalingParams, TrialDataset, make_dataset, standardize
 
 from conftest import separated_trial, simulate_trial
@@ -367,3 +369,20 @@ class TestBenefitPipeline:
             assert f"{observed:+.6g}" in message
             assert "flip" not in message
         assert "parametric" not in result.estimates
+
+    @pytest.mark.parametrize("treatment, events, time, observed", [
+        ([1, 0, 1, 0], [10**15, 10**15, 0, 0], [1e-300] * 4, "nan"),
+        ([1, 0, 0, 0], [10**15, 1, 2, 1], [1e-300, 1, 1, 1], "-inf"),
+    ], ids=["both-arms-overflow", "treated-arm-overflows"])
+    def test_overflowing_observed_rates_do_not_blame_the_labels(
+            self, treatment, events, time, observed):
+        # events overflow a tiny follow-up: the observed difference is not
+        # finite, and that, not the labels, is named (no RuntimeWarning)
+        d = make_dataset(treatment, events, time, [[0.0], [1.0], [2.0], [3.0]])
+        bv = BenefitVector.from_values([-4.0, -3.0, -2.0, -1.0])
+        assert str(observed_mean_benefit(d, bv)) == observed
+        message = _orientation_failure(OrientationError(-2.5), d, bv)
+        assert message == (
+            "model mean benefit -2.5 is negative, and the observed control-minus-treated "
+            f"event rate difference is {observed}, so the labels cannot be checked: an arm "
+            "of the sample is empty, or its events overflow a tiny follow-up")

@@ -1,14 +1,16 @@
+import json
+import math
 from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 
 from cbindex import inference
-from cbindex.cli import _write_csv
+from cbindex.cli import _write_csv, main
 from cbindex.simulation import (
     COVARIATE_NAMES,
     ESTIMATOR_LABELS,
-    SIM_PIPELINE,
+    SCENARIO_NAMES,
     STRONG_SCENARIO_COEFFICIENTS,
     WEAK_SCENARIO_COEFFICIENTS,
     Scenario,
@@ -21,7 +23,6 @@ from cbindex.simulation import (
 )
 
 FAST = SimSettings(
-    pipeline=replace(SIM_PIPELINE, cv_folds=3, lambda_grid_size=4),
     population_size=20_000,
     optimism_replicates=4,
     workers=1,
@@ -29,27 +30,27 @@ FAST = SimSettings(
 
 
 class TestScenario:
-    def test_by_name(self):
-        assert Scenario.by_name("strong").coefficients == STRONG_SCENARIO_COEFFICIENTS
-        assert Scenario.by_name("weak").coefficients == WEAK_SCENARIO_COEFFICIENTS
-        assert Scenario.by_name("null").kind == "constant-benefit"
+    def test_the_name_fixes_coefficients_and_kind(self):
+        assert Scenario("strong").coefficients == STRONG_SCENARIO_COEFFICIENTS
+        assert Scenario("weak").coefficients == WEAK_SCENARIO_COEFFICIENTS
+        assert Scenario("null").coefficients == WEAK_SCENARIO_COEFFICIENTS
+        assert [Scenario(name).kind for name in SCENARIO_NAMES] == [
+            "interaction", "interaction", "constant-benefit"]
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown scenario"):
-            Scenario.by_name("mystery")
+        with pytest.raises(ValueError, match="unknown scenario 'mystery'"):
+            Scenario("mystery")
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Scenario("bad", (0.0,) * 5)
-        with pytest.raises(ValueError):
-            Scenario("bad", (0.0,) * 14, theta=-1.0)
-        with pytest.raises(ValueError):
-            Scenario("bad", (0.0,) * 14, followup="monthly")
+        with pytest.raises(ValueError, match="theta must be finite and positive"):
+            Scenario("strong", theta=-1.0)
+        with pytest.raises(ValueError, match="followup must be one of fixed, uniform"):
+            Scenario("strong", followup="monthly")
 
     @pytest.mark.parametrize("theta", [0.0, float("nan"), float("inf")])
     def test_theta_must_be_finite_and_positive(self, theta):
         with pytest.raises(ValueError, match="theta must be finite and positive"):
-            Scenario.by_name("strong", theta=theta)
+            Scenario("strong", theta=theta)
 
 
 class TestSimSettings:
@@ -57,7 +58,6 @@ class TestSimSettings:
         {"population_size": 500},
         {"optimism_replicates": 1},
         {"workers": 0},
-        {"pipeline": replace(SIM_PIPELINE, model="ml")},
     ])
     def test_bad_settings_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -116,7 +116,7 @@ class TestSimulateTrial:
         assert np.all(d.time == 1.0)
 
     def test_uniform_followup(self):
-        pop = generate_population(Scenario.by_name("weak", followup="uniform"), 20_000, seed=9)
+        pop = generate_population(Scenario("weak", followup="uniform"), 20_000, seed=9)
         d = _simulate_trial(pop, 200, np.random.default_rng(0))
         assert np.all((d.time >= 0.5) & (d.time <= 1.0))
         assert d.time.std() > 0
@@ -173,3 +173,29 @@ class TestRunSimulation:
         assert len(lines) == 2 + len(rep.rows)
         for line, row in zip(lines[2:], rep.rows):
             assert line == ",".join(str(getattr(row, c)) for c in columns)
+
+    def test_an_estimator_failing_every_replicate_reports_nan_moments(self, tmp_path):
+        """At n=6 five of the six estimators fail in both replicates: their
+        rows count every replicate failed, their moments are NaN, and
+        simulation.json still holds strict JSON."""
+        settings = SimSettings(population_size=1000, optimism_replicates=2)
+        rep = run_simulation("strong", 6, replicates=2, seed=1, settings=settings)
+        failed = [r for r in rep.rows if r.n_replicates == 0]
+        assert [r.estimator for r in failed] == [
+            e for e in ESTIMATOR_LABELS if e != "semi-ridge"]
+        for row in failed:
+            assert row.n_failed == 2
+            assert math.isnan(row.bias) and math.isnan(row.sd) and math.isnan(row.rmse)
+
+        assert main(["simulate", "--scenario", "strong", "--n", "6", "--replicates", "2",
+                     "--population-size", "1000", "--optimism", "2", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads((tmp_path / "simulation.json").read_text(), parse_constant=reject)
+        for row, written in zip(rep.rows, payload["rows"]):
+            assert (written["replicates"], written["failed"]) == (row.n_replicates, row.n_failed)
+            if row.n_replicates == 0:
+                assert [written[k] for k in ("bias", "sd", "rmse")] == ["nan"] * 3

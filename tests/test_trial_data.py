@@ -224,6 +224,16 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match="covariates.*list of column names"):
             load_dataset(io.StringIO(CSV_4ROW), dict(SCHEMA, covariates=covariates))
 
+    @pytest.mark.parametrize("text, schema, message", [
+        (CSV_4ROW, {k: v for k, v in SCHEMA.items() if k != "time"},
+         "schema is missing the 'time' role"),
+        (CSV_4ROW, dict(SCHEMA, covariates=[]), "schema must name at least one covariate column"),
+        ("", SCHEMA, "empty input: no header row"),
+    ], ids=["missing-role", "no-covariates", "empty-input"])
+    def test_incomplete_schema_or_empty_input_is_schema_error(self, text, schema, message):
+        with pytest.raises(SchemaError, match=message):
+            load_dataset(io.StringIO(text), schema)
+
     def test_zero_time_is_row_error(self):
         text = CSV_4ROW.replace("b,1,0,0.8", "b,1,0,0.0")
         with pytest.raises(RowParseError, match="row 2.*'t'"):
