@@ -124,10 +124,6 @@ class PartialSumCurve:
 
     k: np.ndarray
     values: np.ndarray
-    kind: str
-
-    def sum(self) -> float:
-        return float(self.values.sum())
 
 
 @dataclass(frozen=True)
@@ -294,7 +290,7 @@ def cb_parametric(bv: BenefitVector) -> CbEstimate:
 
 def partial_sums_parametric(bv: BenefitVector) -> PartialSumCurve:
     s = np.cumsum(bv.sorted_values)
-    return PartialSumCurve(k=np.arange(1, bv.n + 1), values=s, kind="parametric")
+    return PartialSumCurve(k=np.arange(1, bv.n + 1), values=s)
 
 
 def semiparametric_partial_sums(d: TrialDataset, bv: BenefitVector) -> PartialSumCurve:
@@ -328,7 +324,7 @@ def semiparametric_partial_sums(d: TrialDataset, bv: BenefitVector) -> PartialSu
             rates.append(cum_y / cum_t)
         k = np.arange(1, bv.n + 1, dtype=np.float64)
         values = k * (rates[0] - rates[1])
-    return PartialSumCurve(k=k.astype(np.intp), values=values, kind="semiparametric")
+    return PartialSumCurve(k=k.astype(np.intp), values=values)
 
 
 def observed_mean_benefit(d: TrialDataset, bv: BenefitVector) -> float:

@@ -67,6 +67,8 @@ _TYPES: dict[str, Any] = {
     # curve
     "grid_size": int,
 }
+# The largest ``curve --grid-size``: 80 MB per array of the curve.
+_MAX_CURVE_POINTS = 10_000_000
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "a JSON object"}
 
 # Keys of the config file's ``cv`` object -> BenefitPipeline field.
@@ -527,8 +529,9 @@ def _resolve(args) -> RunConfig:
                               f"got {cfg.smd_threshold!r}")
         return cfg
     cfg = dataclasses.replace(cfg, **given("grid_size"))
-    if cfg.grid_size < 1:
-        raise ConfigError("--grid-size must be at least 1")
+    if not 1 <= cfg.grid_size <= _MAX_CURVE_POINTS:
+        raise ConfigError(f"--grid-size must lie between 1 and {_MAX_CURVE_POINTS}, "
+                          f"got {cfg.grid_size}")
     if args.p is not None:
         try:
             p_values = sorted(float(v) for v in args.p.split(",") if v.strip())

@@ -11,8 +11,8 @@ maximizing the log-likelihood minus an l2 penalty ``lam * sum(beta^2)`` over
 every coefficient except the intercept.  Each step is halved until the
 penalized objective does not increase, so the penalized deviance is
 non-increasing across iterations up to rounding.  The dispersion is profiled
-by Newton steps on log(theta), and the two updates are alternated to a joint
-fixed point.  One kernel fits many members at once, each a weighting of the
+by Newton steps on log(theta) after every coefficient step, until both settle
+together.  One kernel fits many members at once, each a weighting of the
 design's rows with its own penalty: cross-validation training splits,
 bootstrap resamples as subject counts (and a resample's training splits as
 the counts outside a fold), or a single fit.  A member standardized
@@ -64,10 +64,9 @@ _UNTESTED_STEP = 1e-6
 # step d is followed by one of about C*d^2, with C below 3.8 over the test
 # suite's fits, so a full step below sqrt(tol/_NEWTON_RATE) certifies tol.
 _NEWTON_RATE = 4.0
-_MAX_ROUNDS = 50
 _THETA_INIT = 1.0
 # Fit precision -> (coefficient tolerance, relative dispersion change that
-# ends the alternation, dispersion search step tolerance on log theta).
+# a profiled fit may end on, dispersion search step tolerance on log theta).
 # A fit also ends on a full step below sqrt(tol/_NEWTON_RATE), 5e-5 at
 # "final" and 5e-4 at "relaxed": the next step would be below tol.
 # Penalty selection and Monte Carlo studies need no final-fit precision.
@@ -597,8 +596,8 @@ class _Batch:
     carried from its accepted step into the next iteration, the
     dispersion profile and the held-out loss; its negative
     log-likelihood is carried into its next ``irls`` (down a penalty
-    path, only the penalty term changes) and recomputed only when the
-    alternation moves its dispersion.
+    path, only the penalty term changes) and recomputed only when a
+    dispersion search moves its dispersion.
 
     Member k works in the coordinates of its own standardization,
     ``scalings[k]`` (the design's by default).  Unless every member's is
@@ -653,9 +652,9 @@ class _Batch:
             self.square = square.ravel()
         self.eta, self.mu, self.nll = self._evaluate(self.beta, slice(None))
         self.iterations = np.zeros(size, dtype=np.int64)
-        self.rounds = np.zeros(size, dtype=np.int64)
+        self.rounds = np.zeros(size, dtype=np.int64)  # searches of a profiled ``irls``
         self.converged = np.zeros(size, dtype=bool)
-        # each member's objective path in its last ``irls``, and the theta it used
+        # each member's objective path in its last ``irls``, and its last step's theta
         self.paths = np.empty((size, _MAX_ITER + 1))
         self.path_theta = self.theta.copy()
 
@@ -724,11 +723,16 @@ class _Batch:
             raise NumericalError(f"{failure} (cond~{np.max(np.linalg.cond(A)):.3e})")
         return beta_new
 
-    def irls(self, lam, precision: str, members: np.ndarray | None = None) -> None:
+    def irls(self, lam, precision: str, members: np.ndarray | None = None,
+             dispersion: bool = False) -> None:
         """Refit ``members`` (all by default) at penalty ``lam``, one for
         all members or one per member, each warm-started from its current
-        coefficients and dispersion."""
-        tol = PRECISIONS[precision][0]
+        coefficients and dispersion.  With ``dispersion``, a profile search
+        follows every step, and a member ends only on a step that stops its
+        coefficients while its theta moves by at most the precision's
+        relative change: beta and theta are information-orthogonal (Lawless
+        1987), so one step between searches does an inner fit's work."""
+        tol, theta_rtol, xatol = PRECISIONS[precision]
         size = self.theta.size
         active = np.arange(size) if members is None else members
         self.lam[active] = np.broadcast_to(lam, (size,))[active]
@@ -737,12 +741,12 @@ class _Batch:
         if not np.all(np.isfinite(obj[active])):
             raise NumericalError("starting point has non-finite objective")
         self.converged[active] = False
-        self.path_theta[active] = self.theta[active]
         self.paths[active, 0] = obj[active]
         for iteration in range(1, _MAX_ITER + 1):
             # While every member is active a slice reads them without copies.
             sel = slice(None) if active.size == size else active
             self.iterations[sel] = iteration
+            self.path_theta[sel] = self.theta[sel]
             beta, lam = self.beta[sel], self.lam[sel]
             candidate = self._solve(lam, sel)
             direction = candidate - beta
@@ -784,38 +788,22 @@ class _Batch:
             self.beta[sel], self.eta[sel], self.mu[sel] = candidate, cand_eta, cand_mu
             self.nll[sel] = cand_nll
             obj[sel] = self.paths[sel, iteration] = cand_obj
+            if dispersion:
+                self.rounds[sel] = iteration
+                theta, theta_new = self.theta[sel], self.profile(sel, xatol)
+                done &= np.abs(theta_new - theta) <= theta_rtol * theta
+                # each moved member's objective at its new theta, for the descent test
+                moved = active[theta_new != theta]
+                self.theta[sel] = theta_new
+                with np.errstate(invalid="ignore"):
+                    self.nll[moved] = self._nll(self.eta[moved] + self.design.offset,
+                                                self.mu[moved], moved)
+                obj[moved] = self._penalized(self.nll[moved], self.beta[moved], self.lam[moved])
             if done.any():
                 self.converged[active[done]] = True
                 active = active[~done]
             if active.size == 0:
                 break
-
-    def alternate(self, lam, precision: str) -> None:
-        """``fit_alternating``'s rounds for every member at penalty ``lam``
-        (one for all members or one per member), each profiled on
-        its own weights and ended when its own dispersion settles; a member
-        still unsettled after ``_MAX_ROUNDS`` rounds is non-converged.  The
-        dispersion searches of a round run as one, each warm-started from
-        the member's current theta."""
-        _, theta_rtol, xatol = PRECISIONS[precision]
-        size = self.theta.size
-        active = np.arange(size)
-        for rounds in range(1, _MAX_ROUNDS + 1):
-            self.irls(lam, precision, active)
-            self.rounds[active] = rounds
-            theta = self.theta[active]
-            theta_new = self.profile(slice(None) if active.size == size else active, xatol)
-            done = np.abs(theta_new - theta) <= theta_rtol * theta
-            self.theta[active] = theta_new
-            # the objective of each member at its new theta, for the next ``irls``
-            moved = active[theta_new != theta]
-            with np.errstate(invalid="ignore"):
-                self.nll[moved] = self._nll(self.eta[moved] + self.design.offset,
-                                            self.mu[moved], moved)
-            active = active[~done]
-            if active.size == 0:
-                break
-        self.converged[active] = False
 
     def profile(self, members, xatol: float) -> np.ndarray:
         """The dispersion that maximizes each of ``members``' profile at its
@@ -828,7 +816,8 @@ class _Batch:
 
     def model(self, k: int) -> FittedBenefitModel:
         """Member ``k``, described by its last ``irls``, with the scaling of
-        its own coordinates."""
+        its own coordinates: its deviances are at the theta of its last
+        coefficient step, its dispersion the search's after it."""
         dev_const = _deviance_constant(self.design.response, self.weights[k], self.path_theta[k])
         path = tuple(2.0 * v + dev_const for v in self.paths[k, :self.iterations[k] + 1].tolist())
         meta = FitMeta(
@@ -884,13 +873,10 @@ def fit(
 def fit_alternating(
     design: DesignMatrix, lam: float, precision: str = "final"
 ) -> FittedBenefitModel:
-    """Alternate coefficient fitting with dispersion profiling.
-
-    Starts at dispersion ``_THETA_INIT`` and repeats fit -> profile-theta
-    until theta moves by less than the relative change ``precision``
-    allows, then returns the model from the final coefficient fit with
-    the settled dispersion attached.
-    """
+    """``fit`` from dispersion ``_THETA_INIT`` with a profile search of
+    theta after every step, ended by a step that ends the coefficients
+    while theta moves by at most the relative change ``precision`` allows;
+    the model carries the last search's dispersion."""
     return fit_weighted(design, np.ones((1, design.n)), lam, precision)[0]
 
 
@@ -916,7 +902,7 @@ def fit_weighted(
         fails.
     """
     batch = _Batch(design, weights, np.full(weights.shape[0], _THETA_INIT), scalings=scalings)
-    batch.alternate(lam, precision)
+    batch.irls(lam, precision, dispersion=True)
     return [batch.model(k) for k in range(weights.shape[0])]
 
 
@@ -990,10 +976,10 @@ def cross_validate_lambda(
         scalings=[s for s in scalings for _ in range(folds)],
     )
     lam = np.repeat(grids, folds, axis=0)
-    # Dispersion is profiled on each training split once, at the top of
-    # its path; coefficient fits are then warm-started down the
+    # Dispersion is profiled on each training split at the top of its
+    # path only; coefficient fits are then warm-started down the
     # descending grid at that fixed dispersion, all folds at once.
-    batch.alternate(lam[:, 0], "relaxed")
+    batch.irls(lam[:, 0], "relaxed", dispersion=True)
     member, subject = np.nonzero(held.reshape(members, n))
     copies = held.reshape(members, n)[member, subject]
     y = design.response[subject]

@@ -36,6 +36,8 @@ ESTIMATOR_KINDS = ("parametric", "semiparametric")
 # The cross-validation scorer's held-out losses, and the models; each first is the default.
 CV_LOSSES = ("squared", "deviance")
 MODELS = ("ridge", "ml")
+# Each penalty on the grid costs a fit of every cross-validation fold.
+MAX_GRID_SIZE = 10_000
 
 
 @dataclass
@@ -91,8 +93,9 @@ class BenefitPipeline:
             raise ValueError(f"model must be one of {', '.join(MODELS)}")
         if self.cv_folds < 2:
             raise ValueError("cv folds must be at least 2")
-        if self.lambda_grid_size < 1:
-            raise ValueError("penalty grid size must be at least 1")
+        if not 1 <= self.lambda_grid_size <= MAX_GRID_SIZE:
+            raise ValueError(f"penalty grid size must lie between 1 and {MAX_GRID_SIZE}, "
+                             f"got {self.lambda_grid_size}")
         if not 0.0 < self.lambda_min_ratio < 1.0:
             raise ValueError("penalty grid min ratio must lie in (0, 1)")
         if self.cv_loss not in CV_LOSSES:
@@ -243,17 +246,14 @@ class BenefitPipeline:
 
 def _require_converged(model: nbglm.FittedBenefitModel) -> None:
     meta = model.fit_meta
+    if not meta.converged:
+        raise ConvergenceError(f"fit did not converge in {meta.iterations} iterations")
     # At its bound the dispersion search returns exp(log(THETA_MIN)), a rounding above it.
-    if meta.converged and model.dispersion <= nbglm.THETA_MIN * (1.0 + 1e-9):
+    if model.dispersion <= nbglm.THETA_MIN * (1.0 + 1e-9):
         raise ConvergenceError(
             f"the dispersion ended at its lower bound theta={nbglm.THETA_MIN:g}: "
             "the fitted means cannot describe the counts"
         )
-    if meta.converged:
-        return
-    if meta.dispersion_rounds >= nbglm._MAX_ROUNDS:
-        raise ConvergenceError(f"the dispersion did not settle in {meta.dispersion_rounds} rounds")
-    raise ConvergenceError(f"fit did not converge in {meta.iterations} iterations")
 
 
 def _orientation_failure(exc: OrientationError, data: TrialDataset, bv: bn.BenefitVector) -> str:
@@ -289,15 +289,14 @@ def _reject_unfit_arms(data: TrialDataset, counts: np.ndarray) -> None:
 
 def _infinite_estimate(design: nbglm.DesignMatrix, counts: np.ndarray) -> EstimationError | None:
     """The error that the maximum-likelihood estimate on the rows ``counts``
-    weighs is infinite, or None: it is when some z = X g is 0 on every row with
-    events and <= 0, not all 0, on the rest (Santos Silva & Tenreyro 2010).  Per
-    arm z = [1, x] N u, N the null space of the rows with events, and no u exists
-    iff -1'B is a nonnegative combination of the rows of B, the eventless rows
-    times N (Stiemke); a nonzero nonnegative least-squares residual is such a u."""
+    weighs, some with events, is infinite, or None: it is when some z = X g is
+    0 on every row with events and <= 0, not all 0, on the rest (Santos Silva
+    & Tenreyro 2010).  Per arm z = [1, x] N u, N the null space of the rows
+    with events, and no u exists iff -1'B is a nonnegative combination of the
+    rows of B, the eventless rows times N (Stiemke); a nonzero nonnegative
+    least-squares residual is such a u."""
     mains, treated = np.r_[0, 2:2 + design.m], np.r_[1, 2 + design.m:2 + 2 * design.m]
     weighed, events = counts > 0, design.response > 0
-    if not (weighed & events).any():
-        return None  # left to the fit
     for arm, name in enumerate(("control arm (treatment=0)", "treated arm (treatment=1)")):
         in_arm = weighed & (design.treatment == arm)
         if not (in_arm & events).any():

@@ -118,6 +118,8 @@ _SCENARIO_INDEX = {name: i for i, name in enumerate(SCENARIO_NAMES, start=1)}
 
 MIN_POPULATION_SIZE = 1000
 POPULATION_SIZE = 200_000
+# A population of this size holds its covariates in about 0.5 GB.
+MAX_POPULATION_SIZE = 10_000_000
 
 # Raw semi-parametric values are kept even outside [0, 1], but a value
 # farther than this from the estimand's range exists only through
@@ -220,8 +222,9 @@ def _split_coefficients(coefs: Sequence[float]):
 
 
 def _check_population_size(size: int) -> None:
-    if size < MIN_POPULATION_SIZE:
-        raise ValueError(f"population size below {MIN_POPULATION_SIZE} is too small to be useful")
+    if not MIN_POPULATION_SIZE <= size <= MAX_POPULATION_SIZE:
+        raise ValueError(f"population size must lie between {MIN_POPULATION_SIZE} and "
+                         f"{MAX_POPULATION_SIZE}, got {size}")
 
 
 def generate_population(

@@ -201,7 +201,8 @@ class _Layout:
 
 @dataclass(frozen=True)
 class _Block:
-    """The kept rows of one block, in the dtypes TrialDataset holds."""
+    """The kept rows of one block, in the dtypes TrialDataset holds, and
+    their numbers in the file."""
 
     treatment: np.ndarray
     events: np.ndarray
@@ -209,6 +210,7 @@ class _Block:
     covariates: np.ndarray
     ids: list[str]
     n_missing: int
+    row_numbers: np.ndarray
 
 
 def _float_or_nan(cell: str) -> float:
@@ -277,13 +279,14 @@ def _convert_block(rows: list[list[str]], first_row: int, layout: _Layout) -> _B
         raise width_error
     (arm, *_), (count, *_), (time, *_), *x_columns = columns
     x = np.column_stack([values for values, *_ in x_columns])
+    numbers = np.fromiter(numbers, np.int64, len(numbers))
     n_missing = 0
     if missing.any():
         keep = ~missing
-        arm, count, time, x = arm[keep], count[keep], time[keep], x[keep]
+        arm, count, time, x, numbers = arm[keep], count[keep], time[keep], x[keep], numbers[keep]
         ids = list(itertools.compress(ids, keep))
         n_missing = sum(any(map(str.strip, rows[i])) for i in np.flatnonzero(missing))
-    return _Block(arm.astype(np.int64), count.astype(np.int64), time, x, ids, n_missing)
+    return _Block(arm.astype(np.int64), count.astype(np.int64), time, x, ids, n_missing, numbers)
 
 
 def _read_block(
@@ -340,7 +343,8 @@ def load_dataset(
         counts of 2**63 or more, non-positive times, arm labels other
         than 0/1.  Rows with *missing* cells (empty, NA, NaN,
         null, none) are not errors; they are dropped and counted on
-        ``n_missing_excluded``.
+        ``n_missing_excluded``.  A subject id that a kept row repeats
+        is an error naming the id and both rows.
     """
     for key in _RULES:
         if key not in schema:
@@ -394,13 +398,19 @@ def load_dataset(
 
     if not any(b.time.size for b in blocks):
         raise SchemaError("no usable data rows after exclusions")
+    ids = [i for b in blocks for i in b.ids]
+    if len(set(ids)) < len(ids):
+        first: dict[str, int] = {}
+        for row, subject in zip(np.concatenate([b.row_numbers for b in blocks]).tolist(), ids):
+            if (earlier := first.setdefault(subject, row)) != row:
+                raise RowParseError(row, id_col, f"subject id {subject!r} repeats row {earlier}")
     return TrialDataset(
         treatment=np.concatenate([b.treatment for b in blocks]),
         events=np.concatenate([b.events for b in blocks]),
         time=np.concatenate([b.time for b in blocks]),
         covariates=np.concatenate([b.covariates for b in blocks]),
         covariate_names=list(cov_cols),
-        ids=[i for b in blocks for i in b.ids],
+        ids=ids,
         n_missing_excluded=sum(b.n_missing for b in blocks),
     )
 

@@ -167,6 +167,17 @@ class TestConfigErrors:
                      "curve needs a column mapping in the config file", id="no-columns"),
         pytest.param(["curve", "--input", "CSV", "--p", "abc"], None,
                      "bad --p list: 'abc'", id="p-not-numbers"),
+        # sizes whose arrays (7.28 and 72.8 TiB) no allocation can give
+        pytest.param(["curve", "--input", "CSV", "--grid-size", "1000000000000"], None,
+                     "--grid-size must lie between 1 and 10000000, got 1000000000000",
+                     id="curve-grid-beyond-memory"),
+        pytest.param(["estimate", "--input", "CSV"], lambda p: {**p, "cv": {"grid_size": 10**12}},
+                     "penalty grid size must lie between 1 and 10000, got 1000000000000",
+                     id="cv-grid-beyond-memory"),
+        pytest.param(["simulate", "--scenario", "strong", "--n", "10", "--replicates", "2",
+                      "--population-size", "10000000000000"], None,
+                     "population size must lie between 1000 and 10000000, got 10000000000000",
+                     id="population-beyond-memory"),
     ])
     def test_unusable_setting_exits_one_naming_it(self, workspace, capsys, args, edit, message):
         tmp, csv, config = workspace
@@ -459,6 +470,18 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: column 'x2' appears more than once in header")
 
+    def test_repeated_subject_id_is_data_error(self, workspace, capsys):
+        """Row s0 repeated at the end used to load, and write two s0 rows
+        to ``benefit_histogram.csv``."""
+        tmp, csv, config = workspace
+        bad = tmp / "repeated_id.csv"
+        bad.write_text(csv.read_text() + csv.read_text().splitlines()[1] + "\n")
+        code = run_cli(["estimate", "--input", bad, "--config", config, "--model", "ml",
+                        "--seed", "1", "--out", tmp / "x"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: row 151, column 'id': subject id 's0' repeats row 1\n")
+
     @pytest.mark.parametrize("extra", ["arm", "x1", "y"])
     def test_column_mapped_twice_is_data_error(self, tmp_path, capsys, extra):
         """On the benchmark's 1000-row trial at seed 5, before the mapping
@@ -593,21 +616,17 @@ class TestEstimateCommand:
                         "--model", "ridge", "--seed", "3", "--out", tmp / "ridge"])
         assert code == 0
 
-    @pytest.mark.parametrize("cap, message", [
-        ("_MAX_ROUNDS", "the dispersion did not settle in 1 rounds"),
-        ("_MAX_ITER", "fit did not converge in 1 iterations"),
-    ])
     @pytest.mark.parametrize("model", ["ml", "ridge"])
     def test_a_fit_stopped_at_its_cap_exits_three_naming_the_loop(
-        self, workspace, capsys, monkeypatch, cap, message, model
+        self, workspace, capsys, monkeypatch, model
     ):
-        """Poisson counts: the ML dispersion settles on its upper bound in
-        three rounds, too few single Newton steps for the last one to
-        certify the tolerance."""
+        """Poisson counts: the first dispersion search moves theta from 1
+        toward its upper bound, so a fit capped at one step ends unsettled."""
         tmp, _, config = workspace
         csv = write_dataset_csv(tmp / "poisson.csv", simulate_trial(
             np.array([0.3, -0.5, 0.4, -0.3, 0.3, -0.2]), n=150, seed=42, theta=1e8, m=2))
-        monkeypatch.setattr(nbglm, cap, 1)
+        message = "fit did not converge in 1 iterations"
+        monkeypatch.setattr(nbglm, "_MAX_ITER", 1)
         out = tmp / f"capped_{model}"
         code = run_cli(["estimate", "--input", csv, "--config", config,
                         "--model", model, "--seed", "3", "--out", out])

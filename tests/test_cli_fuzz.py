@@ -3,7 +3,8 @@
 Each example is a trial CSV at the edge of what the program accepts:
 tiny or one-arm samples; constant, collinear, huge, tiny, outlying or
 separating covariates; a covariate column mapped twice; no events or a
-huge count; tiny or huge follow-up times.  Whatever the input, a run ends
+huge count; tiny or huge follow-up times; a penalty or curve grid no
+memory can hold, a config error before any work.  Whatever the input, a run ends
 in a documented exit code (0 ok, 1 config, 2 data, 3 degenerate) with no
 traceback and no stray ``RuntimeWarning``.  An estimate writes
 ``report.json`` when it is degenerate, and never reports a converged fit
@@ -33,7 +34,8 @@ COLUMNS = ("normal", "constant", "collinear", "huge", "tiny", "outlier", "separa
 
 @st.composite
 def runs(draw):
-    """(CSV text, config, CLI flags) of one generated run."""
+    """(CSV text, config, CLI flags, curve run, oversized grid) of one
+    generated run."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # Repeated choices, and rare ones made of several draws, weigh the
     # examples toward trials with both arms and events.
@@ -73,21 +75,24 @@ def runs(draw):
     rows += [",".join([f"s{i}", str(a[i]), str(y[i]), repr(float(t[i]))]
                       + [repr(float(v)) for v in x[i]]) for i in range(n)]
     mapped = names + [names[0]] if draw(st.sampled_from([False] * 7 + [True])) else names
+    # a grid size whose array (7.28 TiB) no allocation can give
+    oversized = draw(st.sampled_from([None] * 14 + ["cv", "curve"]))
     config = {
         "columns": {"treatment": "arm", "events": "y", "time": "t", "covariates": mapped,
                     "id": "id"},
-        "cv": {"folds": 3, "grid_size": 4, "min_ratio": 0.01},
+        "cv": {"folds": 3, "grid_size": 10**12 if oversized == "cv" else 4, "min_ratio": 0.01},
     }
     flags = ["--model", draw(st.sampled_from(["ml", "ridge"])), "--seed", "3"]
     curve = draw(st.sampled_from([None, "fit", "model-file", "model-file"]))
     if curve is not None:
         p = draw(st.sampled_from([None, "1", "0.5", "0.1,0.9", "0.25,0.5,0.75,1"]))
-        curve = (curve, [] if p is None else ["--p", p],
+        p = [] if p is None else ["--p", p]
+        curve = (curve, p + ["--grid-size", str(10**12)] * (oversized == "curve"),
                  draw(st.sampled_from([None, None, "longer-scaling", "nan-coefficient"])))
     resampling = draw(st.sampled_from([None] * 4 + ["--bootstrap", "--optimism"]))
     if resampling is not None:
         flags += [resampling, "3"]
-    return "\n".join(rows) + "\n", config, flags, curve
+    return "\n".join(rows) + "\n", config, flags, curve, oversized
 
 
 def run_cli(argv):
@@ -106,14 +111,16 @@ def run_cli(argv):
 @settings(max_examples=300, deadline=None)
 @given(run=runs())
 def test_generated_input_ends_in_a_documented_exit(run):
-    text, config, flags, curve = run
+    text, config, flags, curve, oversized = run
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "trial.csv").write_text(text)
         (tmp / "config.json").write_text(json.dumps(config))
         out = tmp / "out"
         inputs = ["--input", tmp / "trial.csv", "--config", tmp / "config.json"]
-        code, _ = run_cli(["estimate", *inputs, *flags, "--out", out])
+        code, err = run_cli(["estimate", *inputs, *flags, "--out", out])
+        if oversized == "cv":
+            assert code == 1 and "penalty grid size must lie between" in err, err
         if code == 3:
             assert (out / "report.json").is_file()
         if code in (0, 3):
@@ -125,7 +132,7 @@ def test_generated_input_ends_in_a_documented_exit(run):
         source, p, corruption = curve
         model_file = out / "model.json"
         if source == "fit":
-            code, _ = run_cli(["curve", *inputs, *flags[:4], *p, "--out", tmp / "curve"])
+            code, err = run_cli(["curve", *inputs, *flags[:4], *p, "--out", tmp / "curve"])
         elif model_file.is_file():
             payload = json.loads(model_file.read_text())
             if corruption == "longer-scaling":
@@ -136,5 +143,9 @@ def test_generated_input_ends_in_a_documented_exit(run):
             model_file.write_text(json.dumps(payload))
             code, err = run_cli(["curve", *inputs, "--seed", "3", "--model-file", model_file,
                                  *p, "--out", tmp / "curve"])
-            if corruption is not None:
-                assert code == 2 and "malformed model file" in err, err
+        else:
+            return
+        if oversized == "curve":
+            assert code == 1 and "--grid-size must lie between" in err, err
+        elif corruption is not None and source != "fit":
+            assert code == 2 and "malformed model file" in err, err

@@ -313,9 +313,9 @@ class TestFit:
 
     def test_carried_objective_is_the_fresh_one(self, monkeypatch):
         """Each member's objective is carried from its accepted step and
-        recomputed when its dispersion moves: after the alternation of a
-        batch and after a cross-validation path it equals, bit for bit,
-        the objective computed afresh from the member's means."""
+        recomputed when its dispersion moves: after a profiled batch fit
+        and after a cross-validation path it equals, bit for bit, the
+        objective computed afresh from the member's means."""
         batches = []
         init = nbglm._Batch.__init__
 
@@ -331,9 +331,9 @@ class TestFit:
         fit_weighted(design, counts, np.array([0.0, 0.5, 20.0]))
         grid = lambda_grid(design, size=10, min_ratio=1e-3)
         cross_validate(design, folds=4, grid=grid, seed=7)
-        alternated, path = batches[0], batches[-1]
+        profiled, path = batches[0], batches[-1]
         assert np.all(path.lam == grid[-1]) and path.rounds.min() > 1
-        for batch in (alternated, path):
+        for batch in (profiled, path):
             fresh = batch._nll(batch.eta + design.offset, batch.mu, slice(None))
             np.testing.assert_array_equal(batch.nll, fresh)
 
@@ -361,10 +361,26 @@ class TestFit:
         monkeypatch.setattr(nbglm, "_MAX_ITER", 2)
         model = fit(design, lam=0.0, theta=1.0)
         assert not model.fit_meta.converged and model.fit_meta.iterations == 2
-        monkeypatch.setattr(nbglm, "_MAX_ITER", 100)
-        monkeypatch.setattr(nbglm, "_MAX_ROUNDS", 1)
+        # the cap counts every step of a profiled fit, each followed by a search
         model = fit_alternating(design, lam=0.0)
-        assert not model.fit_meta.converged and model.fit_meta.dispersion_rounds == 1
+        meta = model.fit_meta
+        assert not meta.converged and meta.iterations == meta.dispersion_rounds == 2
+
+    @pytest.mark.parametrize("precision", ["final", "relaxed"])
+    def test_a_profiled_fit_counts_every_step_and_search(self, monkeypatch, precision):
+        """One dispersion search follows each coefficient step, so a
+        profiled fit's iterations are its solves and its searches."""
+        solves, searches = [], []
+        solve, profile = nbglm._Batch._solve, nbglm._Batch.profile
+        monkeypatch.setattr(nbglm._Batch, "_solve",
+                            lambda self, *a: solves.append(1) or solve(self, *a))
+        monkeypatch.setattr(nbglm._Batch, "profile",
+                            lambda self, *a: searches.append(1) or profile(self, *a))
+        for design in reference_designs():
+            solves.clear(), searches.clear()
+            meta = fit_alternating(design, lam=0.5, precision=precision).fit_meta
+            assert meta.converged and meta.iterations > 1
+            assert meta.iterations == meta.dispersion_rounds == len(solves) == len(searches)
 
     def test_parameter_validation(self):
         d = simulate_trial(np.zeros(6), n=30, seed=9, m=2)

@@ -123,3 +123,17 @@ def test_reported_numbers_match_the_pinned_values(tmp_path):
         if not same:
             wrong.append(f"{path}: {value!r}, pinned {want!r}")
     assert not wrong, "\n".join(wrong)
+
+
+def test_regeneration_names_what_moved():
+    from regenerate_pinned_outputs import moves
+
+    old = {"a:x": 1.0, "a:y": 2.0, "a:n": 3, "b:x": 4.0, "b:gone": "s"}
+    new = {"a:x": 1.0, "a:y": 2.5, "a:n": 3.0, "b:x": 4.0, "b:new": True}
+    assert moves(old, new) == [
+        "a: 1 floats moved, largest relative move 0.2 (a:y)",
+        "b: 0 floats moved, largest relative move 0",
+        "exact value changed: a:n: 3 -> 3.0",
+        "removed: b:gone",
+        "added: b:new",
+    ]

@@ -76,7 +76,7 @@ def reference_load(source, schema):
         positions[name] = header.index(name)
 
     treatment, events, time, covariates, ids = [], [], [], [], []
-    n_missing = 0
+    n_missing, first_row = 0, {}
     for row_number, row in enumerate(reader, start=1):
         if not row or all(not c.strip() for c in row):
             continue
@@ -106,9 +106,15 @@ def reference_load(source, schema):
         time.append(followup)
         covariates.append(x)
         ids.append(cells[str(id_col)] if id_col is not None else str(len(ids) + 1))
+        first_row.setdefault(ids[-1], []).append(row_number)
 
     if not treatment:
         raise SchemaError("no usable data rows after exclusions")
+    # every row is judged before ids are compared
+    repeats = [(rows[1], subject, rows[0]) for subject, rows in first_row.items() if len(rows) > 1]
+    if id_col is not None and repeats:
+        row, subject, earlier = min(repeats)
+        raise RowParseError(row, str(id_col), f"subject id {subject!r} repeats row {earlier}")
     return TrialDataset(
         treatment=np.array(treatment),
         events=np.array(events),
@@ -123,7 +129,7 @@ def reference_load(source, schema):
 # Cells of the generated CSVs, by column: values every row check accepts,
 # then values some check rejects.  Padding and case vary throughout.
 _GOOD = {
-    "id": ["s1", "s2", " s3 ", '"a,b"', '" q, r "'],
+    "id": ["s{}", " s{} ", '"a,{}"', '" q, {} "'],
     "arm": ["0", "1", " 1 ", "-0", "1.0", '"0"'],
     "y": ["0", "3", " 12 ", "2.0", "-0", "9223372036854774784"],
     "t": ["1.0", "0.5", " 2 ", "1e-3"],
@@ -146,15 +152,16 @@ _BLANK_LINES = ["   ", " , ,\t, , , , "]
 def trial_csvs(draw):
     """A CSV with columns id, arm, y, t, x1, x2, note: mostly valid rows,
     with missing cells and blank and whitespace-only lines mixed in, and
-    in half the files rejected or non-finite cells and rows of the wrong
-    width too."""
+    in half the files rejected or non-finite cells, rows of the wrong
+    width and repeated ids too."""
     kinds = ["valid"] * 6 + ["missing"] * 3 + ["blank", "spaces"]
     if draw(st.booleans()):
-        kinds += ["bad", "non-finite", "width"]
+        kinds += ["bad", "non-finite", "width", "repeat"]
     lines = [_HEADER]
-    for _ in range(draw(st.integers(0, 14))):
+    for k in range(draw(st.integers(0, 14))):
         kind = draw(st.sampled_from(kinds))
         cells = [draw(st.sampled_from(_GOOD[c])) for c in _COLUMNS] + ["n"]
+        cells[0] = cells[0].format(draw(st.integers(0, k)) if kind == "repeat" else k)
         j = draw(st.integers(0, len(_COLUMNS) - 1))
         if kind == "bad":
             j = draw(st.integers(1, len(_COLUMNS) - 1))
@@ -282,6 +289,19 @@ class TestLoadDataset:
         with pytest.raises(RowParseError, match=r"row 3, column 'y': count not below 2\*\*63"):
             load_dataset(io.StringIO(text), SCHEMA)
 
+    def test_repeated_subject_id_is_row_error_naming_both_rows(self, monkeypatch):
+        """The first id that a later kept row repeats, across blocks: a
+        row dropped for a missing cell repeats nothing."""
+        monkeypatch.setattr(trial_data, "_BLOCK_ROWS", 2)
+        rows = CSV_4ROW.splitlines()[1:] + ["b,0,1,1.0,NA", "e,0,1,1.0,0.2", "c,1,0,1.0,0.3",
+                                            "a,1,2,1.0,0.4"]
+        text = "\n".join(["id,arm,y,t,x1", *rows]) + "\n"
+        with pytest.raises(RowParseError,
+                           match=r"^row 7, column 'id': subject id 'c' repeats row 3$"):
+            load_dataset(io.StringIO(text), SCHEMA)
+        without_ids = {k: v for k, v in SCHEMA.items() if k != "id"}
+        assert load_dataset(io.StringIO(text), without_ids).n == 7
+
     def test_error_names_the_first_bad_row_across_blocks(self, monkeypatch):
         monkeypatch.setattr(trial_data, "_BLOCK_ROWS", 2)
         rows = CSV_4ROW.splitlines()[1:] * 2
@@ -294,17 +314,19 @@ class TestLoadDataset:
     def test_each_trouble_at_each_row_matches_per_row_reference(self, monkeypatch):
         """One troubled cell or line at each of the 7 rows of an otherwise
         valid file read in blocks of 3: the first, middle and last row of
-        a block, and of the last, short block."""
+        a block, and of the last, short block.  The other rows' ids are
+        s0..s6, so a troubled line with id s0 repeats row 1's."""
         monkeypatch.setattr(trial_data, "_BLOCK_ROWS", 3)
         schema = dict(SCHEMA, covariates=["x1", "x2"])
-        valid = ["s1", "1", "3", "1.0", "0.25", "-1.5", "n"]
-        troubled = ["", *_BLANK_LINES, ",".join(valid[:4]), ",".join(valid + ["extra"])]
+        valid = ["t", "1", "3", "1.0", "0.25", "-1.5", "n"]
+        troubled = ["", *_BLANK_LINES, ",".join(valid[:4]), ",".join(valid + ["extra"]),
+                    ",".join(["s0", *valid[1:]])]
         for j, column in enumerate(_COLUMNS):
             for value in _BAD.get(column, []) + _MISSING + _NON_FINITE:
                 troubled.append(",".join(valid[:j] + [value] + valid[j + 1:]))
         for line in troubled:
             for at in range(7):
-                rows = [",".join(valid)] * 7
+                rows = [",".join([f"s{i}", *valid[1:]]) for i in range(7)]
                 rows[at] = line
                 text = "\n".join([_HEADER, *rows]) + "\n"
                 assert (_outcome(load_dataset, text, schema)
@@ -315,7 +337,7 @@ class TestLoadDataset:
         skips blank rows of any width, as the reference does."""
         schema = dict(SCHEMA, covariates=["x1", "x2"])
         valid = ["s1", "1", "3", "1.0", "0.25", "-1.5", "n"]
-        rows = [",".join(valid)] * 9
+        rows = [",".join([f"s{i}", *valid[1:]]) for i in range(9)]
         for at, (j, token) in enumerate([(0, " NA "), (1, "nan"), (2, ""), (4, "None"),
                                          (5, " nUlL ")]):
             rows[2 * at] = ",".join(valid[:j] + [token] + valid[j + 1:])
